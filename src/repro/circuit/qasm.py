@@ -66,7 +66,9 @@ def _gate_to_qasm(gate: Gate) -> str:
     if gate.name in _ONE_QUBIT or gate.name in _TWO_QUBIT:
         return f"{gate.name} {operands};"
     if gate.name in _ROTATION:
-        return f"{gate.name}({gate.params[0]:.17g}) {operands};"
+        # Adding +0.0 turns -0.0 into 0.0: the parser reads "-0" back
+        # as 0.0, so printing the sign would break the round trip.
+        return f"{gate.name}({gate.params[0] + 0.0:.17g}) {operands};"
     if gate.name == "barrier":
         # An operand-free barrier is QASM's whole-register form.
         return f"barrier {operands};" if operands else "barrier q;"

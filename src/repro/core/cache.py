@@ -19,7 +19,16 @@ caching subsystem:
 * :class:`ContentAddressedCache` -- a thread-safe LRU store with
   hit/miss/eviction counters, used through :func:`compile_cache` (the
   process-global instance the pipeline passes and the fusion engine
-  share) or as private instances (the importance-score memo).
+  share) or as private instances (the importance-score memo).  Each
+  entry has a side slot (:meth:`~ContentAddressedCache.attach`) for
+  facts about the cached value, such as a sanitizer verdict, that live
+  and die with the entry.
+
+Full content hashes are for ingress artifacts (Hamiltonians, devices,
+ingested circuits).  Pipeline stages key what they derive from those on
+the *entry keys* of their inputs (:func:`canonical_hash` over the
+upstream keys plus the config fields the stage reads), so a warm run
+never re-hashes an artifact the cache already produced.
 
 Circuit hashes come in two flavors, selected by ``values=``:
 
@@ -96,13 +105,26 @@ def canonical_hash(*parts: Any) -> str:
 
 
 def _feed_gates(hasher: "hashlib._Hash", gates: Iterable["Gate"], *, values: bool) -> None:
+    """Feed a gate sequence as a few packed buffers, not per-gate parts.
+
+    The per-gate name lengths, qubit counts and parameter counts make
+    the concatenated names, qubits and angles unambiguous.
+    """
+    names: list[str] = []
+    qubits: list[int] = []
+    params: list[float] = []
+    shape: list[int] = []
     for gate in gates:
-        _feed(hasher, gate.name)
-        _feed(hasher, gate.qubits)
+        names.append(gate.name)
+        qubits.extend(gate.qubits)
+        shape += (len(gate.name), len(gate.qubits), len(gate.params))
         if values:
-            _feed(hasher, np.asarray(gate.params, dtype=float))
-        else:
-            _feed(hasher, len(gate.params))
+            params.extend(gate.params)
+    _feed(hasher, "".join(names))
+    _feed(hasher, np.array(shape, dtype=np.int64))
+    _feed(hasher, np.array(qubits, dtype=np.int64))
+    if values:
+        _feed(hasher, np.array(params, dtype=np.float64))
 
 
 def circuit_key(circuit: "Circuit", *, values: bool = True) -> str:
@@ -133,6 +155,7 @@ def dag_key(dag: "CircuitDAG", *, values: bool = True) -> str:
 
 def program_key(program: "PauliProgram") -> str:
     """Canonical hash of a Pauli program (terms, coefficients, wiring)."""
+    terms = program.terms
     hasher = hashlib.sha256()
     _feed(
         hasher,
@@ -141,36 +164,51 @@ def program_key(program: "PauliProgram") -> str:
             program.num_qubits,
             program.num_parameters,
             tuple(program.initial_occupations),
+            len(terms),
         ),
     )
-    for term in program.terms:
-        x, z = term.pauli.key()
-        _feed(hasher, (x, z, float(term.coefficient), term.parameter_index))
+    masks = (term.pauli.key() for term in terms)
+    _feed(hasher, ",".join(f"{x}:{z}" for x, z in masks))
+    _feed(hasher, np.array([term.coefficient for term in terms], dtype=np.float64))
+    _feed(hasher, np.array([term.parameter_index for term in terms], dtype=np.int64))
     return hasher.hexdigest()
 
 
 def pauli_sum_key(pauli_sum: "PauliSum") -> str:
     """Canonical hash of a Pauli sum (e.g. a Hamiltonian)."""
+    terms = list(pauli_sum.items())
     hasher = hashlib.sha256()
-    _feed(hasher, ("pauli_sum", pauli_sum.num_qubits))
-    for (x, z), coefficient in pauli_sum.items():
-        _feed(hasher, (x, z, float(coefficient.real), float(coefficient.imag)))
+    _feed(hasher, ("pauli_sum", pauli_sum.num_qubits, len(terms)))
+    # Masks may exceed 64 bits, so they go in as decimal text.
+    _feed(hasher, ",".join(f"{x}:{z}" for (x, z), _ in terms))
+    _feed(hasher, np.array([c for _, c in terms], dtype=np.complex128))
     return hasher.hexdigest()
 
 
 def coupling_key(device: "CouplingGraph") -> str:
-    """Canonical hash of a coupling graph (name, size, edge set)."""
+    """Canonical hash of a coupling graph.
+
+    Covers everything compiled artifacts and their checks read off a
+    device: name, size, edge set, the layout root (``center``) and the
+    declared gate set.
+    """
     return canonical_hash(
         "coupling",
         device.name,
         device.num_qubits,
         tuple(tuple(edge) for edge in sorted(device.edges)),
+        device.center,
+        None if device.gate_set is None else tuple(sorted(device.gate_set)),
     )
 
 
 # ----------------------------------------------------------------------
 # The LRU store
 # ----------------------------------------------------------------------
+#: Sentinel for "no entry": a cached value may itself be None.
+_ABSENT = object()
+
+
 @dataclass
 class CacheStats:
     """Hit/miss/eviction counters of one cache instance."""
@@ -210,6 +248,11 @@ class ContentAddressedCache:
     fused / scheduled records stored here (none are mutated after
     construction).  ``max_entries`` bounds memory; the least recently
     used entry is evicted (and counted) on overflow.
+
+    :meth:`attach` hangs side data off an entry (the pipeline records
+    sanitizer verdicts and derived metrics there).  Side data takes no LRU slot, counts no
+    hit or miss, and is dropped whenever its entry is evicted, replaced
+    or cleared.
     """
 
     def __init__(self, max_entries: int = 512, name: str = "compile-cache") -> None:
@@ -219,6 +262,7 @@ class ContentAddressedCache:
         self.name = name
         self.stats = CacheStats()
         self._entries: OrderedDict[Any, Any] = OrderedDict()
+        self._side: dict[Any, dict[Any, Any]] = {}
         self._lock = threading.Lock()
 
     def get_or_compute(self, key: Any, compute: Callable[[], Any]) -> Any:
@@ -255,9 +299,28 @@ class ContentAddressedCache:
         with self._lock:
             self._entries[key] = value
             self._entries.move_to_end(key)
+            self._side.pop(key, None)
             while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
+                evicted, _ = self._entries.popitem(last=False)
+                self._side.pop(evicted, None)
                 self.stats.evictions += 1
+
+    def attach(self, key: Any, value: Any, tag: Any, data: Any) -> None:
+        """Record ``data`` under ``tag`` on entry ``key`` while it holds ``value``.
+
+        A no-op when ``key`` is absent or now maps to another object, so
+        a fact established about one value never transfers to another.
+        """
+        with self._lock:
+            if self._entries.get(key, _ABSENT) is value:
+                self._side.setdefault(key, {})[tag] = data
+
+    def attached(self, key: Any, value: Any, tag: Any) -> Any:
+        """The data recorded under ``tag`` on entry ``key`` for ``value``, or None."""
+        with self._lock:
+            if self._entries.get(key, _ABSENT) is not value:
+                return None
+            return self._side.get(key, {}).get(tag)
 
     def __contains__(self, key: Any) -> bool:
         with self._lock:
@@ -270,6 +333,7 @@ class ContentAddressedCache:
         """Drop every entry and reset the counters."""
         with self._lock:
             self._entries.clear()
+            self._side.clear()
             self.stats = CacheStats()
 
     def __repr__(self) -> str:

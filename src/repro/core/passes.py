@@ -20,7 +20,8 @@ workload driver.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import TYPE_CHECKING, Any
+from functools import partial
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.chem.hamiltonian import MolecularProblem, build_molecule_hamiltonian
 from repro.core.compression import CompressedAnsatz, compress_ansatz
@@ -77,17 +78,21 @@ class PipelineConfig:
     :class:`Compress` stage sanitizes the compressed Pauli program, the
     :class:`Route` stage sanitizes the routed circuit and its layouts
     against the device, and the :class:`Metrics` stage sanitizes the
-    scheduling DAG it consumes.  Checks are linear-time; opt out only
-    for throughput-critical inner loops that re-run validated configs.
+    scheduling DAG it consumes.  Checks are linear-time, and a cached
+    artifact is checked once per cache entry: a warm rerun finds the
+    recorded verdict and runs no check (with ``cache`` off, every run
+    checks).
 
     ``fusion`` selects the gate-fusion level for the ``"fused"``
     simulation engine (:data:`repro.compiler.fusion.FUSION_LEVELS`);
     ``cache`` turns the content-addressed compile cache
     (:mod:`repro.core.cache`) on or off: with it on (the default), the
     ansatz build, compression, layout, routing, and schedule metrics of
-    a run are memoized under canonical content hashes, so repeated
-    pipelines, ``run_batch`` workers, and ``bond_scan`` points sharing
-    structure skip recompilation entirely.
+    a run are memoized, so repeated pipelines, ``run_batch`` workers,
+    and ``bond_scan`` points sharing structure skip recompilation
+    entirely.  Only the inputs (Hamiltonian, device, ingested circuit)
+    are content-hashed; each stage keys its artifact on the entry keys
+    of its inputs plus the config fields it reads (:func:`entry_key`).
 
     ``array_backend`` selects the tensor library behind every simulation
     the pipeline performs (:mod:`repro.sim.backend`): ``"numpy"`` (the
@@ -177,21 +182,138 @@ def _compile_store(context: PipelineContext) -> "ContentAddressedCache | None":
     return resolve_cache(context.config.cache)
 
 
-def _hamiltonian_key(context: PipelineContext) -> str:
-    """The problem Hamiltonian's content hash, computed once per run."""
-    from repro.core.cache import pauli_sum_key
+def _content_key(attribute: str, artifact: Any) -> str:
+    """Full content hash of a staged artifact that no cached pass keyed."""
+    from repro.core import cache
 
-    key = context.artifacts.get("hamiltonian_key")
-    if key is None:
-        hamiltonian = getattr(context.problem, "hamiltonian", None)
+    if attribute == "device":
+        return cache.coupling_key(artifact)
+    if attribute == "initial_layout":
+        return cache.canonical_hash("layout", tuple(sorted(artifact.items())))
+    circuit = getattr(artifact, "circuit", None)
+    if circuit is not None:  # ingested circuit problem or its wrapper
+        return cache.circuit_key(circuit)
+    if attribute == "problem":
+        hamiltonian = getattr(artifact, "hamiltonian", None)
         if hamiltonian is None:
             raise PipelineError(
                 "content-addressing needs a problem with a Hamiltonian; "
-                f"got {type(context.problem).__name__}"
+                f"got {type(artifact).__name__}"
             )
-        key = pauli_sum_key(hamiltonian)
-        context.artifacts["hamiltonian_key"] = key
-    return str(key)
+        return cache.pauli_sum_key(hamiltonian)
+    return cache.program_key(artifact.program)
+
+
+def _record_key(context: PipelineContext, attribute: str, key: str) -> None:
+    """Remember that ``context.<attribute>``, as staged now, has ``key``."""
+    context.artifacts.setdefault("keys", {})[attribute] = (
+        getattr(context, attribute),
+        key,
+    )
+
+
+def _recorded_key(context: PipelineContext, attribute: str) -> str | None:
+    """The key recorded for the object now in ``context.<attribute>``.
+
+    None when nothing was recorded or a later pass swapped the object,
+    so a key can never outlive the artifact it describes.
+    """
+    recorded = context.artifacts.get("keys", {}).get(attribute)
+    if recorded is None or recorded[0] is not getattr(context, attribute):
+        return None
+    return str(recorded[1])
+
+
+def entry_key(context: PipelineContext, attribute: str) -> str | None:
+    """The cache key of ``context.<attribute>`` (None when it is unset).
+
+    Artifacts a cached pass produced carry their entry key, derived from
+    the keys of their inputs (a Merkle key), so looking it up costs
+    nothing.  Anything else -- the Hamiltonian, the device, an ingested
+    circuit, or an artifact a custom pass staged -- is content-hashed
+    once per run and the key is recorded for the passes downstream.
+    """
+    artifact = getattr(context, attribute)
+    if artifact is None:
+        return None
+    key = _recorded_key(context, attribute)
+    if key is None:
+        key = _content_key(attribute, artifact)
+        _record_key(context, attribute, key)
+    return key
+
+
+def _cached(
+    context: PipelineContext,
+    store: "ContentAddressedCache",
+    attribute: str,
+    key_parts: tuple[Any, ...],
+    compute: Callable[[], Any],
+) -> None:
+    """Stage ``context.<attribute>`` from ``store`` under a derived key."""
+    from repro.core.cache import canonical_hash
+
+    key = canonical_hash(*key_parts)
+    setattr(context, attribute, store.get_or_compute(key, compute))
+    _record_key(context, attribute, key)
+
+
+def _once_per_entry(
+    context: PipelineContext,
+    attribute: str,
+    tag: str,
+    compute: Callable[[], Any],
+) -> Any:
+    """``compute()``, a fact about ``context.<attribute>``, once per cache entry.
+
+    The result is attached under ``tag`` to the cache entry holding the
+    artifact, and later runs that get the same artifact from the cache
+    read it back.  An artifact with no entry (``cache=False``, or staged
+    by a custom pass) is computed for every run, and so is one whose
+    ``compute`` raises, since a raise attaches nothing.
+    """
+    artifact = getattr(context, attribute)
+    store = _compile_store(context)
+    key = _recorded_key(context, attribute)
+    if store is None or key is None:
+        return compute()
+    data = store.attached(key, artifact, tag)
+    if data is None:
+        data = compute()
+        store.attach(key, artifact, tag, data)
+    return data
+
+
+def _sanitize(
+    context: PipelineContext,
+    attribute: str,
+    stage: str,
+    subject: Any,
+    *,
+    checks: tuple[str, ...] | None = None,
+    device: CouplingGraph | None = None,
+) -> None:
+    """Statically check ``subject``, part of ``context.<attribute>``.
+
+    Runs when ``config.validate`` is on, once per cache entry: the
+    verdict (the names of the checks that passed) is attached to the
+    artifact's entry as ``stage``'s, so a warm run checks nothing.
+    """
+    if not context.config.validate:
+        return
+
+    def verdict() -> tuple[str, ...]:
+        from repro.analysis import assert_clean
+
+        report = assert_clean(
+            subject,
+            device=device,
+            checks=checks,
+            context=f"{stage}({context.config.describe()})",
+        )
+        return tuple(report.checks_run)
+
+    _once_per_entry(context, attribute, stage, verdict)
 
 
 class Pass:
@@ -247,9 +369,11 @@ class BuildProblem(Pass):
 class BuildAnsatz(Pass):
     """Problem -> ansatz: UCCSD (molecular), QAOA (graph) or raw circuit.
 
-    Pauli-program ansatze are content-addressed under the Hamiltonian
-    hash when ``config.cache`` is on: every pipeline, batch worker, or
-    scan point over the same instance shares one built ansatz.
+    With ``config.cache`` on, the ansatz is content-addressed under the
+    problem's hash (its Hamiltonian, or its circuit for a gate-level
+    problem): every pipeline, batch worker, or scan point over the same
+    instance shares one built ansatz, and the stages downstream key on
+    its entry.
     """
 
     name = "build_ansatz"
@@ -260,35 +384,31 @@ class BuildAnsatz(Pass):
         from repro.problems.registry import CircuitProblem, GraphProblem
 
         problem = context.require("problem", self.name)
+        build: Callable[[], Any]
         if isinstance(problem, CircuitProblem):
             from repro.ansatz.circuit_ansatz import CircuitAnsatz
 
-            # Wrapping is free; nothing worth caching.
-            context.ansatz = CircuitAnsatz(problem.circuit, name=problem.name)
-            return
-        store = _compile_store(context)
-        if isinstance(problem, GraphProblem):
+            # Wrapping is free; the entry exists so that the stages
+            # downstream get an ingress key and a verdict slot.
+            kind: tuple[Any, ...] = ("circuit-ansatz", problem.name)
+            build = partial(CircuitAnsatz, problem.circuit, name=problem.name)
+        elif isinstance(problem, GraphProblem):
             from repro.ansatz.qaoa import build_qaoa_ansatz
 
-            layers = context.config.qaoa_layers
+            layers = int(context.config.qaoa_layers)
+            kind = ("qaoa-ansatz", layers)
+            build = partial(build_qaoa_ansatz, problem.hamiltonian, layers)
+        else:
+            from repro.ansatz.uccsd import build_uccsd_program
 
-            def build_qaoa() -> "QAOAAnsatz":
-                return build_qaoa_ansatz(problem.hamiltonian, layers)
-
-            if store is None:
-                context.ansatz = build_qaoa()
-                return
-            key = ("qaoa-ansatz", _hamiltonian_key(context), int(layers))
-            context.ansatz = store.get_or_compute(key, build_qaoa)
-            return
-        from repro.ansatz.uccsd import build_uccsd_program
-
+            kind = ("uccsd-ansatz",)
+            build = partial(build_uccsd_program, problem)
+        store = _compile_store(context)
         if store is None:
-            context.ansatz = build_uccsd_program(problem)
+            context.ansatz = build()
             return
-        key = ("uccsd-ansatz", _hamiltonian_key(context))
-        context.ansatz = store.get_or_compute(
-            key, lambda: build_uccsd_program(problem)
+        _cached(
+            context, store, "ansatz", (*kind, entry_key(context, "problem")), build
         )
 
 
@@ -313,49 +433,47 @@ class Compress(Pass):
         ansatz = context.require("ansatz", self.name)
         if isinstance(ansatz, CircuitAnsatz):
             # Gate-level workloads have no parameter space to compress;
-            # the circuit flows through untouched.
+            # the circuit flows through untouched, under the same key.
             context.compressed = ansatz
-            if context.config.validate:
-                from repro.analysis import assert_clean
-
-                assert_clean(
-                    ansatz.circuit,
-                    context=f"compress({context.config.describe()})",
-                )
+            key = _recorded_key(context, "ansatz")
+            if key is not None:
+                _record_key(context, "compressed", key)
+            _sanitize(context, "compressed", self.name, ansatz.circuit)
             return
+        compress: Callable[[], CompressedAnsatz]
         if isinstance(ansatz, QAOAAnsatz):
             # QAOA term order is semantic (layers do not commute), so
             # importance reordering would change the prepared state;
             # ``ratio`` is ignored on this path.
             from repro.core.compression import identity_compression
 
-            context.compressed = identity_compression(ansatz.program)
-            self._commute_metrics(context)
-            self._validate(context)
-            return
-        store = _compile_store(context)
-
-        def compress() -> CompressedAnsatz:
-            return compress_ansatz(
+            kind: tuple[Any, ...] = ("identity-compress",)
+            compress = partial(identity_compression, ansatz.program)
+        else:
+            kind = (
+                "compress",
+                entry_key(context, "problem"),
+                float(context.config.ratio),
+                float(context.config.decay_base),
+            )
+            compress = partial(
+                compress_ansatz,
                 ansatz.program,
                 problem.hamiltonian,
                 context.config.ratio,
                 decay_base=context.config.decay_base,
             )
-
+        store = _compile_store(context)
         if store is None:
             context.compressed = compress()
         else:
-            from repro.core.cache import program_key
-
-            key = (
-                "compress",
-                program_key(ansatz.program),
-                _hamiltonian_key(context),
-                float(context.config.ratio),
-                float(context.config.decay_base),
+            _cached(
+                context,
+                store,
+                "compressed",
+                (*kind, entry_key(context, "ansatz")),
+                compress,
             )
-            context.compressed = store.get_or_compute(key, compress)
         self._commute_metrics(context)
         self._validate(context)
 
@@ -365,29 +483,16 @@ class Compress(Pass):
             context.compressed, CompressedAnsatz
         ):
             return
-        program = context.compressed.program
-        store = _compile_store(context)
-        if store is None:
-            context.metrics.update(_chain_cnot_metrics(program))
-        else:
-            from repro.core.cache import program_key
-
-            key = ("chain-cnot-metrics", program_key(program))
-            context.metrics.update(
-                store.get_or_compute(key, lambda: _chain_cnot_metrics(program))
-            )
+        chain = partial(_chain_cnot_metrics, context.compressed.program)
+        context.metrics.update(
+            _once_per_entry(context, "compressed", "chain-cnot-metrics", chain)
+        )
 
     def _validate(self, context: PipelineContext) -> None:
-        if not context.config.validate or not isinstance(
-            context.compressed, CompressedAnsatz
-        ):
-            return
-        from repro.analysis import assert_clean
-
-        assert_clean(
-            context.compressed.program,
-            context=f"compress({context.config.describe()})",
-        )
+        if isinstance(context.compressed, CompressedAnsatz):
+            _sanitize(
+                context, "compressed", self.name, context.compressed.program
+            )
 
 
 def _chain_cnot_metrics(program: "PauliProgram") -> dict[str, int]:
@@ -454,19 +559,13 @@ class InitialLayout(Pass):
         if store is None:
             context.initial_layout = build_layout()
             return
-        from repro.core.cache import circuit_key, coupling_key, program_key
-
-        if isinstance(compressed, CircuitAnsatz):
-            staged_key = circuit_key(compressed.circuit, values=False)
-        else:
-            staged_key = program_key(compressed.program)
-        key = (
+        key_parts = (
             "initial-layout",
             scheme,
-            staged_key,
-            coupling_key(context.device),
+            entry_key(context, "compressed"),
+            entry_key(context, "device"),
         )
-        context.initial_layout = store.get_or_compute(key, build_layout)
+        _cached(context, store, "initial_layout", key_parts, build_layout)
 
 
 class Route(Pass):
@@ -479,7 +578,8 @@ class Route(Pass):
     (see :mod:`repro.analysis`).  This is the linear-time complement of
     the exponential dynamic check
     (:func:`repro.compiler.verify.assert_routed_equivalent`), so it runs
-    on every compile, not just small test circuits.
+    on every compile, not just small test circuits; a cached routed
+    artifact is checked once per cache entry.
     """
 
     name = "route"
@@ -527,37 +627,27 @@ class Route(Pass):
         store = _compile_store(context)
         if store is None:
             context.compiled = compile_program()
-            self._validate(context)
-            return
-        from repro.core.cache import circuit_key, coupling_key, program_key
-
-        if isinstance(compressed, CircuitAnsatz):
-            staged_key = circuit_key(compressed.circuit)
         else:
-            staged_key = program_key(compressed.program)
-        layout = context.initial_layout
-        key = (
-            "route",
-            context.config.compiler,
-            coupling_key(context.device),
-            staged_key,
-            None if layout is None else tuple(sorted(layout.items())),
-            context.config.seed,
-            context.config.commute,
-        )
-        context.compiled = store.get_or_compute(key, compile_program)
+            key_parts = (
+                "route",
+                context.config.compiler,
+                entry_key(context, "device"),
+                entry_key(context, "compressed"),
+                entry_key(context, "initial_layout"),
+                context.config.seed,
+                context.config.commute,
+            )
+            _cached(context, store, "compiled", key_parts, compile_program)
         self._validate(context)
 
     def _validate(self, context: PipelineContext) -> None:
-        if not context.config.validate:
-            return
-        from repro.analysis import assert_clean
-
-        assert_clean(
+        _sanitize(
+            context,
+            "compiled",
+            self.name,
             context.compiled,
-            device=context.device,
             checks=self.VALIDATION_CHECKS,
-            context=f"route({context.config.describe()})",
+            device=context.device,
         )
 
 
@@ -680,19 +770,14 @@ class Metrics(Pass):
     VALIDATION_CHECKS = ("dag-invariants", "dag-circuit-consistency")
 
     def run(self, context: PipelineContext) -> None:
-        if (
-            context.config.validate
-            and context.config.dag
-            and context.compiled is not None
-            and getattr(context.compiled, "dag", None) is not None
-        ):
-            from repro.analysis import assert_clean
-
-            assert_clean(
+        if context.config.dag and getattr(context.compiled, "dag", None) is not None:
+            _sanitize(
+                context,
+                "compiled",
+                self.name,
                 context.compiled,
-                device=context.device,
                 checks=self.VALIDATION_CHECKS,
-                context=f"metrics({context.config.describe()})",
+                device=context.device,
             )
         context.metrics.update(collect_metrics(context))
 
@@ -720,41 +805,50 @@ def collect_metrics(context: PipelineContext) -> dict[str, Any]:
         metrics["num_qubits"] = int(context.problem.num_qubits)
     if context.ansatz is not None:
         metrics["total_parameters"] = int(context.ansatz.num_parameters)
-    if isinstance(context.compressed, CompressedAnsatz):
-        metrics["num_parameters"] = int(context.compressed.num_parameters)
-        metrics["num_pauli_strings"] = int(len(context.compressed.program))
-        metrics["original_cnots"] = int(context.compressed.program.cnot_count())
-    elif context.compressed is not None:
-        # Gate-level workload: the "original" cost is the logical circuit.
-        circuit = context.compressed.circuit
-        metrics["original_cnots"] = int(circuit.num_cnots())
-        metrics["original_gates"] = int(circuit.num_gates())
+    if context.compressed is not None:
+        staged = partial(_staged_metrics, context.compressed)
+        metrics.update(
+            _once_per_entry(context, "compressed", "staged-metrics", staged)
+        )
     if context.device is not None:
         metrics["device"] = context.device.name
         metrics["device_edges"] = int(context.device.num_edges)
     else:
         metrics["device"] = config.device
     if context.compiled is not None:
-        metrics["overhead_cnots"] = int(context.compiled.overhead_cnots)
-        metrics["num_swaps"] = int(context.compiled.num_swaps)
-        metrics["total_cnots"] = int(context.compiled.total_cnots)
-        if config.dag:
-            from repro.compiler.metrics import schedule_report
+        summary = partial(_routing_metrics, context.compiled, config.dag)
+        tag = "routing-metrics" + ("+schedule" if config.dag else "")
+        metrics.update(_once_per_entry(context, "compiled", tag, summary))
+    return metrics
 
-            circuit = context.compiled.circuit
-            store = _compile_store(context)
-            if store is None:
-                schedule = schedule_report(circuit)
-            else:
-                from repro.core.cache import circuit_key
 
-                # Depth/duration depend only on the gate structure, so
-                # the value-blind hash shares one report across bindings.
-                key = ("schedule-report", circuit_key(circuit, values=False))
-                schedule = store.get_or_compute(
-                    key, lambda: schedule_report(circuit)
-                )
-            metrics["depth"] = int(schedule.depth)
-            metrics["scheduled_depth"] = int(schedule.scheduled_depth)
-            metrics["duration_ns"] = float(schedule.duration_ns)
+def _staged_metrics(compressed: "CompressedAnsatz | CircuitAnsatz") -> dict[str, int]:
+    """Size and "original" CNOT cost of the artifact handed to routing."""
+    if isinstance(compressed, CompressedAnsatz):
+        return {
+            "num_parameters": int(compressed.num_parameters),
+            "num_pauli_strings": int(len(compressed.program)),
+            "original_cnots": int(compressed.program.cnot_count()),
+        }
+    # Gate-level workload: the "original" cost is the logical circuit.
+    return {
+        "original_cnots": int(compressed.circuit.num_cnots()),
+        "original_gates": int(compressed.circuit.num_gates()),
+    }
+
+
+def _routing_metrics(compiled: Any, dag: bool) -> dict[str, Any]:
+    """CNOT accounting of a routed artifact, plus its schedule with ``dag``."""
+    metrics: dict[str, Any] = {
+        "overhead_cnots": int(compiled.overhead_cnots),
+        "num_swaps": int(compiled.num_swaps),
+        "total_cnots": int(compiled.total_cnots),
+    }
+    if dag:
+        from repro.compiler.metrics import schedule_report
+
+        schedule = schedule_report(compiled.circuit)
+        metrics["depth"] = int(schedule.depth)
+        metrics["scheduled_depth"] = int(schedule.scheduled_depth)
+        metrics["duration_ns"] = float(schedule.duration_ns)
     return metrics

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.chem import build_molecule_hamiltonian
 from repro.circuit import Circuit
-from repro.circuit.gates import CNOT, CZ, H, RX, RY, RZ, SWAP, Barrier, S, X, Y, Z
+from repro.circuit.gates import CNOT, CZ, H, RX, RY, RZ, SWAP, Barrier, Gate, S, X, Y, Z
 from repro.compiler.fusion import (
     FUSION_LEVELS,
     build_fusion_plan,
@@ -230,6 +230,24 @@ class TestCanonicalHashes:
         b = Circuit(1, [RZ(0.2, 0)])
         assert circuit_key(a) != circuit_key(b)
         assert circuit_key(a, values=False) == circuit_key(b, values=False)
+
+    def test_packed_gate_buffers_keep_gate_boundaries(self):
+        # Names, qubits and angles are hashed as concatenated buffers;
+        # moving a boundary between gates must still change the key.
+        def key_pair(a, b, num_qubits=3):
+            return circuit_key(Circuit(num_qubits, a)), circuit_key(Circuit(num_qubits, b))
+
+        qubits = key_pair(
+            [Gate("barrier", (0, 1)), Gate("barrier", (2,))],
+            [Gate("barrier", (0,)), Gate("barrier", (1, 2))],
+        )
+        names = key_pair([Gate("s", (0,)), Gate("x", (0,))], [Gate("sx", (0,)), Gate("", (0,))])
+        angles = key_pair(
+            [Gate("u", (0,), (0.1, 0.2)), Gate("u", (0,), ())],
+            [Gate("u", (0,), (0.1,)), Gate("u", (0,), (0.2,))],
+        )
+        for first, second in (qubits, names, angles):
+            assert first != second
 
     def test_program_and_pauli_sum_keys_deterministic(self):
         problem_a = build_molecule_hamiltonian("H2")

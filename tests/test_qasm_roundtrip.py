@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.circuit import Circuit
@@ -61,6 +61,7 @@ class TestRoundTrip:
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(gates(), min_size=0, max_size=30))
+    @example([Gate("rx", (0,), (-0.0,))])
     def test_round_trip_is_idempotent(self, gate_list):
         # Serializing the parsed circuit again is byte-identical: the
         # printer is a fixed point, which is what makes the corpus
