@@ -24,7 +24,7 @@ sanity checks.  :func:`assert_clean` is the raising form the pipeline's
 The same registry also hosts *source-level* checks: the
 :mod:`repro.analysis.static` subpackage models the whole ``src/repro``
 tree (call graph + per-function effect summaries) and dispatches the
-RR1xx concurrency-safety / determinism / backend-purity analyzers on
+RR1xx concurrency-safety / determinism analyzers on
 :class:`~repro.analysis.static.ProjectModel` objects -- see
 ``docs/analysis.md`` for the rule catalog.
 """
@@ -59,7 +59,6 @@ from repro.analysis.circuit_checks import (
     is_compiled_result,
 )
 from repro.analysis.static import (
-    BackendPurityCheck,
     ConcurrencySafetyCheck,
     DeterminismCheck,
     ProjectModel,
@@ -123,7 +122,6 @@ __all__ = [
     "ProjectModel",
     "ConcurrencySafetyCheck",
     "DeterminismCheck",
-    "BackendPurityCheck",
     "analyze",
     "load_project",
 ]

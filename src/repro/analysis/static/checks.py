@@ -1,7 +1,7 @@
 """RR1xx rules surfaced through the :class:`repro.analysis.Check` registry.
 
 ``repro.analysis.check(model)`` on a :class:`ProjectModel` runs the same
-analyzers ``tools/lint_repro.py`` gates CI with, packaged as three check
+analyzers ``tools/lint_repro.py`` gates CI with, packaged as two check
 families so programmatic consumers (tests, notebooks, the pipeline's
 ``validate=`` knob someday) get :class:`Diagnostic` records instead of
 lint lines.  Suppression pragmas are honored identically: a finding
@@ -21,7 +21,6 @@ from repro.analysis.static.rules import (
     rr103_slab_lifecycle,
     rr111_nondeterministic_sources,
     rr112_unseeded_default_rng,
-    rr121_backend_taint,
 )
 from repro.analysis.static.suppress import SuppressionIndex
 
@@ -99,18 +98,8 @@ class DeterminismCheck(_ProjectRuleCheck):
         ]
 
 
-class BackendPurityCheck(_ProjectRuleCheck):
-    """RR121: host numpy calls on ArrayBackend-produced values."""
-
-    name = "backend-purity"
-    codes = ("RR121",)
-
-    def _findings(self, project: ProjectModel) -> list[RuleFinding]:
-        return rr121_backend_taint(project)
-
-
 def _register_builtin_checks() -> None:
-    for check_type in (ConcurrencySafetyCheck, DeterminismCheck, BackendPurityCheck):
+    for check_type in (ConcurrencySafetyCheck, DeterminismCheck):
         register_check(check_type(), overwrite=True)
 
 

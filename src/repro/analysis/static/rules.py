@@ -1,9 +1,9 @@
-"""RR1xx project rules: concurrency safety, determinism, backend purity.
+"""RR1xx project rules: concurrency safety and determinism.
 
 Each rule is a pure function over a :class:`~repro.analysis.static.model.ProjectModel`
 (plus the :class:`~repro.analysis.static.callgraph.CallGraph` where
 reachability matters) returning :class:`RuleFinding` records.  The rules
-encode the three conventions the scale-out layer (PR 9) rests on:
+encode the two conventions the scale-out layer rests on:
 
 RR101  module-level state mutated by code transitively reachable from a
        task submitted to a thread/process executor.  Shared memos are
@@ -30,11 +30,6 @@ RR112  ``default_rng(seed)`` where ``seed`` does not provably come from
        seeds silently switch to fresh OS entropy when ``None`` arrives;
        route them through :mod:`repro.core.seeding` so the one audited
        helper owns that decision.
-RR121  dataflow sharpening of RR006: values produced by
-       :class:`~repro.sim.backend.ArrayBackend` hooks may live on a GPU;
-       feeding them to a host ``np.*`` call works on the numpy backend
-       and explodes (or silently syncs) on CuPy/torch.  The sanctioned
-       bridge is ``backend.to_numpy``.
 """
 
 from __future__ import annotations
@@ -66,11 +61,6 @@ DETERMINISM_EXEMPT_PREFIXES = (
     "tests/",
 )
 
-#: Backend-purity scope (RR121) mirrors RR006: sim/ engines, with the
-#: dispatch layer itself exempt.
-RR121_SCOPE = "src/repro/sim/"
-RR121_HOME = "src/repro/sim/backend.py"
-
 #: ``np.random`` members that are deterministic machinery rather than
 #: global-state conveniences (RR111 allows, RR112 audits default_rng).
 ALLOWED_NP_RANDOM = frozenset(
@@ -95,27 +85,6 @@ BANNED_TIME = frozenset(
 
 #: Call names accepted as SeedSequence-flow evidence by RR112.
 SEED_HELPER_NAMES = frozenset({"seed_sequence", "spawn_seeds", "seeded_rng"})
-
-#: ArrayBackend hook fallback when sim/backend.py is outside the model.
-DEFAULT_BACKEND_HOOKS = frozenset(
-    {
-        "asarray",
-        "zeros",
-        "empty_like",
-        "copyto",
-        "einsum",
-        "take",
-        "take_into",
-        "axpy",
-        "conjugate",
-        "matmul",
-        "tensordot",
-        "moveaxis",
-        "ascontiguous",
-        "real",
-    }
-)
-
 
 @dataclass(frozen=True)
 class RuleFinding:
@@ -584,199 +553,6 @@ def _rr112_verdict(
 
 
 # ----------------------------------------------------------------------
-# RR121 -- backend-purity taint
-# ----------------------------------------------------------------------
-def _backend_hooks(project: ProjectModel) -> frozenset[str]:
-    backend = project.modules.get(RR121_HOME)
-    if backend is not None:
-        klass = backend.classes.get("ArrayBackend")
-        if klass is not None:
-            hooks = {
-                name
-                for name in klass.methods
-                if not name.startswith("_") and name != "to_numpy"
-            }
-            if hooks:
-                return frozenset(hooks)
-    return DEFAULT_BACKEND_HOOKS
-
-
-def _is_backendish(expr: ast.expr, backend_vars: set[str]) -> bool:
-    if isinstance(expr, ast.Name):
-        return expr.id in backend_vars or "backend" in expr.id
-    symbol = symbol_of(expr)
-    if symbol is None:
-        return False
-    return "backend" in symbol.rsplit(".", 1)[-1]
-
-
-def _hook_call(
-    expr: ast.expr, hooks: frozenset[str], backend_vars: set[str]
-) -> bool:
-    return (
-        isinstance(expr, ast.Call)
-        and isinstance(expr.func, ast.Attribute)
-        and expr.func.attr in hooks
-        and _is_backendish(expr.func.value, backend_vars)
-    )
-
-
-def _refs_tainted(
-    expr: ast.expr,
-    tainted: set[str],
-    tainted_attrs: set[str],
-    hooks: frozenset[str],
-    backend_vars: set[str],
-) -> bool:
-    """Does ``expr`` carry backend-produced data?
-
-    ``to_numpy`` calls are the sanctioned device->host bridge, so their
-    subtrees are not scanned; any other hook call is itself a source.
-    """
-    if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Attribute):
-        if expr.func.attr == "to_numpy":
-            return False
-        if _hook_call(expr, hooks, backend_vars):
-            return True
-    if isinstance(expr, ast.Name):
-        return expr.id in tainted
-    if isinstance(expr, ast.Attribute):
-        symbol = symbol_of(expr)
-        if symbol in tainted_attrs:
-            return True
-    for child in ast.iter_child_nodes(expr):
-        if isinstance(child, ast.expr) and _refs_tainted(
-            child, tainted, tainted_attrs, hooks, backend_vars
-        ):
-            return True
-    return False
-
-
-def _collect_backend_vars(info: FunctionInfo, body: list[ast.stmt]) -> set[str]:
-    backend_vars = {
-        name for name in info.params if "backend" in name
-    }
-    for node in _ordered_nodes(body):
-        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-            symbol = symbol_of(node.value.func)
-            if symbol and symbol.rsplit(".", 1)[-1] == "get_array_backend":
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        backend_vars.add(target.id)
-    return backend_vars
-
-
-def _class_tainted_attrs(
-    model: ModuleModel, class_qualname: str, hooks: frozenset[str]
-) -> set[str]:
-    tainted: set[str] = set()
-    for info in model.functions.values():
-        if info.owner_class != class_qualname:
-            continue
-        body = info.node.body
-        if not isinstance(body, list):
-            continue
-        backend_vars = _collect_backend_vars(info, body)
-        for node in _ordered_nodes(body):
-            if isinstance(node, ast.Assign) and _hook_call(
-                node.value, hooks, backend_vars
-            ):
-                for target in node.targets:
-                    symbol = symbol_of(target)
-                    if symbol is not None and symbol.startswith("self."):
-                        tainted.add(symbol)
-    return tainted
-
-
-def rr121_backend_taint(project: ProjectModel) -> list[RuleFinding]:
-    hooks = _backend_hooks(project)
-    findings: list[RuleFinding] = []
-    for model in project.modules.values():
-        if not model.rel.startswith(RR121_SCOPE) or model.rel == RR121_HOME:
-            continue
-        if model.imports.get("np") != "numpy" and "numpy" not in model.imports.values():
-            continue
-        attr_cache: dict[str, set[str]] = {}
-        for info in model.functions.values():
-            body = info.node.body
-            if not isinstance(body, list):
-                continue
-            tainted_attrs: set[str] = set()
-            if info.owner_class is not None:
-                if info.owner_class not in attr_cache:
-                    attr_cache[info.owner_class] = _class_tainted_attrs(
-                        model, info.owner_class, hooks
-                    )
-                tainted_attrs = attr_cache[info.owner_class]
-            findings.extend(
-                _rr121_function(model, info, body, hooks, tainted_attrs)
-            )
-    findings.sort(key=lambda f: (f.rel, f.line, f.message))
-    return findings
-
-
-def _rr121_function(
-    model: ModuleModel,
-    info: FunctionInfo,
-    body: list[ast.stmt],
-    hooks: frozenset[str],
-    tainted_attrs: set[str],
-) -> list[RuleFinding]:
-    findings: list[RuleFinding] = []
-    backend_vars = _collect_backend_vars(info, body)
-    tainted: set[str] = set()
-    numpy_aliases = {
-        alias for alias, module in model.imports.items() if module == "numpy"
-    }
-
-    for node in _ordered_nodes(body):
-        if isinstance(node, ast.Call):
-            func_root = root_name(node.func)
-            func_symbol = symbol_of(node.func)
-            if (
-                func_root in numpy_aliases
-                and isinstance(node.func, ast.Attribute)
-                and func_symbol is not None
-                and not func_symbol.split(".")[1:2] == ["random"]
-            ):
-                for arg in [*node.args, *[kw.value for kw in node.keywords]]:
-                    if _refs_tainted(arg, tainted, tainted_attrs, hooks, backend_vars):
-                        findings.append(
-                            RuleFinding(
-                                "RR121",
-                                model.rel,
-                                node.lineno,
-                                f"host numpy call {func_symbol}(...) consumes "
-                                "a backend-produced array: on CuPy/torch "
-                                "backends this value may live on an "
-                                "accelerator; route the operation through an "
-                                "ArrayBackend hook or bridge explicitly with "
-                                "backend.to_numpy(...)",
-                            )
-                        )
-                        break
-        if isinstance(node, ast.Assign):
-            value_tainted = _refs_tainted(
-                node.value, tainted, tainted_attrs, hooks, backend_vars
-            )
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    if value_tainted:
-                        tainted.add(target.id)
-                    else:
-                        tainted.discard(target.id)
-                else:
-                    symbol = symbol_of(target)
-                    if symbol is not None and symbol.startswith("self."):
-                        if value_tainted:
-                            tainted_attrs = tainted_attrs | {symbol}
-        elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
-            if _refs_tainted(node.value, tainted, tainted_attrs, hooks, backend_vars):
-                tainted.add(node.target.id)
-    return findings
-
-
-# ----------------------------------------------------------------------
 # Entry point
 # ----------------------------------------------------------------------
 def analyze_project(project: ProjectModel) -> list[RuleFinding]:
@@ -788,7 +564,6 @@ def analyze_project(project: ProjectModel) -> list[RuleFinding]:
         *rr103_slab_lifecycle(project),
         *rr111_nondeterministic_sources(project),
         *rr112_unseeded_default_rng(project),
-        *rr121_backend_taint(project),
     ]
     findings.sort(key=lambda f: (f.rel, f.line, f.code, f.message))
     return findings

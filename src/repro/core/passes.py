@@ -93,12 +93,6 @@ class PipelineConfig:
     entirely.  Only the inputs (Hamiltonian, device, ingested circuit)
     are content-hashed; each stage keys its artifact on the entry keys
     of its inputs plus the config fields it reads (:func:`entry_key`).
-
-    ``array_backend`` selects the tensor library behind every simulation
-    the pipeline performs (:mod:`repro.sim.backend`): ``"numpy"`` (the
-    default) runs the in-place fast paths; ``"cupy"``/``"torch"``
-    dispatch the same math through those libraries' array APIs when they
-    are importable.
     """
 
     molecule: str = "H2"
@@ -118,7 +112,6 @@ class PipelineConfig:
     engine: str = "inplace"
     fusion: str = "2q"
     cache: bool = True
-    array_backend: str = "numpy"
     validate: bool = True
     trajectories: int = 256
     dag: bool = True
@@ -676,7 +669,6 @@ class Energy(Pass):
         engine: str | None = None,
         fusion: str | None = None,
         cache: bool | None = None,
-        array_backend: str | None = None,
         gradient: str | None = None,
         noise: Any = None,
         trajectories: int | None = None,
@@ -687,7 +679,6 @@ class Energy(Pass):
         self.engine = engine
         self.fusion = fusion
         self.cache = cache
-        self.array_backend = array_backend
         self.gradient = gradient
         self.noise = noise
         self.trajectories = trajectories
@@ -722,7 +713,6 @@ class Energy(Pass):
             engine=self.engine or context.config.engine,
             fusion=self.fusion or context.config.fusion,
             cache=context.config.cache if self.cache is None else self.cache,
-            array_backend=self.array_backend or context.config.array_backend,
             gradient=self.gradient,
             noise=self.noise,
             trajectories=self.trajectories or context.config.trajectories,

@@ -24,19 +24,11 @@ Engine selection (``"inplace"`` / ``"batched"`` / ``"fused"`` /
 ``"legacy"``) is documented in ``docs/performance.md``; the ``"fused"``
 engine's dense-block planner lives in :mod:`repro.compiler.fusion`.
 
-Array-library dispatch lives in :mod:`repro.sim.backend`: every engine
-takes a ``backend=`` (name or :class:`~repro.sim.backend.ArrayBackend`)
-selecting the tensor library -- NumPy by default, CuPy/torch when
-importable -- and scale-out across processes is driven by the
-``executor=``/``workers=`` knobs (:data:`repro.sim.trajectory.EXECUTORS`).
+Every engine runs on NumPy arrays; scale-out across processes is driven
+by the ``executor=``/``workers=`` knobs
+(:data:`repro.sim.trajectory.EXECUTORS`).
 """
 
-from repro.sim.backend import (
-    ArrayBackend,
-    available_array_backends,
-    get_array_backend,
-    register_array_backend,
-)
 from repro.sim.statevector import (
     ENGINES,
     StatevectorSimulator,
@@ -71,7 +63,6 @@ from repro.sim.noise import DepolarizingNoiseModel
 __all__ = [
     "ENGINES",
     "EXECUTORS",
-    "ArrayBackend",
     "StatevectorSimulator",
     "BatchedStatevector",
     "DensityMatrixSimulator",
@@ -90,12 +81,9 @@ __all__ = [
     "apply_unitary_inplace",
     "apply_pauli",
     "apply_pauli_exponential",
-    "available_array_backends",
     "check_engine",
     "check_executor",
     "expectation",
-    "get_array_backend",
     "ground_state_energy",
-    "register_array_backend",
     "resolve_workers",
 ]

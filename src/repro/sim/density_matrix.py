@@ -14,7 +14,7 @@ simulation while keeping the identical channel, so the reported signal
 
 from __future__ import annotations
 
-import numpy as np  # lint: ignore[RR006] - exact O(4^n) density matrix is numpy by design
+import numpy as np
 
 from repro.circuit import Circuit
 from repro.circuit.gates import Gate

@@ -8,7 +8,7 @@ evaluator), falling back to dense diagonalization for tiny systems.
 
 from __future__ import annotations
 
-import numpy as np  # lint: ignore[RR006] - host-side sparse Lanczos reference solver
+import numpy as np
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from repro.pauli import PauliSum

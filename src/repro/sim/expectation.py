@@ -30,13 +30,22 @@ array([1., 1.])
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Sequence
 
-import numpy as np  # lint: ignore[RR006] - diagonal construction is host-side
+import numpy as np
+from scipy.linalg.blas import daxpy, zaxpy
 
 from repro.pauli import PauliSum
-from repro.sim.backend import ArrayBackend, get_array_backend
 from repro.sim.pauli_evolution import cached_xor_indices, parity_signs
+
+
+def _axpy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``y += x`` in place as one fused BLAS pass; returns ``y``."""
+    if y.dtype == np.float64:
+        daxpy(x, y, a=1.0)
+    else:
+        zaxpy(x, y, a=1.0)
+    return y
 
 
 def expectation(observable: PauliSum, state: np.ndarray) -> float:
@@ -64,10 +73,7 @@ class ExpectationEngine:
         self,
         observable: PauliSum,
         max_bytes: int = 1 << 30,
-        *,
-        backend: str | ArrayBackend | None = None,
     ) -> None:
-        self.backend = get_array_backend(backend)
         self.num_qubits = observable.num_qubits
         self.num_terms = len(observable)
         dim = 1 << self.num_qubits
@@ -83,7 +89,7 @@ class ExpectationEngine:
             )
 
         self._x_masks: list[int] = []
-        diagonals: list[np.ndarray] = []
+        self._diagonals: list[np.ndarray] = []
         for x, zs in sorted(groups.items()):
             diagonal = np.zeros(dim, dtype=complex)
             for z, coefficient in zs:
@@ -91,28 +97,20 @@ class ExpectationEngine:
                 phase = (1j) ** (y_count % 4)
                 diagonal += coefficient * phase * parity_signs(self.num_qubits, z)
             self._x_masks.append(x)
-            diagonals.append(diagonal)
-        # Diagonals are always *built* host-side (numpy), then moved onto
-        # the selected backend once; with the numpy backend this is a
-        # no-op view and nothing changes.
-        self._diagonals = [
-            self.backend.asarray(d, dtype=self.backend.complex_dtype)
-            for d in diagonals
-        ]
+            self._diagonals.append(diagonal)
 
         #: Real parts of the grouped diagonals, built lazily on the first
         #: real-arithmetic evaluation (see :meth:`values_real`).
-        self._real_diagonals: list[Any] | None = None
+        self._real_diagonals: list[np.ndarray] | None = None
 
     @classmethod
     def from_arrays(
         cls,
         num_qubits: int,
         x_masks: Sequence[int],
-        diagonals: Any,
+        diagonals: np.ndarray,
         *,
         num_terms: int = 0,
-        backend: str | ArrayBackend | None = None,
     ) -> "ExpectationEngine":
         """Rebuild an engine from exported tables without a PauliSum.
 
@@ -122,14 +120,10 @@ class ExpectationEngine:
         straight in, skipping both pickling and reconstruction.
         """
         engine = cls.__new__(cls)
-        engine.backend = get_array_backend(backend)
         engine.num_qubits = int(num_qubits)
         engine.num_terms = int(num_terms)
         engine._x_masks = [int(x) for x in x_masks]
-        engine._diagonals = [
-            engine.backend.asarray(d, dtype=engine.backend.complex_dtype)
-            for d in diagonals
-        ]
+        engine._diagonals = [np.asarray(d, dtype=complex) for d in diagonals]
         engine._real_diagonals = None
         return engine
 
@@ -142,79 +136,63 @@ class ExpectationEngine:
         """
         return {
             "x_masks": np.asarray(self._x_masks, dtype=np.uint64),
-            "diagonals": np.stack(
-                [self.backend.to_numpy(d) for d in self._diagonals]
-            ),
+            "diagonals": np.stack(self._diagonals),
         }
 
     @property
     def num_groups(self) -> int:
         return len(self._x_masks)
 
-    def apply(self, state: Any) -> Any:
+    def apply(self, state: np.ndarray) -> np.ndarray:
         """Return ``H |state>`` (used by the exact eigensolver)."""
-        backend = self.backend
-        state = backend.asarray(state, dtype=backend.complex_dtype)
-        result = backend.zeros(state.shape, dtype=state.dtype)
+        state = np.asarray(state, dtype=complex)
+        result = np.zeros(state.shape, dtype=state.dtype)
         for x, diagonal in zip(self._x_masks, self._diagonals):
             term = diagonal * state
             if x:
-                term = backend.take(
-                    term, cached_xor_indices(self.num_qubits, x), axis=-1
-                )
-            result = backend.axpy(term, result, 1.0)
+                term = np.take(term, cached_xor_indices(self.num_qubits, x), axis=-1)
+            result = _axpy(term, result)
         return result
 
-    def value(self, state: Any) -> float:
+    def value(self, state: np.ndarray) -> float:
         """Return ``<state|H|state>`` (real part)."""
-        backend = self.backend
-        state = backend.asarray(state, dtype=backend.complex_dtype)
+        state = np.asarray(state, dtype=complex)
         total = 0.0 + 0.0j
-        conj = backend.conjugate(state)
+        conj = np.conjugate(state)
         for x, diagonal in zip(self._x_masks, self._diagonals):
             term = diagonal * state
             if x:
-                term = backend.take(
-                    term, cached_xor_indices(self.num_qubits, x), axis=-1
-                )
-            total += complex(backend.to_numpy(backend.einsum("d,d->", conj, term)))
+                term = np.take(term, cached_xor_indices(self.num_qubits, x), axis=-1)
+            total += complex(np.einsum("d,d->", conj, term))
         return float(total.real)
 
     def _batched_quadratic(
-        self, states: Any, conj: Any, diagonals: list[Any]
-    ) -> Any:
+        self, states: np.ndarray, conj: np.ndarray, diagonals: list[np.ndarray]
+    ) -> np.ndarray:
         """``sum_x <conj_k| perm_x (D_x states_k)>`` per row ``k``."""
-        backend = self.backend
         if states.ndim != 2 or states.shape[1] != (1 << self.num_qubits):
             raise ValueError(
                 f"states must have shape (K, {1 << self.num_qubits}), "
                 f"got {tuple(states.shape)}"
             )
-        totals = backend.zeros(states.shape[0], dtype=states.dtype)
+        totals = np.zeros(states.shape[0], dtype=states.dtype)
         for x, diagonal in zip(self._x_masks, diagonals):
             term = diagonal * states
             if x:
-                term = backend.take(
-                    term, cached_xor_indices(self.num_qubits, x), axis=-1
-                )
-            totals = backend.axpy(backend.einsum("kd,kd->k", conj, term), totals, 1.0)
+                term = np.take(term, cached_xor_indices(self.num_qubits, x), axis=-1)
+            totals = _axpy(np.einsum("kd,kd->k", conj, term), totals)
         return totals
 
-    def values(self, states: Any) -> np.ndarray:
+    def values(self, states: np.ndarray) -> np.ndarray:
         """Batched ``<state|H|state>`` over a ``(K, 2**n)`` stack.
 
         One vectorized pass per X-mask group, shared across all K rows;
-        the workhorse of the batched parameter-sweep engine.  Accepts
-        host or backend arrays; always returns a host numpy result.
+        the workhorse of the batched parameter-sweep engine.
         """
-        backend = self.backend
-        states = backend.asarray(states, dtype=backend.complex_dtype)
-        totals = self._batched_quadratic(
-            states, backend.conjugate(states), self._diagonals
-        )
-        return backend.to_numpy(backend.real(totals))
+        states = np.asarray(states, dtype=complex)
+        return self._batched_quadratic(states, np.conjugate(states), self._diagonals).real
 
-    def values_real(self, states: Any) -> np.ndarray:
+    def values_real(self, states: np.ndarray) -> np.ndarray:
         """Batched expectations of *real* float64 states, shape ``(K,)``.
 
         Each per-X-mask group operator is Hermitian, so for real states
@@ -223,12 +201,7 @@ class ExpectationEngine:
         whole evaluation stays in float arithmetic (used by the real
         fast path of :func:`repro.sim.batched.sweep_expectations`).
         """
-        backend = self.backend
-        states = backend.asarray(states, dtype=backend.float_dtype)
+        states = np.asarray(states, dtype=float)
         if self._real_diagonals is None:
-            self._real_diagonals = [
-                backend.ascontiguous(backend.real(d)) for d in self._diagonals
-            ]
-        return backend.to_numpy(
-            self._batched_quadratic(states, states, self._real_diagonals)
-        )
+            self._real_diagonals = [np.ascontiguousarray(d.real) for d in self._diagonals]
+        return self._batched_quadratic(states, states, self._real_diagonals)

@@ -27,7 +27,6 @@ from repro.core.bits import popcount
 from repro.core.ir import PauliProgram
 from repro.core.seeding import seeded_rng
 from repro.pauli import PauliString, PauliSum
-from repro.sim.backend import ArrayBackend, get_array_backend
 from repro.sim.density_matrix import DensityMatrixSimulator
 from repro.sim.expectation import ExpectationEngine
 from repro.sim.noise import DepolarizingNoiseModel
@@ -74,25 +73,17 @@ class StatevectorEnergy:
         engine: str = "inplace",
         fusion: str = "2q",
         cache=True,
-        array_backend: str | ArrayBackend | None = None,
     ):
         if program.num_qubits != hamiltonian.num_qubits:
             raise ValueError("program and Hamiltonian sizes differ")
         check_engine(engine)
-        self.array_backend = get_array_backend(array_backend)
-        if not self.array_backend.supports_inplace_kernels and engine != "batched":
-            raise ValueError(
-                f"array backend {self.array_backend.name!r} has no in-place "
-                f"kernel support; engine={engine!r} is numpy-specific -- "
-                "use engine='batched' (the backend-generic sweep path)"
-            )
         if engine == "fused":
             from repro.compiler.fusion import check_fusion_level
 
             check_fusion_level(fusion)
         self.program = program
         self.hamiltonian = hamiltonian
-        self.engine = ExpectationEngine(hamiltonian, backend=self.array_backend)
+        self.engine = ExpectationEngine(hamiltonian)
         self.simulation_engine = engine
         self.fusion = fusion
         self.cache = cache
@@ -182,14 +173,9 @@ class StatevectorEnergy:
             self._reference,
             self.engine,
             block_size=self.batch_block_size,
-            backend=self.array_backend,
         )
 
     def __call__(self, parameters: Sequence[float]) -> float:
-        if not self.array_backend.supports_inplace_kernels:
-            # Single points ride the backend-generic sweep path (the
-            # workspace kernels behind state() are numpy-only).
-            return float(self.values(np.reshape(parameters, (1, -1)))[0])
         self.evaluations += 1
         return self.engine.value(self.state(parameters))
 
@@ -249,7 +235,6 @@ class TrajectoryEnergy:
         common_randomness: bool = True,
         executor: str = "serial",
         workers: "int | str | None" = None,
-        array_backend: str | ArrayBackend | None = None,
     ):
         from repro.compiler.synthesis import synthesize_program_chain
         from repro.sim.trajectory import DEFAULT_BLOCK_SIZE, check_executor
@@ -264,8 +249,7 @@ class TrajectoryEnergy:
         self.common_randomness = common_randomness
         self.executor = check_executor(executor)
         self.workers = workers
-        self.array_backend = get_array_backend(array_backend)
-        self.engine = ExpectationEngine(hamiltonian, backend=self.array_backend)
+        self.engine = ExpectationEngine(hamiltonian)
         self._synthesize = synthesize_program_chain
         self._seed = seed
         self._seeds = np.random.SeedSequence(seed) if seed is not None else None
@@ -294,7 +278,6 @@ class TrajectoryEnergy:
             block_size=self.block_size,
             executor=self.executor,
             workers=self.workers,
-            backend=self.array_backend,
         )
         self.last_standard_error = estimate.standard_error
         self.last_error_events = estimate.error_events

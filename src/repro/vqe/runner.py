@@ -43,13 +43,11 @@ def _reject_noise(backend: str, noise: DepolarizingNoiseModel | None) -> None:
 
 
 def _statevector_backend(
-    program, hamiltonian, *, noise, shots_per_group, seed, engine, fusion, cache,
-    array_backend=None,
+    program, hamiltonian, *, noise, shots_per_group, seed, engine, fusion, cache
 ):
     _reject_noise("statevector", noise)
     return StatevectorEnergy(
-        program, hamiltonian, engine=engine, fusion=fusion, cache=cache,
-        array_backend=array_backend,
+        program, hamiltonian, engine=engine, fusion=fusion, cache=cache
     )
 
 
@@ -59,11 +57,11 @@ def _density_matrix_backend(program, hamiltonian, *, noise, shots_per_group, see
 
 def _trajectory_backend(
     program, hamiltonian, *, noise, shots_per_group, seed, trajectories,
-    array_backend=None, executor="serial", workers=None,
+    executor="serial", workers=None,
 ):
     return TrajectoryEnergy(
         program, hamiltonian, noise, trajectories=trajectories, seed=seed,
-        array_backend=array_backend, executor=executor, workers=workers,
+        executor=executor, workers=workers,
     )
 
 
@@ -96,15 +94,13 @@ def register_backend(
     The factory is called as ``factory(program, hamiltonian, noise=...,
     shots_per_group=..., seed=...)`` and must return a callable mapping
     a parameter vector to a float energy.  Factories that declare an
-    ``engine``, ``trajectories``, ``fusion``, ``cache``,
-    ``array_backend``, ``executor``, or ``workers`` keyword (or
-    ``**kwargs``) additionally receive the simulation-engine name
-    (:data:`repro.sim.statevector.ENGINES`), the trajectory count,
-    the gate-fusion level, the compile-cache selector, the array-backend
-    name (:mod:`repro.sim.backend`), and/or the scale-out executor
-    knobs; backends that don't use them may simply not declare them.  A
-    factory that cannot honor a non-trivial ``noise`` model must raise
-    rather than drop it silently.
+    ``engine``, ``trajectories``, ``fusion``, ``cache``, ``executor``,
+    or ``workers`` keyword (or ``**kwargs``) additionally receive the
+    simulation-engine name (:data:`repro.sim.statevector.ENGINES`), the
+    trajectory count, the gate-fusion level, the compile-cache selector,
+    and/or the scale-out executor knobs; backends that don't use them
+    may simply not declare them.  A factory that cannot honor a
+    non-trivial ``noise`` model must raise rather than drop it silently.
     """
     if name in ENERGY_BACKENDS and not overwrite:
         raise ValueError(f"backend {name!r} already registered")
@@ -168,7 +164,6 @@ class VQE:
         engine: str = "inplace",
         fusion: str = "2q",
         cache=True,
-        array_backend: str | None = None,
         executor: str = "serial",
         workers: int | str | None = None,
         gradient: str | None = None,
@@ -180,12 +175,10 @@ class VQE:
         max_iterations: int = 200,
         tolerance: float = 1e-8,
     ):
-        from repro.sim.backend import get_array_backend
         from repro.sim.statevector import check_engine
         from repro.sim.trajectory import check_executor
 
         check_engine(engine)
-        get_array_backend(array_backend)  # validate the name early
         check_executor(executor)
         try:
             factory = ENERGY_BACKENDS[backend]
@@ -210,7 +203,6 @@ class VQE:
             ("trajectories", trajectories),
             ("fusion", fusion),
             ("cache", cache),
-            ("array_backend", array_backend),
             ("executor", executor),
             ("workers", workers),
         ):
@@ -240,7 +232,6 @@ class VQE:
         self.engine = engine
         self.fusion = fusion
         self.cache = cache
-        self.array_backend = array_backend
         self.executor = executor
         self.workers = workers
         self.program = program

@@ -136,7 +136,6 @@ def _scan_point_task(task: tuple[str, float, str, dict[str, Any]]) -> ScanPoint:
         engine=options["engine"],
         fusion=options["fusion"],
         cache=options["cache"],
-        array_backend=options["array_backend"],
         gradient=options["gradient"],
         noise=options["noise"],
         trajectories=options["trajectories"],
@@ -164,7 +163,6 @@ def bond_scan(
     engine: str = "inplace",
     fusion: str = "2q",
     cache=True,
-    array_backend: str | None = None,
     gradient: str | None = None,
     noise: DepolarizingNoiseModel | None = None,
     trajectories: int = 256,
@@ -186,9 +184,7 @@ def bond_scan(
     over a thread or process pool; every point is an independent
     module-level task, so results are identical point for point across
     ``executor="serial" | "thread" | "process"`` and any worker count
-    (each VQE run is deterministic given its knobs).  ``array_backend``
-    selects the tensor library for the energy evaluations
-    (:mod:`repro.sim.backend`).
+    (each VQE run is deterministic given its knobs).
     """
     check_executor(executor)
     options: dict[str, Any] = {
@@ -196,7 +192,6 @@ def bond_scan(
         "engine": engine,
         "fusion": fusion,
         "cache": cache,
-        "array_backend": array_backend,
         "gradient": gradient,
         "noise": noise,
         "trajectories": trajectories,

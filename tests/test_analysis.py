@@ -388,18 +388,23 @@ def test_lint_rr005_registry_access_outside_home(lint):
     assert lint_codes(lint, "_DEVICES = {}\n", "src/repro/hardware/registry.py") == []
 
 
-def test_lint_rr006_numpy_import_in_sim_scoped(lint):
-    bad = "import numpy as np\n"
-    assert lint_codes(lint, bad, "src/repro/sim/x.py") == ["RR006"]
-    assert lint_codes(lint, "from numpy import linalg\n", "src/repro/sim/x.py") == [
-        "RR006"
-    ]
-    assert lint_codes(lint, "import numpy.linalg\n", "src/repro/sim/x.py") == ["RR006"]
-    # out of scope: the dispatch home, and modules outside sim/
-    assert lint_codes(lint, bad, "src/repro/sim/backend.py") == []
-    assert lint_codes(lint, bad, "src/repro/vqe/x.py") == []
-    pragma = "import numpy as np  # lint: ignore[RR006] - host-side tables\n"
-    assert lint_codes(lint, pragma, "src/repro/sim/x.py") == []
+def test_lint_rr003_pragma_suppression(lint):
+    bad = "import numpy as np\ncounts = np.bitwise_count(7)\n"
+    assert lint_codes(lint, bad, "src/repro/sim/x.py") == ["RR003"]
+    assert lint_codes(lint, bad, "src/repro/vqe/x.py") == ["RR003"]
+    # numpy imports are plain imports everywhere, sim/ included
+    assert lint_codes(lint, "import numpy as np\n", "src/repro/sim/x.py") == []
+    inline = (
+        "import numpy as np\n"
+        "counts = np.bitwise_count(7)  # lint: ignore[RR003] - version-gated caller\n"
+    )
+    assert lint_codes(lint, inline, "src/repro/sim/x.py") == []
+    above = (
+        "import numpy as np\n"
+        "# lint: ignore[RR003] - version-gated caller\n"
+        "counts = np.bitwise_count(7)\n"
+    )
+    assert lint_codes(lint, above, "src/repro/sim/x.py") == []
 
 
 def test_lint_pragma_suppression(lint):

@@ -1,31 +1,18 @@
-"""Array-backend dispatch, shared-memory slabs, and executor scale-out.
+"""Shared-memory slabs and executor scale-out.
 
-Covers ISSUE-9: the :mod:`repro.sim.backend` registry and capability
-flags, the generic (non-inplace) engine paths against the NumPy
-reference, :mod:`repro.core.shm` slab round-trips, and the determinism
-guarantee -- seeded ``bond_scan`` / ``trajectory_estimate`` runs are
-bit-identical across ``executor="serial" | "thread" | "process"`` and
-any worker count.
+Covers :mod:`repro.core.shm` slab round-trips, the executor knobs, and
+the determinism guarantee -- seeded ``bond_scan`` /
+``trajectory_estimate`` runs are bit-identical across
+``executor="serial" | "thread" | "process"`` and any worker count.
 """
 
 import numpy as np
 import pytest
 
-from repro.chem import build_molecule_hamiltonian
 from repro.circuit import Circuit
 from repro.circuit.gates import CNOT, H, RX, RZ
 from repro.core.shm import SharedSlabs
 from repro.pauli import PauliSum
-from repro.sim import StatevectorSimulator
-from repro.sim.backend import (
-    NUMPY_BACKEND,
-    ArrayBackend,
-    available_array_backends,
-    get_array_backend,
-    register_array_backend,
-)
-from repro.sim.batched import BatchedStatevector
-from repro.sim.expectation import ExpectationEngine
 from repro.sim.noise import DepolarizingNoiseModel
 from repro.sim.trajectory import (
     check_executor,
@@ -33,27 +20,6 @@ from repro.sim.trajectory import (
     trajectory_estimate,
     trajectory_expectations,
 )
-
-
-class HostGenericBackend(ArrayBackend):
-    """NumPy math through the *generic* (capability-flag-off) paths.
-
-    Every engine that consults ``supports_inplace_kernels`` /
-    ``supports_real_orthogonal`` takes the out-of-place branch under
-    this backend -- the same branch CuPy/torch take -- while the math
-    stays host NumPy, so results must match the default bit for bit in
-    structure (and to float tolerance numerically).
-    """
-
-    name = "host-generic"
-    xp = np
-    complex_dtype = np.complex128
-    float_dtype = np.float64
-    supports_real_orthogonal = False
-    supports_inplace_kernels = False
-
-
-GENERIC = HostGenericBackend()
 
 
 def small_circuit(num_qubits: int = 3) -> Circuit:
@@ -68,155 +34,6 @@ def small_circuit(num_qubits: int = 3) -> Circuit:
             CNOT(0, 2),
         ],
     )
-
-
-# ----------------------------------------------------------------------
-# Registry
-# ----------------------------------------------------------------------
-class TestRegistry:
-    def test_numpy_is_default_and_always_available(self):
-        assert "numpy" in available_array_backends()
-        assert get_array_backend(None) is get_array_backend("numpy")
-        assert get_array_backend(None).name == "numpy"
-
-    def test_instances_pass_through(self):
-        assert get_array_backend(GENERIC) is GENERIC
-        assert get_array_backend(NUMPY_BACKEND) is NUMPY_BACKEND
-
-    def test_unknown_name_lists_available_backends(self):
-        with pytest.raises(ValueError, match="numpy"):
-            get_array_backend("no-such-backend")
-        with pytest.raises(ValueError, match="available backends"):
-            get_array_backend("no-such-backend")
-
-    def test_duplicate_registration_rejected_without_overwrite(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_array_backend(type(NUMPY_BACKEND)())
-
-    def test_capability_flags(self):
-        numpy_backend = get_array_backend("numpy")
-        assert numpy_backend.supports_real_orthogonal
-        assert numpy_backend.supports_inplace_kernels
-        assert not GENERIC.supports_real_orthogonal
-        assert not GENERIC.supports_inplace_kernels
-
-
-# ----------------------------------------------------------------------
-# Generic paths vs. the NumPy reference
-# ----------------------------------------------------------------------
-class TestGenericBackendEquivalence:
-    def test_statevector_simulator_matches_numpy(self):
-        circuit = small_circuit()
-        reference = StatevectorSimulator(3).run(circuit)
-        generic = StatevectorSimulator(3, backend=GENERIC).run(circuit)
-        np.testing.assert_allclose(generic, reference, atol=1e-12)
-
-    def test_expectation_engine_matches_numpy(self):
-        observable = PauliSum.from_label_dict(
-            {"ZZI": 0.5, "XIX": 0.25, "IYY": -0.75, "III": 1.0}
-        )
-        state = StatevectorSimulator(3).run(small_circuit())
-        reference = ExpectationEngine(observable)
-        generic = ExpectationEngine(observable, backend=GENERIC)
-        assert generic.value(state) == pytest.approx(reference.value(state))
-        states = np.stack([state, np.roll(state, 1)])
-        np.testing.assert_allclose(
-            generic.values(states), reference.values(states), atol=1e-12
-        )
-
-    def test_batched_sweep_matches_numpy(self):
-        problem = build_molecule_hamiltonian("H2")
-        from repro.ansatz import build_uccsd_program
-        from repro.vqe.energy import StatevectorEnergy
-
-        program = build_uccsd_program(problem).program
-        rng = np.random.default_rng(3)
-        angles = rng.normal(0.0, 0.1, (4, program.num_parameters))
-        reference = StatevectorEnergy(
-            program, problem.hamiltonian, engine="batched"
-        ).values(angles)
-        generic = StatevectorEnergy(
-            program, problem.hamiltonian, engine="batched", array_backend=GENERIC
-        ).values(angles)
-        np.testing.assert_allclose(generic, reference, atol=1e-10)
-
-    def test_vqe_energy_matches_numpy(self):
-        problem = build_molecule_hamiltonian("H2")
-        from repro.ansatz import build_uccsd_program
-        from repro.vqe.energy import StatevectorEnergy
-
-        program = build_uccsd_program(problem).program
-        theta = np.full(program.num_parameters, 0.05)
-        reference = StatevectorEnergy(program, problem.hamiltonian)
-        generic = StatevectorEnergy(
-            program, problem.hamiltonian, engine="batched", array_backend=GENERIC
-        )
-        assert generic(theta) == pytest.approx(reference(theta), abs=1e-10)
-
-
-# ----------------------------------------------------------------------
-# Capability gating
-# ----------------------------------------------------------------------
-class TestCapabilityGating:
-    def test_fused_engine_requires_inplace_kernels(self):
-        with pytest.raises(ValueError, match="in-place kernel support"):
-            StatevectorSimulator(3, engine="fused", backend=GENERIC)
-
-    def test_statevector_energy_requires_batched_engine(self):
-        problem = build_molecule_hamiltonian("H2")
-        from repro.ansatz import build_uccsd_program
-        from repro.vqe.energy import StatevectorEnergy
-
-        program = build_uccsd_program(problem).program
-        with pytest.raises(ValueError, match="engine='batched'"):
-            StatevectorEnergy(
-                program,
-                problem.hamiltonian,
-                engine="inplace",
-                array_backend=GENERIC,
-            )
-
-    def test_process_executor_requires_numpy_backend(self):
-        observable = PauliSum.from_label_dict({"ZII": 1.0})
-        with pytest.raises(ValueError, match="numpy backend"):
-            trajectory_expectations(
-                small_circuit(),
-                observable,
-                trajectories=8,
-                seed=1,
-                executor="process",
-                workers=4,
-                backend=GENERIC,
-            )
-
-    def test_real_orthogonal_path_skipped_cleanly(self):
-        # The odd-#Y real sweep is numpy-only; a backend that opts out
-        # must still produce the same energies through the complex path.
-        batch = BatchedStatevector(2, 3, backend=GENERIC)
-        assert batch.states.dtype == np.complex128
-
-
-# ----------------------------------------------------------------------
-# Torch smoke (skipped wherever torch is absent)
-# ----------------------------------------------------------------------
-class TestTorchBackend:
-    def test_torch_statevector_matches_numpy(self):
-        pytest.importorskip("torch")
-        circuit = small_circuit()
-        reference = StatevectorSimulator(3).run(circuit)
-        simulator = StatevectorSimulator(3, backend="torch")
-        torch_state = simulator.run(circuit)
-        np.testing.assert_allclose(
-            simulator.backend.to_numpy(torch_state), reference, atol=1e-10
-        )
-
-    def test_torch_expectation_matches_numpy(self):
-        pytest.importorskip("torch")
-        observable = PauliSum.from_label_dict({"ZZI": 0.5, "XIX": 0.25})
-        state = StatevectorSimulator(3).run(small_circuit())
-        reference = ExpectationEngine(observable).value(state)
-        torch_value = ExpectationEngine(observable, backend="torch").value(state)
-        assert torch_value == pytest.approx(reference, abs=1e-10)
 
 
 # ----------------------------------------------------------------------
@@ -288,7 +105,7 @@ class TestExecutorPlumbing:
 
 
 # ----------------------------------------------------------------------
-# Determinism across executors (the ISSUE-9 acceptance guarantee)
+# Determinism across executors
 # ----------------------------------------------------------------------
 class TestExecutorDeterminism:
     def trajectory_setup(self):

@@ -352,6 +352,23 @@ class TestResultSerialization:
             PipelineConfig.from_dict({**config.to_dict(), "future_field": 1}) == config
         )
 
+    def test_retired_array_backend_key_still_loads(self, tmp_path):
+        # Payloads written while PipelineConfig had an array_backend field
+        # keep loading: the key is ignored and the record is kept verbatim.
+        config = PipelineConfig(molecule="H2", ratio=0.5)
+        legacy = {**config.to_dict(), "array_backend": "numpy"}
+        assert PipelineConfig.from_dict(legacy) == config
+
+        result = Pipeline(config).run()
+        path = save_batch([result], tmp_path / "batch.json")
+        payload = json.loads(path.read_text())
+        payload[0]["config"]["array_backend"] = "numpy"
+        path.write_text(json.dumps(payload))
+        (restored,) = load_batch(path)
+        assert restored.config == config
+        assert restored.original_cnots == result.original_cnots
+        assert restored.to_dict() == payload[0]
+
 
 class TestVQEBackendRegistry:
     def test_unknown_backend_lists_valid_names(self):
