@@ -2,7 +2,8 @@
 
 The numbers below are recorded outputs of the NumPy kernels, not
 physics references: any refactor of the statevector, batched,
-expectation or trajectory engines must reproduce them to rounding.
+expectation, trajectory or density-matrix engines must reproduce them
+to rounding.
 Each case names the code path it pins.
 """
 
@@ -11,12 +12,13 @@ import pytest
 
 from repro.ansatz import build_uccsd_program
 from repro.chem import build_molecule_hamiltonian
+from repro.core.compression import compress_ansatz
 from repro.core.ir import IRTerm, PauliProgram
 from repro.pauli import PauliString
 from repro.sim.batched import real_evolution_compatible
 from repro.sim.expectation import ExpectationEngine
 from repro.sim.noise import DepolarizingNoiseModel
-from repro.vqe.energy import StatevectorEnergy, TrajectoryEnergy
+from repro.vqe.energy import DensityMatrixEnergy, StatevectorEnergy, TrajectoryEnergy
 from repro.vqe.scan import sweep_energies
 
 RTOL = 1e-12
@@ -38,6 +40,12 @@ VALUES = [-7.26250153837046, -7.245627667399368, -7.196075441758968]
 TRAJECTORY = -7.438059378576359
 TRAJECTORY_STDERR = 0.03938804331970263
 TRAJECTORY_EVENTS = 208
+DENSITY_MATRIX = {
+    # (compression ratio, one-qubit error, two-qubit error): energy
+    (0.1, 0.0, 1e-4): -7.8226815470733255,
+    (0.3, 0.0, 1e-4): -7.7249224812657555,
+    (0.1, 1e-3, 1e-2): -7.645814619457139,
+}
 
 
 @pytest.fixture(scope="module")
@@ -102,3 +110,16 @@ def test_trajectory_energy_seeded(lih):
         TRAJECTORY_STDERR, rel=RTOL, abs=0
     )
     assert energy.last_error_events == TRAJECTORY_EVENTS
+
+
+@pytest.mark.parametrize("ratio, one_qubit_error, two_qubit_error", DENSITY_MATRIX)
+def test_density_matrix_energy_seeded(lih, ratio, one_qubit_error, two_qubit_error):
+    full, hamiltonian, _ = lih
+    program = compress_ansatz(full, hamiltonian, ratio).program
+    theta = np.random.default_rng(2024).normal(0.0, 0.2, program.num_parameters)
+    noise = DepolarizingNoiseModel(
+        one_qubit_error=one_qubit_error, two_qubit_error=two_qubit_error
+    )
+    energy = DensityMatrixEnergy(program, hamiltonian, noise)(theta)
+    expected = DENSITY_MATRIX[ratio, one_qubit_error, two_qubit_error]
+    assert energy == pytest.approx(expected, rel=RTOL, abs=0)
