@@ -12,7 +12,7 @@
   (single, batched, and real-arithmetic evaluation).
 * :mod:`repro.sim.density_matrix` -- exact density-matrix simulator with
   noise channels (the stand-in for Aer's qasm simulator + noise model);
-  O(4^n), capped at 12 qubits.
+  vec(rho) on the statevector kernels, O(4^n), capped at 12 qubits.
 * :mod:`repro.sim.trajectory` -- stochastic Pauli-trajectory unraveling
   of the same depolarizing channels: K batched statevector trajectories
   give an unbiased O(K*T*2^n) estimate of the density-matrix result

@@ -1,11 +1,21 @@
 """Exact density-matrix simulator with depolarizing noise.
 
 Used for the paper's noisy case studies (Figure 10, LiH and NaH).  The
-density matrix rho (dimension ``2^n x 2^n``) is propagated exactly:
+density matrix rho (dimension ``2^n x 2^n``) is propagated exactly, as
+the row-major vector vec(rho) of a 2n-qubit register: ket qubit ``q``
+is bit ``q + n`` of the flat index and bra qubit ``q`` is bit ``q``.
+That makes the simulator a thin layer over the in-place statevector
+kernels of :mod:`repro.sim.statevector`:
 
-* unitary gates act as ``rho -> U rho U+`` (a contraction on the ket
-  index followed by the conjugate contraction on the bra index);
-* depolarizing channels act as convex mixtures of Pauli conjugations.
+* unitary gates act as ``rho -> U rho U+``: U on the ket qubits, then
+  conj(U) on the bra qubits, both in place on the same buffer;
+* a depolarizing channel on the k qubits S uses the twirl identity
+  ``sum_{all 4^k P} P rho P = 2^k I_S (x) Tr_S rho``, so it costs one
+  partial trace and one update of the diagonal slabs instead of
+  ``4^k - 1`` Pauli conjugations.
+
+:meth:`DensityMatrixSimulator.run` returns the live rho buffer, which
+the next gate mutates; copy it to keep a snapshot.
 
 Exact propagation removes the shot noise of the paper's sampled qasm
 simulation while keeping the identical channel, so the reported signal
@@ -14,14 +24,24 @@ simulation while keeping the identical channel, so the reported signal
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from repro.circuit import Circuit
 from repro.circuit.gates import Gate
 from repro.pauli import PauliSum
-from repro.sim.noise import DepolarizingNoiseModel, depolarizing_paulis
+from repro.sim.expectation import ExpectationEngine
+from repro.sim.noise import DepolarizingNoiseModel
+from repro.sim.statevector import apply_gate_inplace, apply_unitary_inplace
 
 _MAX_QUBITS = 12
+
+#: Gates whose matrix is real, so conj(U) is the gate itself.
+_REAL_GATES = frozenset({"h", "x", "z", "ry", "cx", "cz", "swap"})
+#: Rotations whose conjugate is the same rotation by the negated angle.
+_NEGATED_ANGLE = frozenset({"rx", "rz"})
+_CONJUGATE_NAME = {"s": "sdg", "sdg": "s"}
 
 
 class DensityMatrixSimulator:
@@ -53,59 +73,56 @@ class DensityMatrixSimulator:
     # Core maps
     # ------------------------------------------------------------------
     def _apply_unitary(self, gate: Gate) -> None:
-        """In-place ``rho -> U rho U+``.
-
-        The density matrix is viewed as a rank-2n tensor; ket axes occupy
-        the first n positions (axis ``n-1-q`` for qubit q) and bra axes
-        the last n (axis ``2n-1-q``).
-        """
+        """In-place ``rho -> U rho U+`` on the vec(rho) register."""
         n = self.num_qubits
-        dim = 1 << n
-        matrix = gate.matrix()
-        tensor = self.rho.reshape([2] * (2 * n))
-        if gate.num_qubits == 1:
-            qubit = gate.qubits[0]
-            axis_ket = n - 1 - qubit
-            axis_bra = 2 * n - 1 - qubit
-            tensor = np.tensordot(matrix, tensor, axes=([1], [axis_ket]))
-            tensor = np.moveaxis(tensor, 0, axis_ket)
-            tensor = np.tensordot(np.conjugate(matrix), tensor, axes=([1], [axis_bra]))
-            tensor = np.moveaxis(tensor, 0, axis_bra)
-        elif gate.num_qubits == 2:
-            qubit_a, qubit_b = gate.qubits
-            gate_tensor = matrix.reshape(2, 2, 2, 2)
-            axis_a_ket, axis_b_ket = n - 1 - qubit_a, n - 1 - qubit_b
-            axis_a_bra, axis_b_bra = 2 * n - 1 - qubit_a, 2 * n - 1 - qubit_b
-            tensor = np.tensordot(gate_tensor, tensor, axes=([2, 3], [axis_b_ket, axis_a_ket]))
-            tensor = np.moveaxis(tensor, [0, 1], [axis_b_ket, axis_a_ket])
-            tensor = np.tensordot(
-                np.conjugate(gate_tensor), tensor, axes=([2, 3], [axis_b_bra, axis_a_bra])
-            )
-            tensor = np.moveaxis(tensor, [0, 1], [axis_b_bra, axis_a_bra])
+        vector = self.rho.reshape(-1)
+        ket = Gate(gate.name, tuple(q + n for q in gate.qubits), gate.params)
+        apply_gate_inplace(vector, ket, 2 * n)
+        name = gate.name
+        if name in _REAL_GATES:
+            apply_gate_inplace(vector, gate, 2 * n)
+        elif name in _NEGATED_ANGLE:
+            apply_gate_inplace(vector, Gate(name, gate.qubits, (-gate.params[0],)), 2 * n)
+        elif name in _CONJUGATE_NAME:
+            apply_gate_inplace(vector, Gate(_CONJUGATE_NAME[name], gate.qubits), 2 * n)
         else:
-            raise ValueError(f"unsupported gate arity: {gate!r}")
-        self.rho = np.ascontiguousarray(tensor).reshape(dim, dim)
+            # y (conj(Y) = -Y) and anything else: the conjugated matrix.
+            apply_unitary_inplace(vector, gate.matrix().conj(), gate.qubits, 2 * n)
 
     def _apply_depolarizing(self, qubits: tuple[int, ...], probability: float) -> None:
-        """rho -> (1-p) rho + p/(4^k-1) sum_P P rho P."""
+        """rho -> (1-p) rho + p/(4^k-1) sum_{P != I} P rho P, in place.
+
+        With the twirl identity the Pauli sum is ``2^k I_S (x) Tr_S rho
+        - rho``; the partial trace over S is the sum of the 2^k diagonal
+        slabs (ket bits equal to bra bits on every qubit of S).
+        """
         if probability <= 0.0:
             return
-        input_rho = self.rho
-        mixed = np.zeros_like(input_rho)
-        for local_pauli in depolarizing_paulis(len(qubits)):
-            self.rho = input_rho
-            for i, qubit in enumerate(qubits):
-                op = local_pauli.op_on(i)
-                if op != "I":
-                    self._apply_unitary(Gate(op.lower(), (qubit,)))
-            mixed += self.rho
-        weight = probability / (4 ** len(qubits) - 1)
-        self.rho = (1.0 - probability) * input_rho + weight * mixed
+        n, k = self.num_qubits, len(qubits)
+        # A leading unit axis keeps every slab a writable view, even when
+        # S covers all qubits.
+        tensor = self.rho.reshape((1,) + (2,) * (2 * n))
+        diagonal_slabs = []
+        for bits in itertools.product((0, 1), repeat=k):
+            index: list = [slice(None)] * (2 * n + 1)
+            for qubit, bit in zip(qubits, bits):
+                index[n - qubit] = bit  # ket axis
+                index[2 * n - qubit] = bit  # bra axis
+            diagonal_slabs.append(tensor[tuple(index)])
+        partial = diagonal_slabs[0].copy()
+        for slab in diagonal_slabs[1:]:
+            partial += slab
+        others = 4**k - 1
+        partial *= probability * 2**k / others
+        self.rho *= 1.0 - probability - probability / others
+        for slab in diagonal_slabs:
+            slab += partial
 
     # ------------------------------------------------------------------
     # Public interface
     # ------------------------------------------------------------------
     def run(self, circuit: Circuit) -> np.ndarray:
+        """Propagate ``circuit``; returns the live rho buffer (see module doc)."""
         if circuit.num_qubits != self.num_qubits:
             raise ValueError("qubit count mismatch")
         hardware_view = circuit.decompose_swaps()
@@ -118,15 +135,8 @@ class DensityMatrixSimulator:
         return self.rho
 
     def expectation(self, observable: PauliSum) -> float:
-        """``Tr(rho H)`` evaluated term-by-term."""
-        value = 0.0 + 0.0j
-        for coefficient, pauli in observable:
-            value += coefficient * np.trace(pauli.to_matrix() @ self.rho)
-        return float(value.real)
-
-    def expectation_matrix(self, observable_matrix: np.ndarray) -> float:
-        """``Tr(rho H)`` with a prebuilt dense observable (fast path)."""
-        return float(np.einsum("ij,ji->", observable_matrix, self.rho).real)
+        """``Tr(rho H)`` over the grouped diagonals of ``observable``."""
+        return ExpectationEngine(observable).trace_value(self.rho)
 
     def purity(self) -> float:
         return float(np.trace(self.rho @ self.rho).real)

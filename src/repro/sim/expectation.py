@@ -166,6 +166,22 @@ class ExpectationEngine:
             total += complex(np.einsum("d,d->", conj, term))
         return float(total.real)
 
+    def trace_value(self, rho: np.ndarray) -> float:
+        """Return ``Tr(H rho)`` (real part) for a ``(2**n, 2**n)`` density matrix.
+
+        ``H[c, c ^ x] = D_x[c]``, so the trace is
+        ``sum_x sum_b D_x[b] * rho[b, b ^ x]``: one strided gather per
+        X-mask group, never the dense ``2**n x 2**n`` Hamiltonian.
+        """
+        dim = 1 << self.num_qubits
+        flat = np.asarray(rho, dtype=complex).reshape(-1)
+        row_starts = np.arange(dim, dtype=np.uint64) * np.uint64(dim)
+        total = 0.0 + 0.0j
+        for x, diagonal in zip(self._x_masks, self._diagonals):
+            gathered = flat[row_starts + cached_xor_indices(self.num_qubits, x)]
+            total += complex(diagonal @ gathered)
+        return float(total.real)
+
     def _batched_quadratic(
         self, states: np.ndarray, conj: np.ndarray, diagonals: list[np.ndarray]
     ) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Noise channels for the density-matrix simulator.
 
 The paper's noisy case studies (Figure 10) use "a depolarizing error model
-with realistic CNOT error rates of 0.0001".  We implement one- and
-two-qubit depolarizing channels as Kraus maps plus a noise-model object
-that attaches channels to gates by name.
+with realistic CNOT error rates of 0.0001".  A noise-model object
+attaches one- and two-qubit depolarizing channels to gates by name; the
+density-matrix simulator applies each channel in closed form, and the
+trajectory engine samples its non-identity Paulis.
 """
 
 from __future__ import annotations

@@ -195,15 +195,14 @@ class DensityMatrixEnergy:
         self.hamiltonian = hamiltonian
         self.noise = noise or DepolarizingNoiseModel(two_qubit_error=1e-4)
         self._synthesize = synthesize_program_chain
-        self._observable_matrix = hamiltonian.to_matrix()
+        self._engine = ExpectationEngine(hamiltonian)
         self.evaluations = 0
 
     def __call__(self, parameters: Sequence[float]) -> float:
         self.evaluations += 1
         circuit = self._synthesize(self.program, parameters)
         simulator = DensityMatrixSimulator(self.program.num_qubits, self.noise)
-        simulator.run(circuit)
-        return simulator.expectation_matrix(self._observable_matrix)
+        return self._engine.trace_value(simulator.run(circuit))
 
 
 class TrajectoryEnergy:

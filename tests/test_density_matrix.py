@@ -1,10 +1,14 @@
 """Density-matrix simulator and noise-channel tests."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.circuit import Circuit
-from repro.circuit.gates import CNOT, SWAP, H, RX, RZ, X
+from repro.circuit.gates import CNOT, SDG, SWAP, H, RX, RZ, S, X, Y, Gate
 from repro.pauli import PauliSum
 from repro.sim import DensityMatrixSimulator, DepolarizingNoiseModel, apply_circuit
 from repro.sim.noise import depolarizing_paulis
@@ -81,14 +85,15 @@ class TestDepolarizingChannel:
         b.run(Circuit(2, [CNOT(0, 1), CNOT(1, 0), CNOT(0, 1)]))
         np.testing.assert_allclose(a.rho, b.rho, atol=1e-12)
 
-    def test_expectation_matches_matrix_path(self):
-        noise = DepolarizingNoiseModel(two_qubit_error=0.02)
-        simulator = DensityMatrixSimulator(2, noise)
-        simulator.run(Circuit(2, [H(0), CNOT(0, 1)]))
-        observable = PauliSum.from_label_dict({"ZZ": 1.0, "XX": 0.5})
-        direct = simulator.expectation(observable)
-        via_matrix = simulator.expectation_matrix(observable.to_matrix())
-        assert direct == pytest.approx(via_matrix, abs=1e-10)
+    def test_expectation_matches_dense_trace(self):
+        noise = DepolarizingNoiseModel(two_qubit_error=0.02, one_qubit_error=0.01)
+        simulator = DensityMatrixSimulator(3, noise)
+        rho = simulator.run(Circuit(3, [H(0), CNOT(0, 1), RX(0.7, 2), CNOT(2, 1)]))
+        observable = PauliSum.from_label_dict(
+            {"ZZI": 1.0, "XXI": 0.5, "YIY": -0.3, "IXZ": 0.2, "III": 0.1}
+        )
+        dense = np.trace(observable.to_matrix() @ rho).real
+        assert simulator.expectation(observable) == pytest.approx(dense, abs=1e-12)
 
     def test_noise_weakens_correlations(self):
         observable = PauliSum.from_label_dict({"ZZ": 1.0})
@@ -101,3 +106,92 @@ class TestDepolarizingChannel:
     def test_qubit_cap(self):
         with pytest.raises(ValueError):
             DensityMatrixSimulator(13)
+
+
+# ----------------------------------------------------------------------
+# Dense oracle: full-size unitaries from np.kron, the explicit Pauli sum
+# ----------------------------------------------------------------------
+_PAULI_MATRICES = {
+    "I": np.eye(2),
+    "X": np.array([[0, 1], [1, 0]]),
+    "Y": np.array([[0, -1j], [1j, 0]]),
+    "Z": np.diag([1, -1]),
+}
+
+
+def _kron_chain(factors):
+    """Kronecker product with ``factors[q]`` on qubit q (little-endian)."""
+    operator = np.ones((1, 1))
+    for factor in reversed(factors):
+        operator = np.kron(operator, factor)
+    return operator
+
+
+def _embed(matrix, qubits, n):
+    """The n-qubit operator of a little-endian k-qubit ``matrix`` on ``qubits``."""
+    full = np.zeros((1 << n, 1 << n), dtype=complex)
+    for row, col in itertools.product(range(len(matrix)), repeat=2):
+        factors = [np.eye(2)] * n
+        for i, qubit in enumerate(qubits):
+            unit = np.zeros((2, 2))
+            unit[(row >> i) & 1, (col >> i) & 1] = 1.0
+            factors[qubit] = unit
+        full += matrix[row, col] * _kron_chain(factors)
+    return full
+
+
+def _dense_reference(circuit, noise):
+    n = circuit.num_qubits
+    rho = np.zeros((1 << n, 1 << n), dtype=complex)
+    rho[0, 0] = 1.0
+    for gate in circuit.decompose_swaps().gates:
+        unitary = _embed(gate.matrix(), gate.qubits, n)
+        rho = unitary @ rho @ unitary.conj().T
+        p, k = noise.error_for(gate.name, gate.num_qubits), gate.num_qubits
+        mixed = np.zeros_like(rho)
+        for labels in itertools.product("IXYZ", repeat=k):
+            if set(labels) == {"I"}:
+                continue
+            factors = [np.eye(2)] * n
+            for qubit, label in zip(gate.qubits, labels):
+                factors[qubit] = _PAULI_MATRICES[label]
+            pauli = _kron_chain(factors)
+            mixed += pauli @ rho @ pauli
+        rho = (1.0 - p) * rho + p / (4**k - 1) * mixed
+    return rho
+
+
+_ONE_QUBIT = ("h", "x", "y", "z", "s", "sdg", "rx", "ry", "rz")
+_TWO_QUBIT = ("cx", "cz", "swap")
+
+
+@st.composite
+def _noisy_circuits(draw):
+    n = draw(st.integers(1, 4))
+    names = _ONE_QUBIT + (_TWO_QUBIT if n > 1 else ())
+    gates = []
+    for _ in range(draw(st.integers(1, 12))):
+        name = draw(st.sampled_from(names))
+        qubits = tuple(
+            draw(st.permutations(range(n)))[: 2 if name in _TWO_QUBIT else 1]
+        )
+        params = (draw(st.floats(-np.pi, np.pi)),) if name[0] == "r" else ()
+        gates.append(Gate(name, qubits, params))
+    noise = DepolarizingNoiseModel(
+        two_qubit_error=draw(st.floats(0.0, 0.3)),
+        one_qubit_error=draw(st.floats(0.0, 0.3)),
+    )
+    return Circuit(n, gates), noise
+
+
+class TestDenseOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(_noisy_circuits())
+    @example((Circuit(1, [Y(0)]), DepolarizingNoiseModel(0.0, 0.0)))
+    @example((Circuit(2, [H(0), Y(1)]), DepolarizingNoiseModel(0.1, 0.05)))
+    @example((Circuit(2, [H(0), S(0), CNOT(0, 1), SDG(1)]), DepolarizingNoiseModel(0.0, 0.0)))
+    @example((Circuit(3, [H(2), SDG(2), S(0), SWAP(0, 2)]), DepolarizingNoiseModel(0.2, 0.1)))
+    def test_run_matches_dense_reference(self, case):
+        circuit, noise = case
+        rho = DensityMatrixSimulator(circuit.num_qubits, noise).run(circuit)
+        np.testing.assert_allclose(rho, _dense_reference(circuit, noise), rtol=0, atol=1e-12)
