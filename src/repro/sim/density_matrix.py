@@ -74,11 +74,10 @@ class DensityMatrixSimulator:
     # ------------------------------------------------------------------
     def _apply_unitary(self, gate: Gate) -> None:
         """In-place ``rho -> U rho U+`` on the vec(rho) register."""
-        n = self.num_qubits
+        n, name = self.num_qubits, gate.name
         vector = self.rho.reshape(-1)
-        ket = Gate(gate.name, tuple(q + n for q in gate.qubits), gate.params)
+        ket = Gate(name, tuple(q + n for q in gate.qubits), gate.params)
         apply_gate_inplace(vector, ket, 2 * n)
-        name = gate.name
         if name in _REAL_GATES:
             apply_gate_inplace(vector, gate, 2 * n)
         elif name in _NEGATED_ANGLE:

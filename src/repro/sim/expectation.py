@@ -1,4 +1,4 @@
-"""Expectation values of Pauli sums on statevectors.
+"""Expectation values of Pauli sums on statevectors and density matrices.
 
 The naive path evaluates ``<psi|P|psi>`` term by term.  The
 :class:`ExpectationEngine` groups Hamiltonian terms by their X mask: all
@@ -26,6 +26,9 @@ Usage -- build the engine once per observable, evaluate per state:
 >>> states = np.stack([basis_state(2, 0), basis_state(2, 3)])
 >>> engine.values(states)    # batched: one row per state, one vectorized pass
 array([1., 1.])
+>>> rho = np.eye(4) / 4      # Tr(H rho) for a density matrix, no dense H
+>>> round(engine.trace_value(rho), 12)
+0.0
 """
 
 from __future__ import annotations
@@ -170,7 +173,7 @@ class ExpectationEngine:
         """Return ``Tr(H rho)`` (real part) for a ``(2**n, 2**n)`` density matrix.
 
         ``H[c, c ^ x] = D_x[c]``, so the trace is
-        ``sum_x sum_b D_x[b] * rho[b, b ^ x]``: one strided gather per
+        ``sum_x sum_b D_x[b] * rho[b, b ^ x]``: one indexed gather per
         X-mask group, never the dense ``2**n x 2**n`` Hamiltonian.
         """
         dim = 1 << self.num_qubits
