@@ -4,7 +4,7 @@ These are classic pytest-benchmark timings (many rounds) for the kernels
 the experiment harness leans on: Pauli algebra, statevector evolution,
 grouped expectation, Merge-to-Root compilation and SABRE routing --
 plus the simulation-engine comparison (legacy vs. in-place vs. batched
-vs. fused, adjoint vs. parameter-shift gradients) that writes the
+vs. fused, adjoint vs. finite-difference gradients) that writes the
 ``BENCH_sim.json`` artifact -- including the gate-fusion vs. gate-level
 baseline row, the compile-cache cold-vs-warm row, and the per-molecule
 fusion exactness table -- the compiler-optimization comparison (adjacency-only vs.
@@ -37,7 +37,7 @@ from repro.hardware import xtree
 from repro.pauli import PauliString
 from repro.sim import ExpectationEngine, basis_state
 from repro.sim.pauli_evolution import evolve_pauli_sequence
-from repro.vqe import AdjointGradient, ParameterShiftGradient, sweep_energies
+from repro.vqe import AdjointGradient, StatevectorEnergy, sweep_energies
 
 BENCH_SIM_PATH = Path(__file__).resolve().parent.parent / "BENCH_sim.json"
 BENCH_COMPILER_PATH = Path(__file__).resolve().parent.parent / "BENCH_compiler.json"
@@ -107,7 +107,8 @@ def collect_sim_engine_timings(
     over ``batch_size`` parameter sets of the 12-qubit ``molecule``
     (H2O), evaluated by the legacy out-of-place engine (one point at a
     time), the in-place engine, and the batched ``(K, 2**n)`` engine.
-    Also times one full gradient by parameter shift vs. adjoint mode.
+    Also times one full gradient by the adjoint sweep against the
+    forward differences (p+1 energy calls) SLSQP builds without it.
     """
     problem = build_molecule_hamiltonian(molecule)
     program = build_uccsd_program(problem).program
@@ -135,10 +136,18 @@ def collect_sim_engine_timings(
         np.testing.assert_allclose(candidate, reference, atol=1e-10)
 
     theta = parameter_sets[0]
-    adjoint = AdjointGradient(program, problem.hamiltonian)
-    shift = ParameterShiftGradient(program, problem.hamiltonian)
+    energy = StatevectorEnergy(program, problem.hamiltonian)
+    adjoint = AdjointGradient(program, problem.hamiltonian, energy=energy)
+    step = np.sqrt(np.finfo(float).eps)
+
+    def finite_difference() -> np.ndarray:
+        base = energy(theta)
+        return np.array(
+            [(energy(theta + step * unit) - base) / step for unit in np.eye(len(theta))]
+        )
+
     adjoint_seconds = _best_of(1, lambda: adjoint.gradient(theta))
-    shift_seconds = _best_of(1, lambda: shift.gradient(theta))
+    difference_seconds = _best_of(1, finite_difference)
 
     return {
         "workload": (
@@ -159,10 +168,10 @@ def collect_sim_engine_timings(
             "section, not against the Pauli engines"
         ),
         "gradient": {
-            "parameter_shift_seconds": round(shift_seconds, 6),
+            "finite_difference_seconds": round(difference_seconds, 6),
             "adjoint_seconds": round(adjoint_seconds, 6),
-            "speedup_adjoint_vs_parameter_shift": round(
-                shift_seconds / adjoint_seconds, 2
+            "speedup_adjoint_vs_finite_difference": round(
+                difference_seconds / adjoint_seconds, 2
             ),
         },
     }
@@ -195,7 +204,7 @@ def test_sim_engine_speedup_and_artifact():
     print(f"wrote {path}")
     assert timings["num_qubits"] == 12
     assert timings["speedup_batched_vs_legacy"] >= minimum
-    assert timings["gradient"]["speedup_adjoint_vs_parameter_shift"] > 1.0
+    assert timings["gradient"]["speedup_adjoint_vs_finite_difference"] > 1.0
 
 
 # ----------------------------------------------------------------------
@@ -671,15 +680,13 @@ def collect_noise_backend_stats(
         }
 
     # BH3: 14 qubits -- impossible on the density-matrix backend.  The
-    # bond point is the noiseless VQE optimum (statevector + adjoint
+    # bond point is the noiseless VQE optimum (statevector, so adjoint
     # gradients) re-evaluated under the depolarizing channel.
     problem = build_molecule_hamiltonian("BH3")
     program = build_uccsd_program(problem).program
     compressed = compress_ansatz(program, problem.hamiltonian, bh3_ratio).program
     start = time.perf_counter()
-    noiseless = VQE(
-        compressed, problem.hamiltonian, gradient="adjoint", max_iterations=30
-    ).run()
+    noiseless = VQE(compressed, problem.hamiltonian, max_iterations=30).run()
     optimize_seconds = time.perf_counter() - start
     trajectory = TrajectoryEnergy(
         compressed, problem.hamiltonian, noise,

@@ -669,7 +669,6 @@ class Energy(Pass):
         engine: str | None = None,
         fusion: str | None = None,
         cache: bool | None = None,
-        gradient: str | None = None,
         noise: Any = None,
         trajectories: int | None = None,
         max_iterations: int = 200,
@@ -679,7 +678,6 @@ class Energy(Pass):
         self.engine = engine
         self.fusion = fusion
         self.cache = cache
-        self.gradient = gradient
         self.noise = noise
         self.trajectories = trajectories
         self.max_iterations = max_iterations
@@ -713,7 +711,6 @@ class Energy(Pass):
             engine=self.engine or context.config.engine,
             fusion=self.fusion or context.config.fusion,
             cache=context.config.cache if self.cache is None else self.cache,
-            gradient=self.gradient,
             noise=self.noise,
             trajectories=self.trajectories or context.config.trajectories,
             max_iterations=self.max_iterations,

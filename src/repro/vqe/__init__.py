@@ -7,12 +7,14 @@
   sampling;
 * :mod:`repro.vqe.measurement` -- qubit-wise-commuting measurement
   grouping (the inner loop);
-* :mod:`repro.vqe.gradient`    -- analytic gradients: adjoint mode (one
-  forward + one backward sweep) and the parameter-shift reference;
+* :mod:`repro.vqe.gradient`    -- the exact adjoint gradient (one
+  forward + one backward sweep) of the statevector energy;
 * :mod:`repro.vqe.optimizer`   -- SLSQP/COBYLA outer loop [55] with
-  iteration accounting and optional analytic Jacobian;
+  iteration accounting and an optional fused value-and-gradient
+  objective;
 * :mod:`repro.vqe.runner`      -- the VQE object tying them together
-  (energy backends x simulation engines x gradient methods);
+  (energy backends x simulation engines; statevector backends use the
+  adjoint gradient, the others finite differences);
 * :mod:`repro.vqe.scan`        -- bond-length scans (Figure 9 workloads)
   and batched parameter sweeps (:func:`repro.vqe.scan.sweep_energies`).
 """
@@ -23,7 +25,7 @@ from repro.vqe.energy import (
     TrajectoryEnergy,
     SamplingEnergy,
 )
-from repro.vqe.gradient import AdjointGradient, ParameterShiftGradient
+from repro.vqe.gradient import AdjointGradient
 from repro.vqe.measurement import group_commuting_terms, MeasurementGroup
 from repro.vqe.optimizer import minimize_energy, OptimizationOutcome
 from repro.vqe.runner import VQE, VQEResult, available_backends, register_backend
@@ -35,7 +37,6 @@ __all__ = [
     "TrajectoryEnergy",
     "SamplingEnergy",
     "AdjointGradient",
-    "ParameterShiftGradient",
     "group_commuting_terms",
     "MeasurementGroup",
     "minimize_energy",

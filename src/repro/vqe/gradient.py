@@ -1,4 +1,4 @@
-"""Analytic gradients: adjoint mode (fast path) and parameter shift.
+"""Exact analytic gradient of the statevector energy: adjoint mode.
 
 :class:`AdjointGradient` computes the full gradient with **one forward
 and one backward sweep** over the ansatz.  For the product ansatz
@@ -16,17 +16,13 @@ so after computing ``|psi>`` forward and ``H|psi>`` once, a single
 backward sweep peels one exponential per step off both vectors (each
 undo is one Pauli application, and ``P_j |phi_j>`` is shared between the
 gradient bracket and the undo).  Total cost ~3 Pauli applications per
-term versus parameter-shift's two full simulations per (parameter,
-string) pair -- O(M) instead of O(M^2) statevector work.
+term: O(M) statevector work per gradient, against the p+1 full energy
+evaluations of finite differences and the 2M of the parameter-shift
+rule (which the tests keep as this class's oracle).
 
-:class:`ParameterShiftGradient` retains the shift-rule evaluation
-
-    dE/dtheta = c * [ E(theta + s) - E(theta - s) ],   s = pi / (4 c)
-
-(one shift pair per string; exact for generators with eigenvalues +-c).
-It is the independent cross-check the adjoint gradient is validated
-against in tests, and the form that remains available on sampling
-hardware where adjoint mode does not exist.
+:class:`repro.vqe.runner.VQE` attaches it to every
+:class:`~repro.vqe.energy.StatevectorEnergy` backend and hands SLSQP
+the fused :meth:`AdjointGradient.value_and_gradient` objective.
 """
 
 from __future__ import annotations
@@ -56,11 +52,6 @@ class AdjointGradient:
     >>> g.shape == (program.num_parameters,)
     True
     """
-
-    #: The forward sweep is shared between value and gradient, so the
-    #: optimizer may use this object as a fused objective (scipy's
-    #: ``jac=True`` protocol) without redundant simulations.
-    fused_evaluation = True
 
     def __init__(
         self,
@@ -139,80 +130,3 @@ class AdjointGradient:
     def gradient(self, parameters: Sequence[float]) -> np.ndarray:
         """dE/dtheta_k for every parameter (adjoint mode)."""
         return self.value_and_gradient(parameters)[1]
-
-
-class ParameterShiftGradient:
-    """Exact gradient of the statevector energy of a Pauli program.
-
-    Cost: two energy evaluations per (parameter, string) pair.  Kept as
-    the independent validation reference for :class:`AdjointGradient`
-    and as the method available on sampling backends.
-    """
-
-    #: Value and gradient share no work here; the optimizer should keep
-    #: them as separate callbacks (a fused objective would pay the full
-    #: 2-simulations-per-string gradient at every line-search point).
-    fused_evaluation = False
-
-    def __init__(
-        self,
-        program: PauliProgram,
-        hamiltonian: PauliSum,
-        *,
-        energy: StatevectorEnergy | None = None,
-    ):
-        self.program = program
-        self.energy = energy or StatevectorEnergy(program, hamiltonian)
-        self._terms_of_parameter = program.parameters_of_terms()
-
-    def value(self, parameters: Sequence[float]) -> float:
-        return self.energy(parameters)
-
-    def value_and_gradient(
-        self, parameters: Sequence[float]
-    ) -> tuple[float, np.ndarray]:
-        """``(E(theta), dE/dtheta)`` -- no shared work here (unlike the
-        adjoint method), provided for interface uniformity."""
-        return self.value(parameters), self.gradient(parameters)
-
-    def gradient(self, parameters: Sequence[float]) -> np.ndarray:
-        """dE/dtheta_k for every parameter, via shifted evaluations.
-
-        The shift is applied to a *clone* program in which the target
-        string gets its own temporary parameter slot.
-        """
-        base = np.asarray(parameters, dtype=float)
-        if base.shape != (self.program.num_parameters,):
-            raise ValueError("parameter vector has the wrong length")
-        gradient = np.zeros(self.program.num_parameters)
-        for parameter, positions in self._terms_of_parameter.items():
-            for position in positions:
-                coefficient = self.program.terms[position].coefficient
-                if coefficient == 0.0:
-                    continue
-                shift = math.pi / (4.0 * coefficient)
-                plus = self._shifted_energy(base, position, +shift)
-                minus = self._shifted_energy(base, position, -shift)
-                gradient[parameter] += coefficient * (plus - minus)
-        return gradient
-
-    def _shifted_energy(
-        self, parameters: np.ndarray, position: int, shift: float
-    ) -> float:
-        """Energy with one string's angle shifted (others unchanged)."""
-        bound = self.program.bound_terms(parameters)
-        pauli, angle = bound[position]
-        bound[position] = (pauli, angle + shift * self.program.terms[position].coefficient)
-        from repro.sim.pauli_evolution import evolve_pauli_sequence
-        from repro.vqe.energy import _initial_state
-
-        state = evolve_pauli_sequence(bound, _initial_state(self.program))
-        return self.energy.engine.value(state)
-
-
-#: Gradient evaluator factories keyed by the ``gradient`` argument of
-#: :class:`repro.vqe.runner.VQE`.
-GRADIENT_METHODS = {
-    "adjoint": AdjointGradient,
-    "parameter_shift": ParameterShiftGradient,
-}

@@ -37,20 +37,17 @@ def minimize_energy(
     initial: Sequence[float] | None = None,
     max_iterations: int = 200,
     tolerance: float = 1e-8,
-    gradient: Callable[[Sequence[float]], np.ndarray] | None = None,
     value_and_gradient: Callable[[Sequence[float]], tuple[float, np.ndarray]] | None = None,
 ) -> OptimizationOutcome:
     """Minimize an energy functional from the Hartree-Fock start.
 
     The all-zero start makes the first iterate exactly the Hartree-Fock
-    energy, which is the standard VQE initialization.  ``gradient``, when
-    given, is handed to scipy as the analytic Jacobian (used by SLSQP
-    and L-BFGS-B; the derivative-free methods ignore it), replacing the
-    2P-evaluations-per-step numerical differencing with e.g. the adjoint
-    gradient's single forward/backward sweep.  ``value_and_gradient``
-    (preferred when available) supplies both at once through scipy's
-    ``jac=True`` protocol, sharing the forward sweep between objective
-    and Jacobian.
+    energy, which is the standard VQE initialization.
+    ``value_and_gradient``, when given, supplies the energy and its
+    analytic Jacobian at once through scipy's ``jac=True`` protocol
+    (used by SLSQP and L-BFGS-B; the derivative-free methods ignore
+    it), e.g. the adjoint gradient's single forward/backward sweep in
+    place of p+1 finite-difference energy calls per Jacobian.
     """
     if method not in _SUPPORTED:
         raise ValueError(f"method must be one of {_SUPPORTED}")
@@ -87,19 +84,14 @@ def minimize_energy(
 
     fun: Callable = tracked
     jac: Any = None
-    if method in ("SLSQP", "L-BFGS-B"):
-        if value_and_gradient is not None:
+    if method in ("SLSQP", "L-BFGS-B") and value_and_gradient is not None:
 
-            def fused(parameters: np.ndarray) -> tuple[float, np.ndarray]:
-                value, grad = value_and_gradient(parameters)
-                history.append(float(value))
-                return float(value), np.asarray(grad, dtype=float)
+        def fused(parameters: np.ndarray) -> tuple[float, np.ndarray]:
+            value, grad = value_and_gradient(parameters)
+            history.append(float(value))
+            return float(value), np.asarray(grad, dtype=float)
 
-            fun, jac = fused, True
-        elif gradient is not None:
-
-            def jac(parameters: np.ndarray) -> np.ndarray:
-                return np.asarray(gradient(parameters), dtype=float)
+        fun, jac = fused, True
 
     result = minimize(fun, x0, method=method, jac=jac, options=options)
     iterations = int(getattr(result, "nit", 0) or 0)

@@ -3,7 +3,10 @@
 Mirrors the paper's execution flow (Figure 3): the inner loop evaluates
 ``E(theta)`` through one of the energy backends, the outer loop adjusts
 ``theta`` with SLSQP, and the reported cost is the number of outer
-iterations to convergence.
+iterations to convergence.  A :class:`StatevectorEnergy` backend gets
+the exact adjoint gradient (one forward and one backward sweep per
+Jacobian); every other backend leaves the Jacobian to the optimizer's
+finite differences.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from repro.vqe.energy import (
     StatevectorEnergy,
     TrajectoryEnergy,
 )
+from repro.vqe.gradient import AdjointGradient
 from repro.vqe.optimizer import OptimizationOutcome, minimize_energy
 
 
@@ -166,7 +170,6 @@ class VQE:
         cache=True,
         executor: str = "serial",
         workers: int | str | None = None,
-        gradient: str | None = None,
         noise: DepolarizingNoiseModel | None = None,
         shots_per_group: int = 4096,
         trajectories: int = 256,
@@ -209,25 +212,14 @@ class VQE:
             if knob in factory_params or accepts_kwargs:
                 factory_kwargs[knob] = value
         self.energy = factory(program, hamiltonian, **factory_kwargs)
-        if gradient is not None:
-            from repro.vqe.gradient import GRADIENT_METHODS
-
-            try:
-                gradient_cls = GRADIENT_METHODS[gradient]
-            except KeyError:
-                raise ValueError(
-                    f"unknown gradient method {gradient!r}; valid methods: "
-                    f"{', '.join(sorted(GRADIENT_METHODS))}"
-                ) from None
-            if backend != "statevector":
-                raise ValueError(
-                    "analytic gradients require the statevector backend"
-                )
-            # Share the backend's evaluator so the gradient honors the
-            # engine selection and its evaluations are accounted.
-            self.gradient = gradient_cls(program, hamiltonian, energy=self.energy)
-        else:
-            self.gradient = None
+        # Decided from the evaluator, not the backend name, so a factory
+        # re-registered under any name still gets (or skips) the adjoint.
+        # It shares the backend's evaluator and so honors its engine.
+        self.gradient = (
+            AdjointGradient(program, hamiltonian, energy=self.energy)
+            if isinstance(self.energy, StatevectorEnergy)
+            else None
+        )
         self.backend = backend
         self.engine = engine
         self.fusion = fusion
@@ -248,16 +240,8 @@ class VQE:
             initial=initial,
             max_iterations=self.max_iterations,
             tolerance=self.tolerance,
-            gradient=self.gradient.gradient if self.gradient is not None else None,
             value_and_gradient=(
-                self.gradient.value_and_gradient
-                if self.gradient is not None
-                # Fused objectives are only a win when value and gradient
-                # actually share the forward sweep (adjoint mode); shift-
-                # rule gradients stay a separate jac callback so scipy's
-                # line-search points don't pay full gradients.
-                and getattr(self.gradient, "fused_evaluation", False)
-                else None
+                self.gradient.value_and_gradient if self.gradient is not None else None
             ),
         )
         return VQEResult(

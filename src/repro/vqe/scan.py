@@ -136,7 +136,6 @@ def _scan_point_task(task: tuple[str, float, str, dict[str, Any]]) -> ScanPoint:
         engine=options["engine"],
         fusion=options["fusion"],
         cache=options["cache"],
-        gradient=options["gradient"],
         noise=options["noise"],
         trajectories=options["trajectories"],
         max_iterations=options["max_iterations"],
@@ -163,7 +162,6 @@ def bond_scan(
     engine: str = "inplace",
     fusion: str = "2q",
     cache=True,
-    gradient: str | None = None,
     noise: DepolarizingNoiseModel | None = None,
     trajectories: int = 256,
     max_iterations: int = 200,
@@ -192,7 +190,6 @@ def bond_scan(
         "engine": engine,
         "fusion": fusion,
         "cache": cache,
-        "gradient": gradient,
         "noise": noise,
         "trajectories": trajectories,
         "max_iterations": max_iterations,

@@ -1,14 +1,205 @@
-"""Tests for parameter-shift gradients, variable-degree trees and the
-end-to-end co-optimization pipeline."""
+"""Tests for the VQE gradients, variable-degree trees and the
+end-to-end co-optimization pipeline.
+
+All gradient tests live here.  :class:`ParameterShiftGradient` is the
+library's former shift-rule evaluator, kept only as the independent
+oracle the adjoint gradient is checked against.
+"""
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.ansatz import build_uccsd_program
 from repro.chem import build_molecule_hamiltonian
 from repro.core import co_optimize
+from repro.core.ir import IRTerm, PauliProgram
 from repro.hardware.xtree import xtree, xtree_with_degrees
-from repro.vqe.gradient import ParameterShiftGradient
+from repro.pauli import PauliString, PauliSum
+from repro.sim import basis_state
+from repro.sim.pauli_evolution import evolve_pauli_sequence
+from repro.vqe import VQE, AdjointGradient, minimize_energy
+from repro.vqe import runner
+from repro.vqe.energy import StatevectorEnergy
+
+
+class ParameterShiftGradient:
+    """Exact gradient of the statevector energy by the shift rule.
+
+    Each string contributes ``c * [E(a + pi/4) - E(a - pi/4)]`` at its
+    bound angle ``a = c * theta`` (exact since ``P**2 = I``): two
+    out-of-place simulations per (parameter, string) pair, sharing no
+    code with the adjoint's in-place backward sweep.
+    """
+
+    def __init__(self, program: PauliProgram, hamiltonian: PauliSum):
+        self.program = program
+        self.value = StatevectorEnergy(program, hamiltonian)
+        self._reference = basis_state(
+            program.num_qubits, sum(1 << q for q in program.initial_occupations)
+        )
+
+    def gradient(self, parameters) -> np.ndarray:
+        bound = self.program.bound_terms(parameters)
+        gradient = np.zeros(self.program.num_parameters)
+        for position, term in enumerate(self.program.terms):
+            shifted = []
+            for shift in (math.pi / 4, -math.pi / 4):
+                terms = list(bound)
+                terms[position] = (term.pauli, bound[position][1] + shift)
+                state = evolve_pauli_sequence(terms, self._reference)
+                shifted.append(self.value.engine.value(state))
+            gradient[term.parameter_index] += term.coefficient * (
+                shifted[0] - shifted[1]
+            )
+        return gradient
+
+
+def central_difference(energy, theta: np.ndarray, step: float = 1e-5) -> np.ndarray:
+    gradient = np.zeros_like(theta)
+    for k in range(len(theta)):
+        plus, minus = theta.copy(), theta.copy()
+        plus[k] += step
+        minus[k] -= step
+        gradient[k] = (energy(plus) - energy(minus)) / (2 * step)
+    return gradient
+
+
+@st.composite
+def pauli_programs(draw):
+    """A random Hermitian problem: (program, Hamiltonian, theta).
+
+    Strings are drawn over IXYZ, so odd- and even-Y strings and the
+    identity all occur; parameter indices repeat (shared parameters)
+    and coefficients may be exactly zero.
+    """
+    num_qubits = draw(st.integers(1, 5))
+    num_parameters = draw(st.integers(1, 3))
+    label = st.text("IXYZ", min_size=num_qubits, max_size=num_qubits)
+    coefficient = st.one_of(st.just(0.0), st.floats(-1.5, 1.5))
+    terms = draw(
+        st.lists(
+            st.tuples(label, coefficient, st.integers(0, num_parameters - 1)),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    occupations = draw(st.sets(st.integers(0, num_qubits - 1)))
+    observable = draw(
+        st.lists(st.tuples(label, st.floats(-2.0, 2.0)), min_size=1, max_size=6)
+    )
+    theta = draw(
+        st.lists(
+            st.floats(-math.pi, math.pi),
+            min_size=num_parameters,
+            max_size=num_parameters,
+        )
+    )
+    return build_problem(num_qubits, num_parameters, terms, occupations, observable, theta)
+
+
+def build_problem(num_qubits, num_parameters, terms, occupations, observable, theta):
+    program = PauliProgram(
+        num_qubits,
+        num_parameters,
+        [IRTerm(PauliString.from_label(p), c, k) for p, c, k in terms],
+        sorted(occupations),
+    )
+    hamiltonian = PauliSum.zero(num_qubits)
+    for p, c in observable:
+        hamiltonian.add_term(c, PauliString.from_label(p))
+    return program, hamiltonian, np.array(theta, dtype=float)
+
+
+class TestAdjointOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(pauli_programs())
+    @example(
+        build_problem(
+            3,
+            2,
+            # odd Y, even Y, identity, a shared parameter, a zero coefficient
+            [("XYZ", 0.7, 0), ("YYX", -0.4, 1), ("III", 0.9, 0),
+             ("ZIY", 1.1, 1), ("XXI", 0.0, 0)],
+            {0, 2},
+            [("ZZI", 0.8), ("XIX", -0.5), ("IYY", 0.3), ("III", -1.2)],
+            [0.37, -1.2],
+        )
+    )
+    def test_matches_central_differences_and_parameter_shift(self, problem):
+        program, hamiltonian, theta = problem
+        adjoint = AdjointGradient(program, hamiltonian)
+        gradient = adjoint.gradient(theta)
+        np.testing.assert_allclose(
+            gradient, central_difference(adjoint.value, theta), rtol=0, atol=1e-7
+        )
+        np.testing.assert_allclose(
+            gradient,
+            ParameterShiftGradient(program, hamiltonian).gradient(theta),
+            rtol=0,
+            atol=1e-9,
+        )
+
+
+class TestAdjointGradient:
+    @pytest.fixture(scope="class")
+    def h2(self):
+        problem = build_molecule_hamiltonian("H2")
+        program = build_uccsd_program(problem).program
+        return program, problem.hamiltonian
+
+    def test_agrees_with_parameter_shift_h2(self, h2):
+        program, hamiltonian = h2
+        theta = np.random.default_rng(4).normal(0, 0.5, program.num_parameters)
+        adjoint = AdjointGradient(program, hamiltonian).gradient(theta)
+        shift = ParameterShiftGradient(program, hamiltonian).gradient(theta)
+        np.testing.assert_allclose(adjoint, shift, atol=1e-8)
+
+    def test_agrees_with_parameter_shift_lih(self):
+        problem = build_molecule_hamiltonian("LiH")
+        program = build_uccsd_program(problem).program
+        theta = np.random.default_rng(8).normal(0, 0.3, program.num_parameters)
+        adjoint = AdjointGradient(program, problem.hamiltonian).gradient(theta)
+        shift = ParameterShiftGradient(program, problem.hamiltonian).gradient(theta)
+        np.testing.assert_allclose(adjoint, shift, atol=1e-8)
+
+    def test_value_and_gradient_consistent(self, h2):
+        program, hamiltonian = h2
+        evaluator = AdjointGradient(program, hamiltonian)
+        theta = [0.2] * program.num_parameters
+        value, gradient = evaluator.value_and_gradient(theta)
+        assert value == pytest.approx(evaluator.value(theta), abs=1e-12)
+        np.testing.assert_allclose(gradient, evaluator.gradient(theta), atol=1e-12)
+
+    def test_wrong_length_rejected(self, h2):
+        program, hamiltonian = h2
+        with pytest.raises(ValueError):
+            AdjointGradient(program, hamiltonian).gradient([0.0])
+
+    @pytest.mark.parametrize("engine", ["inplace", "batched", "fused", "legacy"])
+    def test_vqe_default_matches_finite_difference_run(self, engine):
+        problem = build_molecule_hamiltonian("LiH")
+        program = build_uccsd_program(problem).program
+        hamiltonian = problem.hamiltonian
+        # The same energy under SLSQP's own finite-difference Jacobian.
+        energy = StatevectorEnergy(program, hamiltonian, engine=engine)
+        plain = minimize_energy(energy, program.num_parameters)
+        adjoint = VQE(program, hamiltonian, engine=engine).run()
+        assert adjoint.energy == pytest.approx(plain.energy, abs=1e-6)
+        assert adjoint.function_evaluations < plain.function_evaluations
+
+    def test_adjoint_follows_the_statevector_evaluator(self, h2, monkeypatch):
+        program, hamiltonian = h2
+        statevector = runner.ENERGY_BACKENDS["statevector"]
+        monkeypatch.setitem(runner.ENERGY_BACKENDS, "renamed", statevector)
+        assert isinstance(
+            VQE(program, hamiltonian, backend="renamed").gradient, AdjointGradient
+        )
+        for backend in ("density_matrix", "trajectory", "sampling"):
+            assert VQE(program, hamiltonian, backend=backend).gradient is None
 
 
 class TestParameterShiftGradient:

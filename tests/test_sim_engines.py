@@ -1,12 +1,11 @@
 """Tests for the fast-path simulation engines (ISSUE 3).
 
-Covers the four contract points of the engine work:
+Covers the three contract points of the engine work:
 
 * in-place gate kernels agree with the legacy tensordot engine on
   random circuits (single states and batches);
 * the batched parameter sweep agrees with sequential evaluation (both
   the real-orthogonal fast path and the generic complex path);
-* the adjoint gradient agrees with parameter shift to 1e-8;
 * ``engine="legacy"`` stays wired end to end as a regression guard.
 """
 
@@ -42,7 +41,7 @@ from repro.sim import (
     check_engine,
 )
 from repro.sim.batched import real_evolution_compatible
-from repro.vqe import VQE, AdjointGradient, ParameterShiftGradient, sweep_energies
+from repro.vqe import VQE, sweep_energies
 from repro.vqe.energy import StatevectorEnergy
 
 
@@ -272,61 +271,6 @@ class TestBatchedSweeps:
             [engine.value(s.astype(complex)) for s in real_states],
             atol=1e-10,
         )
-
-
-class TestAdjointGradient:
-    @pytest.fixture(scope="class")
-    def h2(self):
-        problem = build_molecule_hamiltonian("H2")
-        program = build_uccsd_program(problem).program
-        return program, problem.hamiltonian
-
-    def test_agrees_with_parameter_shift_h2(self, h2):
-        program, hamiltonian = h2
-        theta = np.random.default_rng(4).normal(0, 0.5, program.num_parameters)
-        adjoint = AdjointGradient(program, hamiltonian).gradient(theta)
-        shift = ParameterShiftGradient(program, hamiltonian).gradient(theta)
-        np.testing.assert_allclose(adjoint, shift, atol=1e-8)
-
-    def test_agrees_with_parameter_shift_lih(self):
-        problem = build_molecule_hamiltonian("LiH")
-        program = build_uccsd_program(problem).program
-        theta = np.random.default_rng(8).normal(0, 0.3, program.num_parameters)
-        adjoint = AdjointGradient(program, problem.hamiltonian).gradient(theta)
-        shift = ParameterShiftGradient(program, problem.hamiltonian).gradient(theta)
-        np.testing.assert_allclose(adjoint, shift, atol=1e-8)
-
-    def test_value_and_gradient_consistent(self, h2):
-        program, hamiltonian = h2
-        evaluator = AdjointGradient(program, hamiltonian)
-        theta = [0.2] * program.num_parameters
-        value, gradient = evaluator.value_and_gradient(theta)
-        assert value == pytest.approx(evaluator.value(theta), abs=1e-12)
-        np.testing.assert_allclose(gradient, evaluator.gradient(theta), atol=1e-12)
-
-    def test_wrong_length_rejected(self, h2):
-        program, hamiltonian = h2
-        with pytest.raises(ValueError):
-            AdjointGradient(program, hamiltonian).gradient([0.0])
-
-    def test_vqe_with_adjoint_gradient_converges(self, h2):
-        program, hamiltonian = h2
-        plain = VQE(program, hamiltonian).run()
-        accelerated = VQE(program, hamiltonian, gradient="adjoint").run()
-        assert accelerated.energy == pytest.approx(plain.energy, abs=1e-6)
-        # The analytic Jacobian replaces 2P numerical-differencing
-        # evaluations per step.
-        assert accelerated.function_evaluations < plain.function_evaluations
-
-    def test_vqe_rejects_gradient_on_sampling_backend(self, h2):
-        program, hamiltonian = h2
-        with pytest.raises(ValueError, match="statevector"):
-            VQE(program, hamiltonian, backend="sampling", gradient="adjoint")
-
-    def test_vqe_rejects_unknown_gradient(self, h2):
-        program, hamiltonian = h2
-        with pytest.raises(ValueError, match="unknown gradient"):
-            VQE(program, hamiltonian, gradient="magic")
 
 
 class TestLegacyRegressionGuard:
