@@ -56,6 +56,8 @@ DENSITY_MATRIX = {
 VQE_ATOL = 1e-9
 FIG9_H2O_10PCT = (-74.98643798026482, 8)  # (energy, SLSQP iterations)
 LIH_FULL_UCCSD = (-7.863077440833648, 6)
+# (energy, SLSQP iterations, error events of the last call)
+FIG10_LIH_TRAJECTORY = (-7.8521728097613135, 3, 5)
 
 
 @pytest.fixture(scope="module")
@@ -149,3 +151,25 @@ def test_lih_full_uccsd_vqe(lih):
     energy, iterations = LIH_FULL_UCCSD
     assert result.energy == pytest.approx(energy, rel=0, abs=VQE_ATOL)
     assert result.iterations == iterations
+
+
+def test_fig10_lih_trajectory_vqe():
+    """The ``fig10_noisy`` trajectory point: LiH at equilibrium, 30%."""
+    problem = build_molecule_hamiltonian("LiH", default_bond_lengths("LiH", 1)[0])
+    program = compress_ansatz(
+        build_uccsd_program(problem).program, problem.hamiltonian, 0.3
+    ).program
+    vqe = VQE(
+        program,
+        problem.hamiltonian,
+        backend="trajectory",
+        noise=DepolarizingNoiseModel(two_qubit_error=1e-4),
+        trajectories=256,
+        seed=17,
+        max_iterations=60,
+    )
+    result = vqe.run()
+    energy, iterations, events = FIG10_LIH_TRAJECTORY
+    assert result.energy == pytest.approx(energy, rel=0, abs=VQE_ATOL)
+    assert result.iterations == iterations
+    assert vqe.energy.last_error_events == events
