@@ -736,15 +736,8 @@ def test_noise_backend_agreement_and_artifact():
     density matrix within 3 standard errors at K=512 on LiH (and NaH),
     and completes a noisy 14-qubit BH3 bond point the density-matrix
     backend cannot; writes ``BENCH_noise.json``.
-
-    ``BENCH_NOISE_TRAJECTORIES`` shrinks the sample count where
-    wall-clock matters (CI); the local default stays at the K=512
-    acceptance bar.
     """
-    import os
-
-    trajectories = int(os.environ.get("BENCH_NOISE_TRAJECTORIES", "512"))
-    stats = collect_noise_backend_stats(trajectories=trajectories)
+    stats = collect_noise_backend_stats()
     path = write_bench_noise_artifact(stats)
     print()
     print(json.dumps(stats, indent=2, sort_keys=True))

@@ -110,5 +110,6 @@ def synthesize_program_chain_with_positions(
             index for index, gate in enumerate(chain.gates) if gate.name == "rz"
         )
         positions.append(offset + rz_local)
-        circuit = circuit.compose(chain)
+        # Append in place: composing a fresh copy per term is quadratic.
+        circuit.gates.extend(chain.gates)
     return circuit, positions

@@ -14,9 +14,10 @@
   noise channels (the stand-in for Aer's qasm simulator + noise model);
   vec(rho) on the statevector kernels, O(4^n), capped at 12 qubits.
 * :mod:`repro.sim.trajectory` -- stochastic Pauli-trajectory unraveling
-  of the same depolarizing channels: K batched statevector trajectories
-  give an unbiased O(K*T*2^n) estimate of the density-matrix result
-  (the path past 12 qubits for noisy studies).
+  of the same depolarizing channels: K statevector trajectories give an
+  unbiased estimate of the density-matrix result, evolved as one clean
+  row plus the d rows that draw an error, O(T*(1+d)*2^n) plus the event
+  draw (the path past 12 qubits for noisy studies).
 * :mod:`repro.sim.exact` -- sparse exact ground-state solver ("Ground
   State" reference curves in Figure 9).
 
@@ -43,7 +44,6 @@ from repro.sim.statevector import (
 from repro.sim.trajectory import (
     EXECUTORS,
     TrajectoryEstimate,
-    TrajectorySimulator,
     check_executor,
     resolve_workers,
     trajectory_estimate,
@@ -70,7 +70,6 @@ __all__ = [
     "ExpectationEngine",
     "PauliEvolutionWorkspace",
     "TrajectoryEstimate",
-    "TrajectorySimulator",
     "trajectory_estimate",
     "trajectory_expectations",
     "basis_state",

@@ -27,6 +27,7 @@ signatures as compatibility shims over the in-place kernels.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -132,40 +133,22 @@ def _apply_gate_legacy(state: np.ndarray, gate: Gate, num_qubits: int) -> np.nda
 # ----------------------------------------------------------------------
 # In-place engine: index-slice kernels on the [2]*n tensor view
 # ----------------------------------------------------------------------
-def _qubit_slabs(
-    tensor: np.ndarray, num_qubits: int, qubit: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The two amplitude slabs (views) selected by ``qubit``.
+@functools.lru_cache(maxsize=None)
+def _slab_indices(ndim: int, qubits: tuple[int, ...]) -> tuple[tuple, ...]:
+    """Index tuples of the ``2**k`` amplitude slabs ``T[bits]`` of ``qubits``.
 
-    ``tensor`` has shape ``batch + [2]*num_qubits``; qubit ``q`` lives on
-    axis ``ndim - 1 - q`` (little-endian: axis -1 is qubit 0).
+    ``T`` has shape ``batch + [2]*n``; qubit ``q`` lives on axis
+    ``ndim - 1 - q`` (little-endian: axis -1 is qubit 0).  Slabs come in
+    gate-matrix index order: the first listed qubit is the least
+    significant bit, as in :mod:`repro.circuit.gates`.
     """
-    axis = tensor.ndim - 1 - qubit
-    index: list = [slice(None)] * tensor.ndim
-    index[axis] = 0
-    slab0 = tensor[tuple(index)]
-    index[axis] = 1
-    return slab0, tensor[tuple(index)]
-
-
-def _pair_slabs(
-    tensor: np.ndarray, num_qubits: int, qubit_a: int, qubit_b: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The four slabs ``T[bit_b, bit_a]`` (views) for a two-qubit gate.
-
-    Returned in gate-matrix index order ``(bit_b << 1) | bit_a`` (the
-    first listed qubit is the least significant bit, as in
-    :mod:`repro.circuit.gates`).
-    """
-    axis_a = tensor.ndim - 1 - qubit_a
-    axis_b = tensor.ndim - 1 - qubit_b
-    slabs = []
-    for code in range(4):
-        index: list = [slice(None)] * tensor.ndim
-        index[axis_a] = code & 1
-        index[axis_b] = (code >> 1) & 1
-        slabs.append(tensor[tuple(index)])
-    return slabs[0], slabs[1], slabs[2], slabs[3]
+    indices = []
+    for code in range(1 << len(qubits)):
+        index: list = [slice(None)] * ndim
+        for bit, qubit in enumerate(qubits):
+            index[ndim - 1 - qubit] = (code >> bit) & 1
+        indices.append(tuple(index))
+    return tuple(indices)
 
 
 def _combine_single(slab0: np.ndarray, slab1: np.ndarray, matrix: np.ndarray) -> None:
@@ -200,7 +183,7 @@ def apply_gate_inplace(state: np.ndarray, gate: Gate, num_qubits: int) -> np.nda
     # slab indexing below always yields writable views, never scalars).
     tensor = state.reshape((-1,) + (2,) * num_qubits)
     if gate.num_qubits == 1:
-        slab0, slab1 = _qubit_slabs(tensor, num_qubits, gate.qubits[0])
+        slab0, slab1 = [tensor[index] for index in _slab_indices(tensor.ndim, gate.qubits)]
         if name == "x":
             _swap_slabs(slab0, slab1)
         elif name == "z":
@@ -224,7 +207,7 @@ def apply_gate_inplace(state: np.ndarray, gate: Gate, num_qubits: int) -> np.nda
             _combine_single(slab0, slab1, gate.matrix())
         return state
     if gate.num_qubits == 2:
-        slabs = _pair_slabs(tensor, num_qubits, gate.qubits[0], gate.qubits[1])
+        slabs = [tensor[index] for index in _slab_indices(tensor.ndim, gate.qubits)]
         if name == "cx":
             # control = first listed qubit (bit 0): flip the target bit
             # within the control=1 half, i.e. swap T[b=0,a=1] <-> T[b=1,a=1].

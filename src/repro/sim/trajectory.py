@@ -13,17 +13,18 @@ pure-state density matrices reproduces the channel exactly,
 
 so any expectation averaged over K trajectories is an *unbiased*
 estimate of the density-matrix result with statistical error
-O(1/sqrt(K)) -- at O(K * T * 2^n) cost instead of O(4^n).
+O(1/sqrt(K)).
 
-The K trajectories live in one ``(K, 2^n)``
-:class:`repro.sim.batched.BatchedStatevector` stack, so every gate is
-applied to all trajectories in a single vectorized NumPy call (the same
-in-place index-slice kernels as the noise-free fast path), error
-injections touch only the sampled rows, and expectations read through
-:meth:`repro.sim.expectation.ExpectationEngine.values` in one batched
-pass.  Large trajectory counts stream through cache-sized blocks
-(:data:`DEFAULT_BLOCK_SIZE` rows at a time) so resident memory stays
-bounded by the block, not by K.
+A trajectory's errors never depend on its state, so all of them are
+drawn before any gate runs.  At the paper's CNOT error of 1e-4 almost
+every row draws none, so rows evolve error-sparsely in a
+``(1 + d, 2^n)`` stack: one clean representative plus the d rows that
+draw an error, each copied from the clean row at its first error.
+Every gate is one in-place kernel call on the rows forked so far, and
+rows that never fork take the clean row's expectation.  That costs
+O(T * (1 + d) * 2^n) plus the event draw, and on two or more qubits
+every row's value is bit-identical to evolving all K rows.  Chunks of ``block_size``-row blocks
+fork at most ``block_size`` rows each, so memory stays bounded.
 """
 
 from __future__ import annotations
@@ -39,10 +40,10 @@ import numpy as np
 from repro.circuit import Circuit
 from repro.core.seeding import seeded_rng, spawn_seeds
 from repro.pauli import PauliString, PauliSum
-from repro.sim.batched import BatchedStatevector
 from repro.sim.expectation import ExpectationEngine
 from repro.sim.noise import DepolarizingNoiseModel, depolarizing_paulis
 from repro.sim.pauli_evolution import cached_parity_signs, cached_xor_indices
+from repro.sim.statevector import apply_gate_inplace, basis_state
 
 #: Valid values of the ``executor=`` knob of the streaming helpers (and
 #: of :func:`repro.core.pipeline.run_batch`).
@@ -71,11 +72,9 @@ def resolve_workers(workers: "int | str | None", tasks: int) -> int:
             raise ValueError("workers must be at least 1")
     return max(1, min(count, tasks))
 
-#: Trajectories evolved per block by the streaming helpers.  One block
-#: keeps ``block x 2**n`` amplitudes resident (64 rows at 14 qubits is
-#: ~16 MiB); bigger blocks buy nothing once the gate kernels go
-#: memory-bound, smaller ones repay Python dispatch per gate K/block
-#: times.
+#: Rows per random-number block, and the most rows one chunk may fork:
+#: a chunk keeps at most ``block + 1`` rows of ``2**n`` amplitudes
+#: resident (65 rows at 14 qubits is ~17 MiB).
 DEFAULT_BLOCK_SIZE = 64
 
 #: Full-width error Paulis per (n, gate qubits): the depolarizing channel
@@ -121,97 +120,6 @@ def _apply_pauli_rows(states: np.ndarray, pauli: PauliString, rows: np.ndarray) 
     states[rows] = sub
 
 
-class TrajectorySimulator:
-    """K stochastic Pauli trajectories evolved through noisy circuits.
-
-    Mirrors the :class:`~repro.sim.density_matrix.DensityMatrixSimulator`
-    interface (``run`` a circuit, read expectations) but scales past its
-    12-qubit cap: memory is ``K * 2**n`` amplitudes and every unitary is
-    one vectorized batched-kernel call.  Pass ``rng`` to share one
-    random stream across several simulators (the block-streaming helpers
-    below do exactly that).
-    """
-
-    def __init__(
-        self,
-        num_qubits: int,
-        noise: DepolarizingNoiseModel | None = None,
-        *,
-        trajectories: int = DEFAULT_BLOCK_SIZE,
-        seed: int | None = None,
-        rng: np.random.Generator | None = None,
-    ) -> None:
-        if trajectories < 1:
-            raise ValueError("trajectories must be at least 1")
-        self.num_qubits = num_qubits
-        self.noise = noise or DepolarizingNoiseModel(two_qubit_error=0.0)
-        self.trajectories = trajectories
-        self.batch = BatchedStatevector(num_qubits, trajectories)
-        self._rng = rng if rng is not None else seeded_rng(seed)
-        #: Total error Paulis injected across all trajectories by ``run``
-        #: calls since construction/reset (diagnostic: expected value is
-        #: ``trajectories * sum_gates p_gate``).
-        self.error_events = 0
-
-    @property
-    def states(self) -> np.ndarray:
-        """The ``(K, 2**n)`` trajectory stack (a live view)."""
-        return self.batch.states
-
-    def reset(self, state: np.ndarray | None = None) -> "TrajectorySimulator":
-        """Reset every trajectory to ``|0...0>`` (or a given statevector)."""
-        if state is None:
-            self.batch.reset()
-        else:
-            self.batch.states[...] = state
-        self.error_events = 0
-        return self
-
-    # ------------------------------------------------------------------
-    # Evolution
-    # ------------------------------------------------------------------
-    def run(self, circuit: Circuit) -> np.ndarray:
-        """Evolve all trajectories through the circuit with noise injection.
-
-        SWAPs are decomposed into CNOTs first so the noise model sees the
-        same gate stream as the density-matrix simulator.
-        """
-        if circuit.num_qubits != self.num_qubits:
-            raise ValueError("qubit count mismatch")
-        hardware_view = circuit.decompose_swaps()
-        for gate in hardware_view.gates:
-            if gate.name in ("barrier", "measure"):
-                continue
-            self.batch.apply_gate(gate)
-            probability = self.noise.error_for(gate.name, gate.num_qubits)
-            if probability > 0.0:
-                self._inject_errors(gate.qubits, probability)
-        return self.batch.states
-
-    def _inject_errors(self, qubits: tuple[int, ...], probability: float) -> None:
-        """One depolarizing shot per trajectory after a noisy gate."""
-        hits = np.nonzero(self._rng.random(self.trajectories) < probability)[0]
-        if hits.size == 0:
-            return
-        paulis = channel_paulis(self.num_qubits, qubits)
-        choices = self._rng.integers(len(paulis), size=hits.size)
-        self.error_events += int(hits.size)
-        for index in np.unique(choices):
-            _apply_pauli_rows(self.batch.states, paulis[index], hits[choices == index])
-
-    # ------------------------------------------------------------------
-    # Readout
-    # ------------------------------------------------------------------
-    def expectations(self, observable: ExpectationEngine | PauliSum) -> np.ndarray:
-        """Per-trajectory ``<psi|H|psi>``, shape ``(K,)`` (one batched pass)."""
-        engine = _as_engine(observable)
-        return engine.values(self.batch.states)
-
-    def expectation(self, observable: ExpectationEngine | PauliSum) -> float:
-        """Trajectory-averaged expectation (unbiased estimate of ``Tr(rho H)``)."""
-        return float(self.expectations(observable).mean())
-
-
 @dataclass(frozen=True)
 class TrajectoryEstimate:
     """A trajectory-averaged expectation with its statistical error."""
@@ -232,130 +140,239 @@ def _as_engine(observable: ExpectationEngine | PauliSum) -> ExpectationEngine:
     return ExpectationEngine(observable)
 
 
-def _block_plan(trajectories: int, block_size: int) -> list[int]:
-    """Block sizes covering ``trajectories`` (all ``block_size`` but the tail)."""
+def _summarize(values: np.ndarray, events: "_Events") -> TrajectoryEstimate:
+    """Mean and standard error of per-trajectory values."""
+    trajectories = len(values)
+    if trajectories > 1:
+        standard_error = float(values.std(ddof=1) / math.sqrt(trajectories))
+    else:
+        standard_error = float("nan")
+    return TrajectoryEstimate(
+        value=float(values.mean()),
+        standard_error=standard_error,
+        trajectories=trajectories,
+        error_events=events.total,
+    )
+
+
+def _noisy_gates(
+    circuit: Circuit, noise: DepolarizingNoiseModel | None
+) -> tuple[np.ndarray, tuple]:
+    """Positions of the gates that carry a channel, and their signature.
+
+    The signature -- ``(qubits, p)`` per noisy gate, in gate order -- is
+    all the event draw depends on; the rotation angles that change from
+    one VQE evaluation to the next do not enter it.
+    """
+    noise = noise or DepolarizingNoiseModel(two_qubit_error=0.0)
+    rates = [noise.error_for(gate.name, gate.num_qubits) for gate in circuit.gates]
+    positions = np.flatnonzero(np.asarray(rates) > 0.0)
+    return positions, tuple((circuit.gates[i].qubits, rates[i]) for i in positions)
+
+
+@dataclass(frozen=True)
+class _Chunk:
+    """Consecutive rows evolved together as one ``(1 + d, 2**n)`` stack."""
+
+    start: int            # first global row
+    rows: int
+    gates: np.ndarray     # noisy-gate ordinal of each error, ascending
+    targets: np.ndarray   # chunk-local row of each error
+    paulis: np.ndarray    # index into the gate's channel Paulis
+
+
+@dataclass(frozen=True)
+class _Events:
+    """Every error of one seeded draw, planned into chunks."""
+
+    key: tuple            # (noisy-gate signature, trajectories, block_size)
+    chunks: tuple[_Chunk, ...]
+    total: int            # error events in all chunks
+
+
+def _draw_events(
+    signature: tuple,
+    num_qubits: int,
+    trajectories: int,
+    seed: int | np.random.SeedSequence | None,
+    block_size: int,
+) -> _Events:
+    """Draw every error before any gate runs, then plan the chunks.
+
+    Block ``i`` (``block_size`` rows, the last one ragged) draws from
+    child ``i`` of one :class:`~numpy.random.SeedSequence` root: per
+    noisy gate in gate order, one uniform per row (``< p`` is a hit),
+    then one channel-Pauli index per hit.  The draw never reads a
+    state, so it can run ahead of the evolution, and the results are a
+    function of ``(seed, trajectories, block_size)`` alone -- whatever
+    executor evolves the chunks.
+
+    Consecutive blocks join one chunk while it forks at most
+    ``block_size`` rows, so a chunk keeps at most ``block_size + 1``
+    rows resident; at realistic error rates every block fits one chunk.
+    """
     if trajectories < 1:
         raise ValueError("trajectories must be at least 1")
     if block_size < 1:
         raise ValueError("block_size must be at least 1")
     full, tail = divmod(trajectories, block_size)
-    return [block_size] * full + ([tail] if tail else [])
-
-
-def _spawn_block_seeds(
-    seed: int | np.random.SeedSequence | None, count: int
-) -> list[np.random.SeedSequence]:
-    """One independent child :class:`~numpy.random.SeedSequence` per block.
-
-    Spawning (instead of streaming one generator through the blocks in
-    order) is what makes every block's randomness independent of which
-    executor runs it and of how blocks are distributed over workers:
-    block ``i`` always draws from child ``i`` of the same root, so
-    serial, threaded, and process runs are bit-identical given
-    ``(seed, trajectories, block_size)``.  Delegates to the audited
-    normalization in :mod:`repro.core.seeding`.
-    """
-    return spawn_seeds(seed, count)
-
-
-def _run_one_block(
-    circuit: Circuit,
-    engine: ExpectationEngine,
-    noise: DepolarizingNoiseModel | None,
-    block: int,
-    seed: np.random.SeedSequence,
-    initial_state: np.ndarray | None,
-) -> tuple[np.ndarray, int]:
-    """Evolve one trajectory block; returns (values, error events)."""
-    simulator = TrajectorySimulator(
-        circuit.num_qubits,
-        noise,
-        trajectories=block,
-        rng=np.random.default_rng(seed),
+    sizes = [block_size] * full + ([tail] if tail else [])
+    gates, rows, paulis = [], [], []
+    start = 0
+    for size, block_seed in zip(sizes, spawn_seeds(seed, len(sizes))):
+        rng = seeded_rng(block_seed)
+        for ordinal, (qubits, probability) in enumerate(signature):
+            hits = np.flatnonzero(rng.random(size) < probability)
+            if hits.size:
+                channel = len(channel_paulis(num_qubits, qubits))
+                paulis.append(rng.integers(channel, size=hits.size))
+                rows.append(start + hits)
+                gates.append(np.full(hits.size, ordinal))
+        start += size
+    all_gates, all_rows, all_paulis = (
+        np.concatenate(parts) if parts else np.zeros(0, dtype=np.intp)
+        for parts in (gates, rows, paulis)
     )
-    if initial_state is not None:
-        simulator.reset(initial_state)
-    simulator.run(circuit)
-    return engine.values(simulator.states), simulator.error_events
+
+    starts = np.cumsum([0] + sizes)
+    blocks = np.searchsorted(starts, np.unique(all_rows), side="right") - 1
+    forked = np.bincount(blocks, minlength=len(sizes))
+    bounds, load = [0], 0
+    for block, count in enumerate(forked):
+        if load + count > block_size:
+            bounds.append(block)
+            load = 0
+        load += int(count)
+    bounds.append(len(sizes))
+
+    chunks = []
+    for first, last in zip(bounds, bounds[1:]):
+        lo, hi = int(starts[first]), int(starts[last])
+        inside = np.flatnonzero((all_rows >= lo) & (all_rows < hi))
+        order = inside[np.argsort(all_gates[inside], kind="stable")]
+        chunks.append(
+            _Chunk(lo, hi - lo, all_gates[order], all_rows[order] - lo, all_paulis[order])
+        )
+    return _Events((signature, trajectories, block_size), tuple(chunks), len(all_rows))
 
 
-def _trajectory_block_worker(
-    payload: tuple,
-) -> tuple[np.ndarray, int]:
-    """Process-pool task: map the shared tables, evolve one block.
+def _evolve_chunk(
+    circuit: Circuit,
+    positions: np.ndarray,
+    engine: ExpectationEngine,
+    chunk: _Chunk,
+    initial_state: np.ndarray | None,
+) -> np.ndarray:
+    """Per-row expectations of one chunk, evolved error-sparsely.
+
+    Row 0 of the stack is the clean representative.  A row forks at its
+    first error: row 0 is copied into the next free slot, which then
+    takes the error Pauli and every later gate.  Rows that never fork
+    read row 0's value.
+    """
+    n = engine.num_qubits
+    at = positions[chunk.gates]
+    firsts = np.flatnonzero(np.diff(at, prepend=-1))
+    errors = {
+        int(at[lo]): (chunk.targets[lo:hi], chunk.paulis[lo:hi])
+        for lo, hi in zip(firsts, [*firsts[1:], at.size])
+    }
+    stack = np.empty((1 + np.unique(chunk.targets).size, 1 << n), dtype=complex)
+    stack[0] = basis_state(n, 0) if initial_state is None else initial_state
+    slot = np.zeros(chunk.rows, dtype=np.intp)
+    active = 1
+    live = stack[:active]
+    for position, gate in enumerate(circuit.gates):
+        apply_gate_inplace(live, gate, n)
+        hit = errors.get(position)
+        if hit is None:
+            continue
+        targets, choices = hit
+        fresh = targets[slot[targets] == 0]
+        if fresh.size:
+            slot[fresh] = np.arange(active, active + fresh.size)
+            stack[active:active + fresh.size] = stack[0]
+            active += fresh.size
+            live = stack[:active]
+        slots = slot[targets]
+        paulis = channel_paulis(n, gate.qubits)
+        for index in np.unique(choices):
+            _apply_pauli_rows(stack, paulis[index], slots[choices == index])
+    return engine.values(live)[slot]
+
+
+def _trajectory_chunk_worker(payload: tuple) -> np.ndarray:
+    """Process-pool task: map the shared tables, evolve one chunk.
 
     The observable's grouped diagonals (the only big constant of the
     computation -- ``(G, 2**n)`` complex128) and the optional initial
     state arrive as a :class:`repro.core.shm.SharedSlabs` handle, so
     every worker maps one shared copy instead of unpickling its own.
     """
-    (circuit, noise, block, seed, handle, num_qubits, num_terms, has_initial) = payload
+    (circuit, positions, chunk, handle, num_qubits, num_terms, has_initial) = payload
     from repro.core.shm import SharedSlabs
 
     slabs = SharedSlabs.attach(handle)
     try:
         engine = ExpectationEngine.from_arrays(
-            num_qubits,
-            slabs["x_masks"],
-            slabs["diagonals"],
-            num_terms=num_terms,
+            num_qubits, slabs["x_masks"], slabs["diagonals"], num_terms=num_terms
         )
         initial = slabs["initial_state"] if has_initial else None
-        return _run_one_block(circuit, engine, noise, block, seed, initial)
+        return _evolve_chunk(circuit, positions, engine, chunk, initial)
     finally:
         slabs.close()
 
 
-def _run_blocks(
+def _run_trajectories(
     circuit: Circuit,
-    engine: ExpectationEngine,
+    observable: ExpectationEngine | PauliSum,
     noise: DepolarizingNoiseModel | None,
     trajectories: int,
     seed: int | np.random.SeedSequence | None,
     block_size: int,
     initial_state: np.ndarray | None,
-    *,
-    executor: str = "serial",
-    workers: "int | str | None" = None,
-) -> tuple[np.ndarray, int]:
-    """Stream trajectories through cache-sized blocks; values + events.
+    executor: str,
+    workers: "int | str | None",
+    events: _Events | None = None,
+) -> tuple[np.ndarray, _Events]:
+    """Per-trajectory values and the events behind them.
 
-    Block ``i`` always draws from child ``i`` of one
-    :class:`~numpy.random.SeedSequence` root (see
-    :func:`_spawn_block_seeds`), so all executors and worker counts
-    produce bit-identical results for the same
-    ``(seed, trajectories, block_size)``.
+    ``events`` from an earlier call with the same seed is reused when
+    its noisy-gate signature, ``trajectories`` and ``block_size`` still
+    match (the common-random-numbers memo of
+    :class:`repro.vqe.energy.TrajectoryEnergy`).  Every executor maps
+    the same chunk function over the same chunks, so serial, threaded
+    and process runs are bit-identical for any ``workers`` count.
     """
     check_executor(executor)
-    sizes = _block_plan(trajectories, block_size)
-    seeds = _spawn_block_seeds(seed, len(sizes))
-    count = resolve_workers(workers, len(sizes))
-    values = np.empty(trajectories)
-    events = 0
-
-    def _store(results: Iterable[tuple[np.ndarray, int]]) -> None:
-        nonlocal events
-        done = 0
-        for (block_values, block_events), block in zip(results, sizes):
-            values[done:done + block] = block_values
-            events += block_events
-            done += block
-
-    if executor == "serial" or count == 1 or len(sizes) == 1:
-        _store(
-            _run_one_block(circuit, engine, noise, block, block_seed, initial_state)
-            for block, block_seed in zip(sizes, seeds)
+    engine = _as_engine(observable)
+    if circuit.num_qubits != engine.num_qubits:
+        raise ValueError("qubit count mismatch")
+    # SWAPs become CNOTs first, so the noise model sees the same gate
+    # stream as the density-matrix simulator.
+    hardware = circuit.decompose_swaps()
+    positions, signature = _noisy_gates(hardware, noise)
+    if events is None or events.key != (signature, trajectories, block_size):
+        events = _draw_events(
+            signature, circuit.num_qubits, trajectories, seed, block_size
         )
+    chunks = events.chunks
+    count = resolve_workers(workers, len(chunks))
+
+    def evolve(chunk: _Chunk) -> np.ndarray:
+        return _evolve_chunk(hardware, positions, engine, chunk, initial_state)
+
+    values = np.empty(trajectories)
+
+    def store(results: Iterable[np.ndarray]) -> None:
+        for chunk, chunk_values in zip(chunks, results):
+            values[chunk.start:chunk.start + chunk.rows] = chunk_values
+
+    if executor == "serial" or count == 1:
+        store(map(evolve, chunks))
     elif executor == "thread":
         with ThreadPoolExecutor(max_workers=count) as pool:
-            _store(
-                pool.map(
-                    lambda pair: _run_one_block(
-                        circuit, engine, noise, pair[0], pair[1], initial_state
-                    ),
-                    zip(sizes, seeds),
-                )
-            )
+            store(pool.map(evolve, chunks))
     else:
         from repro.core.shm import SharedSlabs
 
@@ -368,14 +385,14 @@ def _run_blocks(
         try:
             payloads = [
                 (
-                    circuit, noise, block, block_seed, slabs.handle,
+                    hardware, positions, chunk, slabs.handle,
                     engine.num_qubits, engine.num_terms,
                     initial_state is not None,
                 )
-                for block, block_seed in zip(sizes, seeds)
+                for chunk in chunks
             ]
             with ProcessPoolExecutor(max_workers=count) as pool:
-                _store(pool.map(_trajectory_block_worker, payloads))
+                store(pool.map(_trajectory_chunk_worker, payloads))
         finally:
             slabs.unlink()
     return values, events
@@ -396,17 +413,18 @@ def trajectory_expectations(
     """Per-trajectory expectations of a noisy circuit, shape ``(K,)``.
 
     ``seed`` accepts anything ``np.random.default_rng`` does (int,
-    ``SeedSequence``, ``None`` for fresh entropy).  Each block draws
-    from its own spawned child of one ``SeedSequence`` root, so results
-    are fully deterministic given ``(seed, trajectories, block_size)``
-    -- and bit-identical across ``executor="serial" | "thread" |
-    "process"`` and any ``workers`` count.  ``executor="process"``
-    shares the observable's grouped diagonals with the workers through
+    ``SeedSequence``, ``None`` for fresh entropy).  Each block of
+    ``block_size`` rows draws from its own spawned child of one
+    ``SeedSequence`` root, so results are fully deterministic given
+    ``(seed, trajectories, block_size)`` -- and bit-identical across
+    ``executor="serial" | "thread" | "process"`` and any ``workers``
+    count.  ``executor="process"`` shares the observable's grouped
+    diagonals with the workers through
     :class:`repro.core.shm.SharedSlabs`.
     """
-    values, _ = _run_blocks(
-        circuit, _as_engine(observable), noise, trajectories, seed,
-        block_size, initial_state, executor=executor, workers=workers,
+    values, _ = _run_trajectories(
+        circuit, observable, noise, trajectories, seed, block_size,
+        initial_state, executor, workers,
     )
     return values
 
@@ -433,17 +451,8 @@ def trajectory_estimate(
     scale-out knobs (results are bit-identical across executors for a
     fixed seed).
     """
-    values, events = _run_blocks(
-        circuit, _as_engine(observable), noise, trajectories, seed,
-        block_size, initial_state, executor=executor, workers=workers,
+    values, events = _run_trajectories(
+        circuit, observable, noise, trajectories, seed, block_size,
+        initial_state, executor, workers,
     )
-    if trajectories > 1:
-        standard_error = float(values.std(ddof=1) / math.sqrt(trajectories))
-    else:
-        standard_error = float("nan")
-    return TrajectoryEstimate(
-        value=float(values.mean()),
-        standard_error=standard_error,
-        trajectories=trajectories,
-        error_events=events,
-    )
+    return _summarize(values, events)

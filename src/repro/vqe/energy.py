@@ -11,8 +11,9 @@ Four backends mirror the paper's experimental setups:
   capped at 12 qubits.
 * :class:`TrajectoryEnergy` -- the same depolarizing channel unraveled
   into K stochastic Pauli trajectories (:mod:`repro.sim.trajectory`):
-  an unbiased O(K*T*2^n) estimate of the density-matrix energy, the
-  noisy path past 12 qubits (Figure 10 on BH3/NH3/CH4).
+  an unbiased estimate of the density-matrix energy at O(T*(1+d)*2^n)
+  for d rows that draw an error, plus the event draw; the noisy path
+  past 12 qubits (Figure 10 on BH3/NH3/CH4).
 * :class:`SamplingEnergy` -- finite-shot estimation with qubit-wise
   commuting measurement grouping (the realistic inner loop).
 """
@@ -209,8 +210,9 @@ class TrajectoryEnergy:
     """Noisy energy by stochastic Pauli-trajectory averaging.
 
     Unbiased estimator of the :class:`DensityMatrixEnergy` result at
-    O(K*T*2^n) instead of O(4^n) -- the only noisy backend that scales
-    past the density-matrix simulator's 12-qubit cap.  After each call,
+    O(T*(1+d)*2^n) plus the event draw, for d of the K rows that draw an
+    error, instead of O(4^n) -- the only noisy backend that scales past
+    the density-matrix simulator's 12-qubit cap.  After each call,
     :attr:`last_standard_error` / :attr:`last_error_events` report the
     Monte-Carlo error bar and the number of injected error Paulis.
 
@@ -218,8 +220,9 @@ class TrajectoryEnergy:
     seed), every evaluation reuses the same noise realizations, making
     ``E(theta)`` a deterministic function the outer-loop optimizer can
     minimize (the classic common-random-numbers smoothing; the estimate
-    stays unbiased over the seed distribution).  Set it to ``False`` for
-    fresh realizations per call (independent error bars).
+    stays unbiased over the seed distribution), and the error events are
+    drawn once and reused.  Set it to ``False`` for fresh realizations
+    per call (independent error bars).
     """
 
     def __init__(
@@ -255,6 +258,9 @@ class TrajectoryEnergy:
         self.evaluations = 0
         self.last_standard_error = float("nan")
         self.last_error_events = 0
+        # Common random numbers redraw the same errors on every call, so
+        # the draw is kept and reused while the noisy gates stay the same.
+        self._events = None
 
     def _next_seed(self):
         if self._seeds is None:
@@ -264,20 +270,17 @@ class TrajectoryEnergy:
         return self._seeds.spawn(1)[0]
 
     def __call__(self, parameters: Sequence[float]) -> float:
-        from repro.sim.trajectory import trajectory_estimate
+        from repro.sim.trajectory import _run_trajectories, _summarize
 
         self.evaluations += 1
         circuit = self._synthesize(self.program, parameters)
-        estimate = trajectory_estimate(
-            circuit,
-            self.engine,
-            self.noise,
-            trajectories=self.trajectories,
-            seed=self._next_seed(),
-            block_size=self.block_size,
-            executor=self.executor,
-            workers=self.workers,
+        values, events = _run_trajectories(
+            circuit, self.engine, self.noise, self.trajectories, self._next_seed(),
+            self.block_size, None, self.executor, self.workers, events=self._events,
         )
+        if self.common_randomness and self._seed is not None:
+            self._events = events
+        estimate = _summarize(values, events)
         self.last_standard_error = estimate.standard_error
         self.last_error_events = estimate.error_events
         return estimate.value
