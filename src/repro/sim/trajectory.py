@@ -23,8 +23,9 @@ draw an error, each copied from the clean row at its first error.
 Every gate is one in-place kernel call on the rows forked so far, and
 rows that never fork take the clean row's expectation.  That costs
 O(T * (1 + d) * 2^n) plus the event draw, and on two or more qubits
-every row's value is bit-identical to evolving all K rows.  Chunks of ``block_size``-row blocks
-fork at most ``block_size`` rows each, so memory stays bounded.
+every row's value is bit-identical to evolving all K rows.  Chunks of
+``block_size``-row blocks fork at most ``block_size`` rows each, so
+memory stays bounded.
 """
 
 from __future__ import annotations

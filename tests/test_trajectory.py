@@ -75,8 +75,9 @@ class TrajectorySimulator:
 
     An independent reference for the error-sparse engine: it draws each
     gate's errors while it runs, right after the gate, and evolves all K
-    rows of one ``(K, 2**n)`` stack.  The engine must match it bit for
-    bit, block by block (see :func:`dense_trajectories`).
+    rows of one ``(K, 2**n)`` stack.  On two or more qubits the engine
+    must match it bit for bit, block by block (see
+    :func:`dense_trajectories`).
     """
 
     def __init__(self, num_qubits, noise=None, *, trajectories=64, seed=None, rng=None):
