@@ -3,8 +3,8 @@
 The ansatz is emitted directly in the Pauli-string IR
 (:class:`~repro.core.ir.PauliProgram`), so everything downstream --
 compression, hierarchical layout, Merge-to-Root and SABRE compilation,
-the batched/fused/adjoint simulation engines -- consumes QAOA workloads
-unchanged:
+the statevector energy, its blocked sweeps and the adjoint gradient --
+consumes QAOA workloads unchanged:
 
 * **State preparation.** ``|+>^n`` is itself a product of Pauli
   evolutions: ``exp(-i pi/4 Y_q)|0> = RY(pi/2)|0> = |+>``.  The builder

@@ -16,8 +16,9 @@ Pauli-evolution reference semantics, and :mod:`repro.compiler.metrics`
 computes the paper's overhead numbers.
 
 :mod:`repro.compiler.fusion` sits after either flow: it merges adjacent
-gates into dense 2x2/4x4 unitary blocks for the ``"fused"`` simulation
-engine, with content-addressed plan caching (:mod:`repro.core.cache`).
+gates into dense 2x2/4x4 unitary blocks, applied with
+``fuse_circuit(circuit).apply(state)``, with content-addressed plan
+caching (:mod:`repro.core.cache`).
 
 Both flows are exposed behind the string-keyed registry in
 :mod:`repro.compiler.registry` (``get_compiler("mtr")`` /

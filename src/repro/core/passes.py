@@ -55,14 +55,12 @@ class PipelineConfig:
     ``device`` and ``compiler`` are registry names (see
     :func:`repro.hardware.get_device` / :func:`repro.compiler.get_compiler`);
     ``layout`` is one of :data:`LAYOUT_SCHEMES`; ``seed`` feeds the SABRE
-    baseline's tie-breaking RNG; ``engine`` selects the simulation fast
-    path (:data:`repro.sim.statevector.ENGINES`:
-    ``"inplace"``/``"batched"``/``"fused"``/``"legacy"``) used by the optional
-    :class:`Energy` stage and anything else that simulates the staged
-    ansatz; ``trajectories`` sizes the stochastic Pauli-trajectory
-    noise engine when the :class:`Energy` stage runs with
-    ``backend="trajectory"`` (the noisy path past the density-matrix
-    simulator's 12-qubit cap).
+    baseline's tie-breaking RNG; ``trajectories`` sizes the stochastic
+    Pauli-trajectory noise engine when the :class:`Energy` stage runs
+    with ``backend="trajectory"`` (the noisy path past the
+    density-matrix simulator's 12-qubit cap).  The :class:`Energy` stage
+    has no simulation knob: a Pauli program always evolves term by term
+    (``docs/performance.md``).
 
     ``dag`` and ``commute`` control the shared circuit DAG IR
     (:class:`repro.circuit.dag.CircuitDAG`): with ``dag`` on, the
@@ -83,8 +81,6 @@ class PipelineConfig:
     recorded verdict and runs no check (with ``cache`` off, every run
     checks).
 
-    ``fusion`` selects the gate-fusion level for the ``"fused"``
-    simulation engine (:data:`repro.compiler.fusion.FUSION_LEVELS`);
     ``cache`` turns the content-addressed compile cache
     (:mod:`repro.core.cache`) on or off: with it on (the default), the
     ansatz build, compression, layout, routing, and schedule metrics of
@@ -109,8 +105,6 @@ class PipelineConfig:
     device: str = "xtree17"
     compiler: str = "mtr"
     layout: str = "auto"
-    engine: str = "inplace"
-    fusion: str = "2q"
     cache: bool = True
     validate: bool = True
     trajectories: int = 256
@@ -139,6 +133,8 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "PipelineConfig":
+        # Unknown keys are dropped, so payloads that still carry retired
+        # fields (``engine``, ``fusion``, ``array_backend``) keep loading.
         known = {f.name for f in fields(cls)}
         return cls(**{k: v for k, v in data.items() if k in known})
 
@@ -650,12 +646,11 @@ class Energy(Pass):
     Not part of the default pipeline; append it for accuracy/convergence
     workloads.  Records ``energy``, ``iterations``, and (when
     ``compute_exact``) ``exact_energy``/``energy_error`` in the metrics.
-    The simulation engine and trajectory count default to the config's
-    ``engine``/``trajectories`` fields, so batch sweeps switch fast
-    paths (or size the noisy trajectory backend) without touching the
-    stage.  ``backend="trajectory"`` with ``noise=`` runs the noisy
-    stochastic-trajectory path; backends that cannot honor a noise
-    model raise instead of silently ignoring it.
+    The trajectory count defaults to the config's ``trajectories``
+    field, so batch sweeps size the noisy trajectory backend without
+    touching the stage.  ``backend="trajectory"`` with ``noise=`` runs
+    the noisy stochastic-trajectory path; backends that cannot honor a
+    noise model raise instead of silently ignoring it.
     """
 
     name = "energy"
@@ -666,18 +661,12 @@ class Energy(Pass):
         self,
         *,
         backend: str = "statevector",
-        engine: str | None = None,
-        fusion: str | None = None,
-        cache: bool | None = None,
         noise: Any = None,
         trajectories: int | None = None,
         max_iterations: int = 200,
         compute_exact: bool = True,
     ) -> None:
         self.backend = backend
-        self.engine = engine
-        self.fusion = fusion
-        self.cache = cache
         self.noise = noise
         self.trajectories = trajectories
         self.max_iterations = max_iterations
@@ -708,9 +697,6 @@ class Energy(Pass):
             staged,
             problem.hamiltonian,
             backend=self.backend,
-            engine=self.engine or context.config.engine,
-            fusion=self.fusion or context.config.fusion,
-            cache=context.config.cache if self.cache is None else self.cache,
             noise=self.noise,
             trajectories=self.trajectories or context.config.trajectories,
             max_iterations=self.max_iterations,

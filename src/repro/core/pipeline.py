@@ -37,8 +37,8 @@ Usage -- run one instance, swap a stage, batch a sweep:
 [0.6, 0.735]
 
 Appending the optional :class:`~repro.core.passes.Energy` stage turns the
-compile pipeline into the VQE accuracy workload; its simulation fast
-path follows ``PipelineConfig.engine`` (see ``docs/performance.md``).
+compile pipeline into the VQE accuracy workload; it evolves the staged
+Pauli program term by term (see ``docs/performance.md``).
 """
 
 from __future__ import annotations

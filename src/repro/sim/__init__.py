@@ -1,13 +1,13 @@
 """Simulation substrate.
 
-* :mod:`repro.sim.statevector` -- gate-level statevector simulator with
-  in-place index-slice kernels plus the legacy tensordot engine
-  (the stand-in for Qiskit Aer's statevector simulator).
+* :mod:`repro.sim.statevector` -- gate-level statevector simulator on
+  in-place index-slice kernels (the stand-in for Qiskit Aer's
+  statevector simulator).
 * :mod:`repro.sim.batched` -- K statevectors in one ``(K, 2**n)`` array,
   evolved per gate in one vectorized call (parameter sweeps).
 * :mod:`repro.sim.pauli_evolution` -- fast application of ``exp(i theta P)``
   directly to statevectors (the workhorse of the VQE energy loop),
-  including the allocation-free workspace used by the fast engines.
+  including the allocation-free workspace of the single-point path.
 * :mod:`repro.sim.expectation` -- grouped Pauli-sum expectation values
   (single, batched, and real-arithmetic evaluation).
 * :mod:`repro.sim.density_matrix` -- exact density-matrix simulator with
@@ -21,24 +21,23 @@
 * :mod:`repro.sim.exact` -- sparse exact ground-state solver ("Ground
   State" reference curves in Figure 9).
 
-Engine selection (``"inplace"`` / ``"batched"`` / ``"fused"`` /
-``"legacy"``) is documented in ``docs/performance.md``; the ``"fused"``
-engine's dense-block planner lives in :mod:`repro.compiler.fusion`.
+The input's type picks the path (``docs/performance.md``): a Pauli
+program evolves term by term (:class:`repro.vqe.energy.StatevectorEnergy`),
+a circuit gate by gate through the in-place kernels.  Gate fusion is a
+separate, explicit call: ``repro.compiler.fusion.fuse_circuit(circuit)``.
 
-Every engine runs on NumPy arrays; scale-out across processes is driven
+Every path runs on NumPy arrays; scale-out across processes is driven
 by the ``executor=``/``workers=`` knobs
 (:data:`repro.sim.trajectory.EXECUTORS`).
 """
 
 from repro.sim.statevector import (
-    ENGINES,
     StatevectorSimulator,
     apply_circuit,
     apply_circuit_inplace,
     apply_gate_inplace,
     apply_unitary_inplace,
     basis_state,
-    check_engine,
     checked_probabilities,
 )
 from repro.sim.trajectory import (
@@ -61,7 +60,6 @@ from repro.sim.density_matrix import DensityMatrixSimulator
 from repro.sim.noise import DepolarizingNoiseModel
 
 __all__ = [
-    "ENGINES",
     "EXECUTORS",
     "StatevectorSimulator",
     "BatchedStatevector",
@@ -80,7 +78,6 @@ __all__ = [
     "apply_unitary_inplace",
     "apply_pauli",
     "apply_pauli_exponential",
-    "check_engine",
     "check_executor",
     "expectation",
     "ground_state_energy",

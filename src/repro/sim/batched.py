@@ -5,7 +5,7 @@ array so a parameter sweep -- K points of a dissociation curve, K
 shifted evaluations of a gradient, K restarts of an optimizer -- pays
 the Python- and NumPy-dispatch overhead of each gate/term *once* instead
 of K times.  The per-gate kernels are the same in-place index-slice
-kernels as the single-state engine (:mod:`repro.sim.statevector`); they
+kernels as the single-state simulator (:mod:`repro.sim.statevector`); they
 broadcast over the leading batch axis, so a batched gate touches the
 same memory as K sequential gates but in one vectorized pass.
 
@@ -38,7 +38,7 @@ from repro.sim.pauli_evolution import (
     cached_xor_indices,
     pauli_sign_factor,
 )
-from repro.sim.statevector import apply_gate_inplace, basis_state, check_engine
+from repro.sim.statevector import apply_gate_inplace, basis_state
 
 if TYPE_CHECKING:
     from repro.sim.expectation import ExpectationEngine
@@ -108,24 +108,14 @@ class BatchedStatevector:
         apply_gate_inplace(self.states, gate, self.num_qubits)
         return self
 
-    def apply_circuit(
-        self, circuit: Circuit, *, engine: str = "inplace"
-    ) -> "BatchedStatevector":
+    def apply_circuit(self, circuit: Circuit) -> "BatchedStatevector":
         """Run one circuit on every row.
 
-        ``engine="fused"`` merges adjacent gates into dense unitary
-        blocks first (:mod:`repro.compiler.fusion`); the other engines
-        apply gate by gate (all equivalent at this granularity, and the
-        per-gate kernels already broadcast over the batch axis).
+        The per-gate kernels broadcast over the batch axis; for gate
+        fusion, call ``fuse_circuit(circuit).apply(self.states)``.
         """
-        check_engine(engine)
         if circuit.num_qubits != self.num_qubits:
             raise ValueError("qubit count mismatch")
-        if engine == "fused":
-            from repro.compiler.fusion import fuse_circuit
-
-            fuse_circuit(circuit).apply(self.states)
-            return self
         for gate in circuit.gates:
             self.apply_gate(gate)
         return self

@@ -88,11 +88,9 @@ _SIGNS_CACHE_BYTE_LIMIT = 64 << 20
 
 
 def cached_parity_signs(num_qubits: int, z_mask: int) -> np.ndarray:
-    """Memoized :func:`parity_signs` (fast-path engines only).
+    """Memoized :func:`parity_signs`.
 
-    The returned array is shared -- callers must not mutate it.  The
-    legacy engine deliberately keeps calling the uncached function so it
-    stays a faithful baseline.
+    The returned array is shared -- callers must not mutate it.
     """
     key = (num_qubits, z_mask)
     signs = _SIGNS_CACHE.get(key)
@@ -138,7 +136,8 @@ class PauliEvolutionWorkspace:
     The two scratch buffers match the state's shape: ``shape=(dim,)`` for
     a single statevector or ``(K, dim)`` for a batch.  One workspace is
     reused across every term of an evolution and across evaluations,
-    which is what eliminates the per-gate allocations of the legacy path.
+    which is what eliminates the per-term allocations of
+    :func:`evolve_pauli_sequence`.
     """
 
     def __init__(self, shape: tuple[int, ...]) -> None:

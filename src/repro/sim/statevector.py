@@ -3,26 +3,22 @@
 States are little-endian: basis index ``b`` has qubit ``i`` in state
 ``(b >> i) & 1``.
 
-Two engines implement gate application:
+Gates run through index-slice kernels that mutate a preallocated
+buffer.  The state is viewed as a ``[2] * n`` tensor (a free reshape on
+the contiguous buffer) and the two (four) amplitude slabs selected by
+the acted-on qubit(s) are combined in place, with specialized updates
+for the common gates (X/Z/S/RZ/H, CX/CZ/SWAP) that avoid even the
+half-size temporary.  Kernels broadcast over any leading batch axes,
+which is what :class:`repro.sim.batched.BatchedStatevector` builds on.
 
-* ``"inplace"`` (default) -- index-slice kernels that mutate a
-  preallocated buffer.  The state is viewed as a ``[2] * n`` tensor (a
-  free reshape on the contiguous buffer) and the two (four) amplitude
-  slabs selected by the acted-on qubit(s) are combined in place, with
-  specialized updates for the common gates (X/Z/S/RZ/H, CX/CZ/SWAP)
-  that avoid even the half-size temporary.  Kernels broadcast over any
-  leading batch axes, which is what :class:`repro.sim.batched.BatchedStatevector`
-  builds on.
-* ``"legacy"`` -- the original out-of-place ``tensordot`` contraction,
-  kept verbatim as the reference semantics (and regression guard).
-* ``"fused"`` -- gate fusion (:mod:`repro.compiler.fusion`): runs of
-  adjacent gates are merged into dense 2x2/4x4 unitaries ahead of time
-  and applied through :func:`apply_unitary_inplace`, a low-op-count
-  gather/GEMM/scatter kernel that also accepts per-row ``(K, 4, 4)``
-  matrix stacks for vectorized parameter sweeps.
+:func:`apply_unitary_inplace` applies a dense 2x2/4x4 unitary (or a
+per-row ``(K, 4, 4)`` stack) through a low-op-count gather/GEMM/scatter
+kernel; it is what :mod:`repro.compiler.fusion` runs its merged blocks
+on.  A caller who wants gate fusion calls
+``fuse_circuit(circuit).apply(state)`` directly.
 
-``apply_gate`` / ``apply_circuit`` keep their original copy-out
-signatures as compatibility shims over the in-place kernels.
+``apply_gate`` / ``apply_circuit`` keep their copy-out signatures over
+the in-place kernels.
 """
 
 from __future__ import annotations
@@ -37,20 +33,6 @@ from repro.circuit.gates import Gate
 from repro.core.seeding import seeded_rng
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
-
-#: Valid values of the ``engine`` argument accepted across the stack
-#: (simulator, energy backends, pipeline config).
-ENGINES = ("inplace", "batched", "fused", "legacy")
-
-
-def check_engine(engine: str) -> str:
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown simulation engine {engine!r}; valid engines: "
-            f"{', '.join(ENGINES)}"
-        )
-    return engine
-
 
 def checked_probabilities(
     state: np.ndarray, *, norm_tolerance: float = 1e-8, context: str = "statevector"
@@ -86,52 +68,7 @@ def basis_state(num_qubits: int, index: int = 0) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Legacy engine: out-of-place tensordot contraction (reference semantics)
-# ----------------------------------------------------------------------
-def _apply_single_qubit(state: np.ndarray, matrix: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    """Contract a 2x2 matrix into axis ``qubit`` of the state tensor."""
-    tensor = state.reshape([2] * n)
-    # Axis order in the reshaped tensor: axis 0 is the *highest* qubit.
-    axis = n - 1 - qubit
-    tensor = np.tensordot(matrix, tensor, axes=([1], [axis]))
-    # tensordot moved the contracted axis to the front; move it back.
-    tensor = np.moveaxis(tensor, 0, axis)
-    return np.ascontiguousarray(tensor).reshape(-1)
-
-
-def _apply_two_qubit(
-    state: np.ndarray, matrix: np.ndarray, qubit_a: int, qubit_b: int, n: int
-) -> np.ndarray:
-    """Contract a 4x4 matrix into axes (qubit_a, qubit_b).
-
-    Matrix convention: within the gate, the first listed qubit is the least
-    significant bit of the 2-bit index (see :mod:`repro.circuit.gates`).
-    """
-    tensor = state.reshape([2] * n)
-    axis_a = n - 1 - qubit_a
-    axis_b = n - 1 - qubit_b
-    gate_tensor = matrix.reshape(2, 2, 2, 2)
-    # gate_tensor indices: [out_b, out_a, in_b, in_a] because bit 1 of the
-    # 4-dim index is qubit_b and bit 0 is qubit_a.
-    tensor = np.tensordot(gate_tensor, tensor, axes=([2, 3], [axis_b, axis_a]))
-    # Contracted axes land at the front as (out_b, out_a).
-    tensor = np.moveaxis(tensor, [0, 1], [axis_b, axis_a])
-    return np.ascontiguousarray(tensor).reshape(-1)
-
-
-def _apply_gate_legacy(state: np.ndarray, gate: Gate, num_qubits: int) -> np.ndarray:
-    if gate.name in ("barrier", "measure"):
-        return state
-    matrix = gate.matrix()
-    if gate.num_qubits == 1:
-        return _apply_single_qubit(state, matrix, gate.qubits[0], num_qubits)
-    if gate.num_qubits == 2:
-        return _apply_two_qubit(state, matrix, gate.qubits[0], gate.qubits[1], num_qubits)
-    raise ValueError(f"unsupported gate arity: {gate!r}")
-
-
-# ----------------------------------------------------------------------
-# In-place engine: index-slice kernels on the [2]*n tensor view
+# In-place kernels: index-slice updates on the [2]*n tensor view
 # ----------------------------------------------------------------------
 @functools.lru_cache(maxsize=None)
 def _slab_indices(ndim: int, qubits: tuple[int, ...]) -> tuple[tuple, ...]:
@@ -311,70 +248,63 @@ def apply_unitary_inplace(
     return state
 
 
+def _check_dimension(state: np.ndarray, num_qubits: int) -> None:
+    """Reject a state whose last axis is not ``2**num_qubits`` long.
+
+    The kernels read any leading axes as a batch, so without this check
+    a state of the wrong size would evolve into a plausible wrong vector.
+    """
+    if state.shape[-1:] != (1 << num_qubits,):
+        raise ValueError(
+            f"state of shape {state.shape} does not match {num_qubits} qubits "
+            f"(last axis must be {1 << num_qubits})"
+        )
+
+
 def apply_circuit_inplace(circuit: Circuit, state: np.ndarray) -> np.ndarray:
     """Run a circuit on ``state`` by mutating it; returns ``state``.
 
     Accepts batched states of shape ``(..., 2**n)`` (see
     :func:`apply_gate_inplace`).
     """
+    _check_dimension(state, circuit.num_qubits)
     for gate in circuit.gates:
         apply_gate_inplace(state, gate, circuit.num_qubits)
     return state
 
 
 # ----------------------------------------------------------------------
-# Compatibility shims (original copy-out signatures)
+# Copy-out signatures
 # ----------------------------------------------------------------------
 def apply_gate(state: np.ndarray, gate: Gate, num_qubits: int) -> np.ndarray:
     """Apply one gate to a statevector, returning the new statevector.
 
-    Compatibility shim: copies the input, then runs the in-place kernel.
+    Copies the input, then runs the in-place kernel.
     """
     current = np.array(state, dtype=complex, copy=True)
+    _check_dimension(current, num_qubits)
     return apply_gate_inplace(current, gate, num_qubits)
 
 
-def apply_circuit(
-    circuit: Circuit, state: np.ndarray | None = None, *, engine: str = "inplace"
-) -> np.ndarray:
+def apply_circuit(circuit: Circuit, state: np.ndarray | None = None) -> np.ndarray:
     """Run a circuit on ``state`` (defaults to ``|0...0>``).
 
-    The input state is never mutated.  ``engine="legacy"`` selects the
-    original out-of-place tensordot path; ``"inplace"`` (and
-    ``"batched"``, identical at this granularity) copy once and then
-    mutate the copy gate by gate; ``"fused"`` merges adjacent gates into
-    dense unitary blocks first (plans are content-addressed, so repeated
-    runs of structurally identical circuits skip the planning).
+    The input state is never mutated: it is copied once and the copy
+    evolves gate by gate through the in-place kernels.
     """
-    check_engine(engine)
     if state is None:
-        state = basis_state(circuit.num_qubits)
-        current = state  # freshly allocated: safe to mutate
-    else:
-        current = np.array(state, dtype=complex, copy=True)
-    if engine == "legacy":
-        for gate in circuit.gates:
-            current = _apply_gate_legacy(current, gate, circuit.num_qubits)
-        return current
-    if engine == "fused":
-        from repro.compiler.fusion import fuse_circuit
-
-        return fuse_circuit(circuit).apply(current)
-    return apply_circuit_inplace(circuit, current)
+        return apply_circuit_inplace(circuit, basis_state(circuit.num_qubits))
+    return apply_circuit_inplace(circuit, np.array(state, dtype=complex, copy=True))
 
 
 class StatevectorSimulator:
     """Stateful simulator wrapper with sampling support.
 
-    ``engine`` selects the gate-application path (see module docstring);
-    the default in-place engine reuses ``self.state`` as its buffer.
+    :meth:`run` evolves ``self.state`` in place through the gate kernels.
     """
 
-    def __init__(
-        self, num_qubits: int, seed: int | None = None, engine: str = "inplace"
-    ) -> None:
+    def __init__(self, num_qubits: int, seed: int | None = None) -> None:
         self.num_qubits = num_qubits
-        self.engine = check_engine(engine)
         self.state = basis_state(num_qubits)
         self._rng = seeded_rng(seed)
 
@@ -385,16 +315,7 @@ class StatevectorSimulator:
     def run(self, circuit: Circuit) -> np.ndarray:
         if circuit.num_qubits != self.num_qubits:
             raise ValueError("qubit count mismatch")
-        if self.engine == "legacy":
-            for gate in circuit.gates:
-                self.state = _apply_gate_legacy(self.state, gate, self.num_qubits)
-        elif self.engine == "fused":
-            from repro.compiler.fusion import fuse_circuit
-
-            fuse_circuit(circuit).apply(self.state)
-        else:
-            apply_circuit_inplace(circuit, self.state)
-        return self.state
+        return apply_circuit_inplace(circuit, self.state)
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.state) ** 2

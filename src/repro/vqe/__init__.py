@@ -13,8 +13,8 @@
   iteration accounting and an optional fused value-and-gradient
   objective;
 * :mod:`repro.vqe.runner`      -- the VQE object tying them together
-  (energy backends x simulation engines; statevector backends use the
-  adjoint gradient, the others finite differences);
+  (energy backends; statevector backends use the adjoint gradient,
+  the others finite differences);
 * :mod:`repro.vqe.scan`        -- bond-length scans (Figure 9 workloads)
   and batched parameter sweeps (:func:`repro.vqe.scan.sweep_energies`).
 """

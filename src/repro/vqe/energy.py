@@ -28,11 +28,12 @@ from repro.core.bits import popcount
 from repro.core.ir import PauliProgram
 from repro.core.seeding import seeded_rng
 from repro.pauli import PauliString, PauliSum
+from repro.sim.batched import sweep_expectations
 from repro.sim.density_matrix import DensityMatrixSimulator
 from repro.sim.expectation import ExpectationEngine
 from repro.sim.noise import DepolarizingNoiseModel
 from repro.sim.pauli_evolution import PauliEvolutionWorkspace, evolve_pauli_sequence
-from repro.sim.statevector import basis_state, check_engine, checked_probabilities
+from repro.sim.statevector import basis_state, checked_probabilities
 from repro.vqe.measurement import MeasurementGroup, group_commuting_terms
 
 
@@ -46,103 +47,38 @@ def _initial_state(program: PauliProgram) -> np.ndarray:
 class StatevectorEnergy:
     """Exact noise-free energy of a Pauli program.
 
-    ``engine`` selects the simulation fast path (see
-    ``docs/performance.md``):
-
-    * ``"inplace"`` (default) -- evolves a preallocated buffer with the
-      allocation-free workspace kernels; fastest single-point path.
-    * ``"batched"`` -- same single-point path, plus :meth:`values`
-      evaluates K parameter sets through one ``(K, 2**n)`` stack.
-    * ``"fused"`` -- chain-synthesizes the program once into a gate
-      template, fuses adjacent gates into dense unitary blocks
-      (:mod:`repro.compiler.fusion`; the plan is content-addressed, so
-      every evaluation reuses it), and rebinds only the per-term RZ
-      angles.  :meth:`values` binds all K rows at once into
-      ``(K, 4, 4)`` matrix stacks applied by batched GEMMs -- the
-      gate-level sweep fast path.  ``fusion`` selects the fusion level
-      (:data:`repro.compiler.fusion.FUSION_LEVELS`) and ``cache`` the
-      compile cache (True = global, False = off, or an instance).
-    * ``"legacy"`` -- the original out-of-place per-term evolution, kept
-      as the reference semantics and benchmark baseline.
+    The program evolves term by term at the Pauli level (see
+    ``docs/performance.md``): :meth:`__call__` and :meth:`state` run the
+    allocation-free single-point workspace kernels on a preallocated
+    buffer, and :meth:`values` evaluates K parameter sets through
+    cache-sized ``(K, 2**n)`` blocks.
     """
 
-    def __init__(
-        self,
-        program: PauliProgram,
-        hamiltonian: PauliSum,
-        *,
-        engine: str = "inplace",
-        fusion: str = "2q",
-        cache=True,
-    ):
+    def __init__(self, program: PauliProgram, hamiltonian: PauliSum):
         if program.num_qubits != hamiltonian.num_qubits:
             raise ValueError("program and Hamiltonian sizes differ")
-        check_engine(engine)
-        if engine == "fused":
-            from repro.compiler.fusion import check_fusion_level
-
-            check_fusion_level(fusion)
         self.program = program
         self.hamiltonian = hamiltonian
         self.engine = ExpectationEngine(hamiltonian)
-        self.simulation_engine = engine
-        self.fusion = fusion
-        self.cache = cache
         self._reference = _initial_state(program)
         self._paulis = program.paulis()
         self._workspace: PauliEvolutionWorkspace | None = None
         self._buffer: np.ndarray | None = None
-        self._template: tuple | None = None
         self.evaluations = 0
-
-    def _fused_template(self):
-        """The chain-synthesized gate template and its RZ positions."""
-        if self._template is None:
-            from repro.compiler.synthesis import (
-                synthesize_program_chain_with_positions,
-            )
-
-            self._template = synthesize_program_chain_with_positions(
-                self.program, np.zeros(self.program.num_parameters)
-            )
-        return self._template
-
-    def _fused_stack(self, parameter_sets: np.ndarray) -> np.ndarray:
-        """Evolve K parameter rows through the fused template at once."""
-        from repro.compiler.fusion import fusion_plan
-
-        circuit, positions = self._fused_template()
-        bound = self.program.bound_angles(parameter_sets)
-        # Chain synthesis realizes exp(i a P) with RZ(-2a) on the root.
-        overrides = {
-            position: -2.0 * bound[:, term]
-            for term, position in enumerate(positions)
-            if position is not None
-        }
-        plan = fusion_plan(circuit, level=self.fusion, cache=self.cache)
-        fused = plan.bind_sweep(circuit, overrides)
-        stack = np.zeros((len(parameter_sets), self._reference.shape[0]), dtype=complex)
-        stack[:, 0] = 1.0  # the template includes the Hartree-Fock X gates
-        return fused.apply(stack)
 
     def state(self, parameters: Sequence[float]) -> np.ndarray:
         """The ansatz state ``|psi(theta)>``.
 
-        The fast engines return a view of an internal buffer that is
-        overwritten by the next evaluation; copy it to keep it.
+        Returns a view of an internal buffer that is overwritten by the
+        next evaluation; copy it to keep it.
         """
-        if self.simulation_engine == "fused":
-            return self._fused_stack(
-                np.asarray(parameters, dtype=float).reshape(1, -1)
-            )[0]
-        bound = self.program.bound_terms(parameters)
-        if self.simulation_engine == "legacy":
-            return evolve_pauli_sequence(bound, self._reference)
         if self._buffer is None:
             self._buffer = np.empty_like(self._reference)
             self._workspace = PauliEvolutionWorkspace(self._reference.shape)
         np.copyto(self._buffer, self._reference)
-        angles = np.array([angle for _, angle in bound], dtype=float)
+        angles = np.array(
+            [angle for _, angle in self.program.bound_terms(parameters)], dtype=float
+        )
         return self._workspace.evolve_inplace(self._paulis, angles, self._buffer)
 
     #: Rows per batched block.  Each block keeps ``block x 2**n`` state
@@ -154,19 +90,10 @@ class StatevectorEnergy:
     def values(self, parameter_sets: Sequence[Sequence[float]]) -> np.ndarray:
         """Energies of K parameter sets, shape ``(K,)``.
 
-        Under the ``"batched"`` engine the points evolve per gate in
-        vectorized cache-sized blocks (see :attr:`batch_block_size`);
-        the other engines fall back to a sequential loop (the baseline
-        the ``BENCH_sim.json`` speedup is measured against).
+        The points evolve per term in vectorized cache-sized blocks (see
+        :attr:`batch_block_size`).
         """
         parameter_sets = np.asarray(parameter_sets, dtype=float)
-        if self.simulation_engine == "fused":
-            self.evaluations += len(parameter_sets)
-            return self.engine.values(self._fused_stack(parameter_sets))
-        if self.simulation_engine != "batched":
-            return np.array([self(theta) for theta in parameter_sets])
-        from repro.sim.batched import sweep_expectations
-
         self.evaluations += len(parameter_sets)
         return sweep_expectations(
             self._paulis,

@@ -62,10 +62,8 @@ class AdjointGradient:
     ):
         self.program = program
         # Reuse the caller's energy evaluator when given (shares the
-        # grouped ExpectationEngine and honors its engine selection).
-        self.energy = energy or StatevectorEnergy(
-            program, hamiltonian, engine="inplace"
-        )
+        # grouped ExpectationEngine and the forward-sweep buffer).
+        self.energy = energy or StatevectorEnergy(program, hamiltonian)
         self._paulis = program.paulis()
         self._coefficients = np.array(
             [term.coefficient for term in program.terms], dtype=float

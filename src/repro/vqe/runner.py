@@ -46,13 +46,9 @@ def _reject_noise(backend: str, noise: DepolarizingNoiseModel | None) -> None:
         )
 
 
-def _statevector_backend(
-    program, hamiltonian, *, noise, shots_per_group, seed, engine, fusion, cache
-):
+def _statevector_backend(program, hamiltonian, *, noise, shots_per_group, seed):
     _reject_noise("statevector", noise)
-    return StatevectorEnergy(
-        program, hamiltonian, engine=engine, fusion=fusion, cache=cache
-    )
+    return StatevectorEnergy(program, hamiltonian)
 
 
 def _density_matrix_backend(program, hamiltonian, *, noise, shots_per_group, seed):
@@ -97,13 +93,11 @@ def register_backend(
 
     The factory is called as ``factory(program, hamiltonian, noise=...,
     shots_per_group=..., seed=...)`` and must return a callable mapping
-    a parameter vector to a float energy.  Factories that declare an
-    ``engine``, ``trajectories``, ``fusion``, ``cache``, ``executor``,
-    or ``workers`` keyword (or ``**kwargs``) additionally receive the
-    simulation-engine name (:data:`repro.sim.statevector.ENGINES`), the
-    trajectory count, the gate-fusion level, the compile-cache selector,
-    and/or the scale-out executor knobs; backends that don't use them
-    may simply not declare them.  A factory that cannot honor a
+    a parameter vector to a float energy.  Factories that declare a
+    ``trajectories``, ``executor``, or ``workers`` keyword (or
+    ``**kwargs``) additionally receive the trajectory count and/or the
+    scale-out executor knobs; backends that don't use them may simply
+    not declare them.  A factory that cannot honor a
     non-trivial ``noise`` model must raise rather than drop it silently.
     """
     if name in ENERGY_BACKENDS and not overwrite:
@@ -165,9 +159,6 @@ class VQE:
         hamiltonian: PauliSum,
         *,
         backend: str = "statevector",
-        engine: str = "inplace",
-        fusion: str = "2q",
-        cache=True,
         executor: str = "serial",
         workers: int | str | None = None,
         noise: DepolarizingNoiseModel | None = None,
@@ -178,10 +169,8 @@ class VQE:
         max_iterations: int = 200,
         tolerance: float = 1e-8,
     ):
-        from repro.sim.statevector import check_engine
         from repro.sim.trajectory import check_executor
 
-        check_engine(engine)
         check_executor(executor)
         try:
             factory = ENERGY_BACKENDS[backend]
@@ -202,10 +191,7 @@ class VQE:
             p.kind is inspect.Parameter.VAR_KEYWORD for p in factory_params.values()
         )
         for knob, value in (
-            ("engine", engine),
             ("trajectories", trajectories),
-            ("fusion", fusion),
-            ("cache", cache),
             ("executor", executor),
             ("workers", workers),
         ):
@@ -214,16 +200,12 @@ class VQE:
         self.energy = factory(program, hamiltonian, **factory_kwargs)
         # Decided from the evaluator, not the backend name, so a factory
         # re-registered under any name still gets (or skips) the adjoint.
-        # It shares the backend's evaluator and so honors its engine.
         self.gradient = (
             AdjointGradient(program, hamiltonian, energy=self.energy)
             if isinstance(self.energy, StatevectorEnergy)
             else None
         )
         self.backend = backend
-        self.engine = engine
-        self.fusion = fusion
-        self.cache = cache
         self.executor = executor
         self.workers = workers
         self.program = program

@@ -5,13 +5,12 @@ configuration (full UCCSD, compressed at some ratio, or random baseline)
 and records simulated energy, error against the exact ground state, and
 outer-loop iteration counts.
 
-Every inner-loop energy evaluation goes through the simulation engine
-selected by ``engine`` (see ``docs/performance.md``), and
-:func:`sweep_energies` exposes the batched fast path directly: K
-parameter sets stacked into one ``(K, 2**n)`` array that evolves per
-gate in a single vectorized NumPy call -- the primitive behind energy
-landscapes, multi-start screening, and the ``BENCH_sim.json`` speedup
-benchmark.
+Every inner-loop energy evaluation evolves the Pauli program term by
+term (see ``docs/performance.md``), and :func:`sweep_energies` exposes
+the blocked sweep directly: K parameter sets stacked into
+``(K, 2**n)`` blocks that evolve per term in one vectorized NumPy call
+-- the primitive behind energy landscapes, multi-start screening, and
+the ``BENCH_sim.json`` speedup benchmark.
 """
 
 from __future__ import annotations
@@ -81,26 +80,18 @@ def sweep_energies(
     program: PauliProgram,
     hamiltonian: PauliSum,
     parameter_sets: Sequence[Sequence[float]],
-    *,
-    engine: str = "batched",
-    fusion: str = "2q",
-    cache=True,
 ) -> np.ndarray:
     """Energies of K parameter sets for one (program, Hamiltonian).
 
-    Under the default ``"batched"`` engine the K points are stacked into
-    a ``(K, 2**n)`` statevector array and every ansatz term is applied
-    to all points in one vectorized call; ``"fused"`` runs the
-    gate-level equivalent (one chain-synthesized template, a cached
-    fusion plan, per-row dense kernels; ``fusion``/``cache`` tune it);
-    ``"inplace"``/``"legacy"`` evaluate sequentially (the comparison
-    baselines in ``BENCH_sim.json``).
+    The K points are stacked into cache-sized ``(K, 2**n)`` blocks and
+    every ansatz term is applied to all rows of a block in one
+    vectorized call (:meth:`StatevectorEnergy.values`).
     """
     from repro.vqe.energy import StatevectorEnergy
 
-    return StatevectorEnergy(
-        program, hamiltonian, engine=engine, fusion=fusion, cache=cache
-    ).values(np.asarray(parameter_sets, dtype=float))
+    return StatevectorEnergy(program, hamiltonian).values(
+        np.asarray(parameter_sets, dtype=float)
+    )
 
 
 #: Per-process memo of exact ground-state energies keyed by
@@ -133,9 +124,6 @@ def _scan_point_task(task: tuple[str, float, str, dict[str, Any]]) -> ScanPoint:
         program,
         problem.hamiltonian,
         backend=options["backend"],
-        engine=options["engine"],
-        fusion=options["fusion"],
-        cache=options["cache"],
         noise=options["noise"],
         trajectories=options["trajectories"],
         max_iterations=options["max_iterations"],
@@ -159,9 +147,6 @@ def bond_scan(
     configurations: list[str],
     *,
     backend: str = "statevector",
-    engine: str = "inplace",
-    fusion: str = "2q",
-    cache=True,
     noise: DepolarizingNoiseModel | None = None,
     trajectories: int = 256,
     max_iterations: int = 200,
@@ -175,8 +160,6 @@ def bond_scan(
     selects the stochastic Pauli-trajectory noisy path, which is the
     only way to run noisy sweeps on >12-qubit molecules; ``seed`` only
     feeds the configuration randomization (``randNN%`` ansatz subsets).
-    ``fusion``/``cache`` tune the ``engine="fused"`` gate-level path
-    (and the cache also dedupes repeated scan points' compile work).
 
     ``executor``/``workers`` fan the (bond length, configuration) grid
     over a thread or process pool; every point is an independent
@@ -187,9 +170,6 @@ def bond_scan(
     check_executor(executor)
     options: dict[str, Any] = {
         "backend": backend,
-        "engine": engine,
-        "fusion": fusion,
-        "cache": cache,
         "noise": noise,
         "trajectories": trajectories,
         "max_iterations": max_iterations,

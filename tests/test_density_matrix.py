@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dense_oracle import embed, kron_chain
 from repro.circuit import Circuit
 from repro.circuit.gates import CNOT, SDG, SWAP, H, RX, RZ, S, X, Y, Gate
 from repro.pauli import PauliSum
@@ -119,33 +120,12 @@ _PAULI_MATRICES = {
 }
 
 
-def _kron_chain(factors):
-    """Kronecker product with ``factors[q]`` on qubit q (little-endian)."""
-    operator = np.ones((1, 1))
-    for factor in reversed(factors):
-        operator = np.kron(operator, factor)
-    return operator
-
-
-def _embed(matrix, qubits, n):
-    """The n-qubit operator of a little-endian k-qubit ``matrix`` on ``qubits``."""
-    full = np.zeros((1 << n, 1 << n), dtype=complex)
-    for row, col in itertools.product(range(len(matrix)), repeat=2):
-        factors = [np.eye(2)] * n
-        for i, qubit in enumerate(qubits):
-            unit = np.zeros((2, 2))
-            unit[(row >> i) & 1, (col >> i) & 1] = 1.0
-            factors[qubit] = unit
-        full += matrix[row, col] * _kron_chain(factors)
-    return full
-
-
 def _dense_reference(circuit, noise):
     n = circuit.num_qubits
     rho = np.zeros((1 << n, 1 << n), dtype=complex)
     rho[0, 0] = 1.0
     for gate in circuit.decompose_swaps().gates:
-        unitary = _embed(gate.matrix(), gate.qubits, n)
+        unitary = embed(gate.matrix(), gate.qubits, n)
         rho = unitary @ rho @ unitary.conj().T
         p, k = noise.error_for(gate.name, gate.num_qubits), gate.num_qubits
         mixed = np.zeros_like(rho)
@@ -155,7 +135,7 @@ def _dense_reference(circuit, noise):
             factors = [np.eye(2)] * n
             for qubit, label in zip(gate.qubits, labels):
                 factors[qubit] = _PAULI_MATRICES[label]
-            pauli = _kron_chain(factors)
+            pauli = kron_chain(factors)
             mixed += pauli @ rho @ pauli
         rho = (1.0 - p) * rho + p / (4**k - 1) * mixed
     return rho

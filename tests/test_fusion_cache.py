@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_oracle import dense_apply, embed
 from repro.chem import build_molecule_hamiltonian
 from repro.circuit import Circuit
 from repro.circuit.gates import CNOT, CZ, H, RX, RY, RZ, SWAP, Barrier, Gate, S, X, Y, Z
+from repro.compiler import synthesize_program_chain
 from repro.compiler.fusion import (
     FUSION_LEVELS,
     build_fusion_plan,
@@ -27,7 +29,7 @@ from repro.core.cache import (
     program_key,
 )
 from repro.ansatz import build_uccsd_program
-from repro.sim import ENGINES, BatchedStatevector, StatevectorSimulator
+from repro.sim import BatchedStatevector, StatevectorSimulator
 from repro.sim.statevector import apply_circuit, apply_unitary_inplace, basis_state
 
 TABLE2_MOLECULES = ("H2", "LiH", "NaH", "HF", "BeH2", "H2O", "BH3", "NH3", "CH4")
@@ -71,7 +73,7 @@ class TestFusionEquivalence:
     @settings(max_examples=80, deadline=None)
     @given(circuit=circuits(4))
     def test_fusion_preserves_statevector(self, circuit):
-        reference = apply_circuit(circuit, engine="legacy")
+        reference = dense_apply(circuit)
         for level in FUSION_LEVELS:
             program = fuse_circuit(circuit, level=level, cache=False)
             state = program.apply(basis_state(circuit.num_qubits))
@@ -101,7 +103,7 @@ class TestFusionEquivalence:
                 else type(g)(g.name, g.qubits, (float(overrides[i][k]),))
                 for i, g in enumerate(circuit.gates)
             ]
-            reference = apply_circuit(Circuit(circuit.num_qubits, gates), engine="legacy")
+            reference = dense_apply(Circuit(circuit.num_qubits, gates))
             assert np.max(np.abs(stack[k] - reference)) < 1e-10
 
     def test_single_gate_blocks_stay_passthrough(self):
@@ -119,7 +121,7 @@ class TestFusionEquivalence:
         assert len(plan.ops) == 1 and plan.ops[0].dense
         program = plan.bind(circuit)
         state = program.apply(basis_state(2))
-        assert np.max(np.abs(state - apply_circuit(circuit, engine="legacy"))) < 1e-12
+        assert np.max(np.abs(state - dense_apply(circuit))) < 1e-12
 
     def test_level_1q_merges_only_single_qubit_runs(self):
         circuit = Circuit(2, [H(0), S(0), RZ(0.3, 0), CNOT(0, 1), H(1), H(1)])
@@ -147,9 +149,7 @@ class TestDenseUnitaryKernel:
         rng = np.random.default_rng(seed)
         matrix = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         state = rng.normal(size=16) + 1j * rng.normal(size=16)
-        from repro.sim.statevector import _apply_two_qubit
-
-        expected = _apply_two_qubit(state, matrix, qubits[0], qubits[1], 4)
+        expected = embed(matrix, qubits, 4) @ state
         actual = apply_unitary_inplace(state.copy(), matrix, qubits, 4)
         assert np.max(np.abs(actual - expected)) < 1e-12
 
@@ -167,7 +167,8 @@ class TestDenseUnitaryKernel:
 
 @pytest.mark.parametrize("molecule", TABLE2_MOLECULES)
 def test_fusion_exact_on_table2_molecule(molecule):
-    """Fused evolution reproduces the Pauli-level state unitary-exactly."""
+    """The fused synthesized circuit reproduces the Pauli-level state
+    unitary-exactly (the chain includes the Hartree-Fock X gates)."""
     problem = build_molecule_hamiltonian(molecule)
     program = compress_ansatz(
         build_uccsd_program(problem).program, problem.hamiltonian, 0.15
@@ -176,34 +177,35 @@ def test_fusion_exact_on_table2_molecule(molecule):
     theta = rng.normal(scale=0.1, size=program.num_parameters)
     from repro.vqe.energy import StatevectorEnergy
 
-    exact = StatevectorEnergy(program, problem.hamiltonian, engine="inplace")
-    fused = StatevectorEnergy(program, problem.hamiltonian, engine="fused")
-    state_exact = exact.state(theta).copy()
-    state_fused = fused.state(theta)
-    assert np.max(np.abs(state_fused - state_exact)) < 1e-10
-    assert abs(fused(theta) - exact(theta)) < 1e-10
+    exact = StatevectorEnergy(program, problem.hamiltonian)
+    fused = fuse_circuit(synthesize_program_chain(program, theta))
+    state_fused = fused.apply(basis_state(program.num_qubits))
+    assert np.max(np.abs(state_fused - exact.state(theta))) < 1e-10
+    assert abs(exact.engine.value(state_fused) - exact(theta)) < 1e-10
 
 
 class TestFusedEngineRegistration:
-    def test_fused_listed_in_engines(self):
-        assert "fused" in ENGINES
+    """``fuse_circuit(circuit).apply(state)`` is the explicit fusion call
+    on each circuit entry point; it must match the gate-by-gate run."""
 
     def test_simulator_fused_engine_matches_legacy(self):
         circuit = Circuit(3, [H(0), CNOT(0, 1), RZ(0.4, 1), CNOT(1, 2), RX(0.9, 2)])
-        expected = StatevectorSimulator(3, engine="legacy").run(circuit)
-        actual = StatevectorSimulator(3, engine="fused").run(circuit)
-        assert np.max(np.abs(actual - expected)) < 1e-12
+        simulator = StatevectorSimulator(3)
+        actual = fuse_circuit(circuit).apply(simulator.state)
+        assert np.max(np.abs(actual - dense_apply(circuit))) < 1e-12
+        assert np.max(np.abs(actual - StatevectorSimulator(3).run(circuit))) < 1e-12
 
     def test_batched_fused_engine_matches_inplace(self):
         circuit = Circuit(2, [H(0), CNOT(0, 1), RZ(0.3, 1)])
         plain = BatchedStatevector(2, 3).apply_circuit(circuit)
-        fused = BatchedStatevector(2, 3).apply_circuit(circuit, engine="fused")
+        fused = BatchedStatevector(2, 3)
+        fuse_circuit(circuit).apply(fused.states)
         assert np.max(np.abs(plain.states - fused.states)) < 1e-12
 
     def test_apply_circuit_fused_engine(self):
         circuit = Circuit(2, [H(0), CNOT(0, 1)])
-        expected = apply_circuit(circuit, engine="inplace")
-        actual = apply_circuit(circuit, engine="fused")
+        expected = apply_circuit(circuit)
+        actual = fuse_circuit(circuit).apply(basis_state(2))
         assert np.max(np.abs(actual - expected)) < 1e-12
 
 
@@ -360,10 +362,11 @@ class TestPipelineCaching:
     def test_config_from_dict_accepts_new_knobs(self):
         from repro.core import PipelineConfig
 
+        # ``fusion`` is a retired field: the key is dropped on load.
         config = PipelineConfig.from_dict(
             {"molecule": "H2", "fusion": "1q", "cache": False}
         )
-        assert config.fusion == "1q" and config.cache is False
+        assert config == PipelineConfig(molecule="H2", cache=False)
 
 
 class TestImportanceMemo:
@@ -390,24 +393,32 @@ class TestImportanceMemo:
 
 
 class TestFusedVQE:
-    def test_vqe_runs_with_fused_engine(self):
-        problem = build_molecule_hamiltonian("H2")
-        program = build_uccsd_program(problem).program
-        from repro.vqe import VQE
-
-        inplace = VQE(program, problem.hamiltonian, engine="inplace").run()
-        fused = VQE(program, problem.hamiltonian, engine="fused").run()
-        assert abs(fused.energy - inplace.energy) < 1e-8
-
     def test_sweep_energies_fused_matches_batched(self):
+        """A fused gate-level sweep (one chain template, per-row RZ
+        overrides) matches the Pauli-level blocked sweep."""
+        from repro.compiler.synthesis import synthesize_program_chain_with_positions
+        from repro.sim import ExpectationEngine
+        from repro.vqe import sweep_energies
+
         problem = build_molecule_hamiltonian("LiH")
         program = compress_ansatz(
             build_uccsd_program(problem).program, problem.hamiltonian, 0.3
         ).program
-        from repro.vqe import sweep_energies
-
         rng = np.random.default_rng(11)
         thetas = rng.normal(scale=0.1, size=(6, program.num_parameters))
+        template, positions = synthesize_program_chain_with_positions(
+            program, np.zeros(program.num_parameters)
+        )
+        bound = program.bound_angles(thetas)
+        # Chain synthesis realizes exp(i a P) with RZ(-2a) on the root.
+        overrides = {
+            position: -2.0 * bound[:, term]
+            for term, position in enumerate(positions)
+            if position is not None
+        }
+        stack = np.zeros((len(thetas), 1 << program.num_qubits), dtype=complex)
+        stack[:, 0] = 1.0
+        fusion_plan(template).bind_sweep(template, overrides).apply(stack)
+        fused = ExpectationEngine(problem.hamiltonian).values(stack)
         batched = sweep_energies(program, problem.hamiltonian, thetas)
-        fused = sweep_energies(program, problem.hamiltonian, thetas, engine="fused")
         np.testing.assert_allclose(fused, batched, atol=1e-10)

@@ -1,0 +1,42 @@
+"""Golden Table II CNOT counts for the small molecules.
+
+Each molecule's UCCSD ansatz is compressed to ratio 0.3, chain-synthesized
+and Merge-to-Root-compiled on XTree17Q, then run through the adjacency-only
+and the commutation-aware cancellation passes -- the recipe of
+``collect_compiler_optimization_stats`` in ``benchmarks/bench_primitives.py``.
+The pins equal the committed ``BENCH_compiler.json`` rows.  A refactor of
+compression, synthesis, routing or cancellation that moves any of them
+must say so and re-record them on purpose.
+"""
+
+import pytest
+
+from repro.ansatz import build_uccsd_program
+from repro.chem import build_molecule_hamiltonian
+from repro.compiler import MergeToRootCompiler, cancel_gates, synthesize_program_chain
+from repro.core import compress_ansatz
+from repro.hardware import xtree
+
+#: molecule -> (chain_cnots, mtr_cnots, mtr_cnots_adjacency, mtr_cnots_commute)
+TABLE2_CNOTS = {
+    "H2": (48, 48, 48, 44),
+    "LiH": (208, 208, 188, 176),
+    "NaH": (464, 464, 436, 372),
+    "HF": (912, 912, 704, 472),
+}
+
+
+@pytest.mark.parametrize("molecule", sorted(TABLE2_CNOTS))
+def test_table2_cnot_counts(molecule):
+    problem = build_molecule_hamiltonian(molecule)
+    program = build_uccsd_program(problem).program
+    compressed = compress_ansatz(program, problem.hamiltonian, 0.3).program
+    chain = synthesize_program_chain(compressed, [0.0] * compressed.num_parameters)
+    physical = MergeToRootCompiler(xtree(17)).compile(compressed).circuit.decompose_swaps()
+    counts = (
+        chain.num_cnots(),
+        physical.num_cnots(),
+        cancel_gates(physical).num_cnots(),
+        cancel_gates(physical, commute=True).num_cnots(),
+    )
+    assert counts == TABLE2_CNOTS[molecule]

@@ -71,7 +71,7 @@ def lih():
 def test_batched_sweep_real_orthogonal_path(lih):
     program, hamiltonian, thetas = lih
     assert real_evolution_compatible(program.paulis())
-    energies = sweep_energies(program, hamiltonian, thetas, engine="batched")
+    energies = sweep_energies(program, hamiltonian, thetas)
     np.testing.assert_allclose(energies, SWEEP, rtol=RTOL, atol=0)
 
 
@@ -87,7 +87,7 @@ def test_batched_sweep_complex_path(lih):
         list(program.initial_occupations),
     )
     assert not real_evolution_compatible(mixed.paulis())
-    energies = sweep_energies(mixed, hamiltonian, thetas[:5], engine="batched")
+    energies = sweep_energies(mixed, hamiltonian, thetas[:5])
     np.testing.assert_allclose(energies, EVEN_Y_SWEEP, rtol=RTOL, atol=0)
 
 

@@ -15,15 +15,47 @@ from hypothesis import strategies as st
 
 from repro.ansatz import build_uccsd_program
 from repro.chem import build_molecule_hamiltonian
+from repro.compiler.fusion import fuse_circuit
+from repro.compiler.synthesis import synthesize_program_chain
 from repro.core import co_optimize
 from repro.core.ir import IRTerm, PauliProgram
 from repro.hardware.xtree import xtree, xtree_with_degrees
 from repro.pauli import PauliString, PauliSum
 from repro.sim import basis_state
+from repro.sim.expectation import ExpectationEngine
 from repro.sim.pauli_evolution import evolve_pauli_sequence
 from repro.vqe import VQE, AdjointGradient, minimize_energy
 from repro.vqe import runner
 from repro.vqe.energy import StatevectorEnergy
+
+
+def reference_energy(engine, program, hamiltonian):
+    """``E(theta)`` through one of the evaluation paths.
+
+    ``inplace``: :class:`StatevectorEnergy`'s single-point workspace;
+    ``batched``: its blocked :meth:`StatevectorEnergy.values` sweep;
+    ``fused``: the chain-synthesized circuit run through
+    :func:`fuse_circuit`; ``legacy``: out-of-place term-by-term
+    :func:`evolve_pauli_sequence`.
+    """
+    statevector = StatevectorEnergy(program, hamiltonian)
+    if engine == "inplace":
+        return statevector
+    if engine == "batched":
+        return lambda theta: statevector.values([theta])[0]
+    expectation = ExpectationEngine(hamiltonian)
+    reference = basis_state(
+        program.num_qubits, sum(1 << q for q in program.initial_occupations)
+    )
+    if engine == "fused":
+        def fused(theta):
+            circuit = synthesize_program_chain(program, theta, include_initial_state=False)
+            return expectation.value(fuse_circuit(circuit, cache=False).apply(reference.copy()))
+
+        return fused
+    return lambda theta: expectation.value(
+        evolve_pauli_sequence(program.bound_terms(theta), reference)
+    )
 
 
 class ParameterShiftGradient:
@@ -184,10 +216,15 @@ class TestAdjointGradient:
         problem = build_molecule_hamiltonian("LiH")
         program = build_uccsd_program(problem).program
         hamiltonian = problem.hamiltonian
-        # The same energy under SLSQP's own finite-difference Jacobian.
-        energy = StatevectorEnergy(program, hamiltonian, engine=engine)
+        # The same energy, from each evaluation path, under SLSQP's own
+        # finite-difference Jacobian.
+        energy = reference_energy(engine, program, hamiltonian)
+        theta = np.random.default_rng(4).normal(0, 0.3, program.num_parameters)
+        assert energy(theta) == pytest.approx(
+            StatevectorEnergy(program, hamiltonian)(theta), abs=1e-10
+        )
         plain = minimize_energy(energy, program.num_parameters)
-        adjoint = VQE(program, hamiltonian, engine=engine).run()
+        adjoint = VQE(program, hamiltonian).run()
         assert adjoint.energy == pytest.approx(plain.energy, abs=1e-6)
         assert adjoint.function_evaluations < plain.function_evaluations
 

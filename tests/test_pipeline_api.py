@@ -353,16 +353,19 @@ class TestResultSerialization:
         )
 
     def test_retired_array_backend_key_still_loads(self, tmp_path):
-        # Payloads written while PipelineConfig had an array_backend field
-        # keep loading: the key is ignored and the record is kept verbatim.
+        # Payloads written while PipelineConfig had array_backend, engine
+        # and fusion fields keep loading: the keys are ignored and the
+        # record is kept verbatim.
+        retired = {"array_backend": "numpy", "engine": "legacy", "fusion": "1q"}
         config = PipelineConfig(molecule="H2", ratio=0.5)
-        legacy = {**config.to_dict(), "array_backend": "numpy"}
-        assert PipelineConfig.from_dict(legacy) == config
+        for key, value in retired.items():
+            assert PipelineConfig.from_dict({**config.to_dict(), key: value}) == config
+        assert PipelineConfig.from_dict({**config.to_dict(), **retired}) == config
 
         result = Pipeline(config).run()
         path = save_batch([result], tmp_path / "batch.json")
         payload = json.loads(path.read_text())
-        payload[0]["config"]["array_backend"] = "numpy"
+        payload[0]["config"].update(retired)
         path.write_text(json.dumps(payload))
         (restored,) = load_batch(path)
         assert restored.config == config

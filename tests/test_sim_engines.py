@@ -1,17 +1,23 @@
-"""Tests for the fast-path simulation engines (ISSUE 3).
+"""Tests for the statevector simulation paths.
 
-Covers the three contract points of the engine work:
+Covers the contract points of the two paths:
 
-* in-place gate kernels agree with the legacy tensordot engine on
-  random circuits (single states and batches);
-* the batched parameter sweep agrees with sequential evaluation (both
-  the real-orthogonal fast path and the generic complex path);
-* ``engine="legacy"`` stays wired end to end as a regression guard.
+* circuits: ``apply_circuit``, ``StatevectorSimulator``,
+  ``BatchedStatevector.apply_circuit`` and ``fuse_circuit(...).apply``
+  agree with the dense ``np.kron`` oracle (:mod:`dense_oracle`) on
+  generated circuits over the full gate set (single states and
+  batches), and reject states of the wrong size;
+* Pauli programs: the blocked parameter sweep and the single-point
+  path agree with term-by-term :func:`evolve_pauli_sequence` (both the
+  real-orthogonal fast path and the generic complex path).
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dense_oracle import dense_apply
 from repro.ansatz import build_uccsd_program
 from repro.chem import build_molecule_hamiltonian
 from repro.circuit import Circuit
@@ -25,11 +31,12 @@ from repro.circuit.gates import (
     S,
     SDG,
     SWAP,
+    Gate,
     X,
     Y,
     Z,
 )
-from repro.core import Energy, Pipeline, PipelineConfig
+from repro.compiler.fusion import fuse_circuit
 from repro.pauli import PauliString
 from repro.sim import (
     BatchedStatevector,
@@ -38,10 +45,11 @@ from repro.sim import (
     apply_circuit,
     apply_circuit_inplace,
     basis_state,
-    check_engine,
 )
 from repro.sim.batched import real_evolution_compatible
-from repro.vqe import VQE, sweep_energies
+from repro.sim.pauli_evolution import evolve_pauli_sequence
+from repro.sim.statevector import apply_gate
+from repro.vqe import sweep_energies
 from repro.vqe.energy import StatevectorEnergy
 
 
@@ -68,31 +76,81 @@ def random_state(num_qubits: int, seed: int) -> np.ndarray:
     return state / np.linalg.norm(state)
 
 
+_ONE_QUBIT = ("h", "x", "y", "z", "s", "sdg", "rx", "ry", "rz", "measure")
+_TWO_QUBIT = ("cx", "cz", "swap")
+
+
+@st.composite
+def _circuits(draw):
+    """Circuits of 1-8 qubits over every gate, plus barriers and measures."""
+    n = draw(st.integers(1, 8))
+    names = _ONE_QUBIT + ("barrier",) + (_TWO_QUBIT if n > 1 else ())
+    gates = []
+    for _ in range(draw(st.integers(0, 16))):
+        name = draw(st.sampled_from(names))
+        if name == "barrier":
+            gates.append(Gate("barrier", tuple(range(n))))
+            continue
+        qubits = tuple(
+            draw(st.permutations(range(n)))[: 2 if name in _TWO_QUBIT else 1]
+        )
+        params = (draw(st.floats(-4.0, 4.0)),) if name[0] == "r" else ()
+        gates.append(Gate(name, qubits, params))
+    return Circuit(n, gates)
+
+
+class TestDenseOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(circuit=_circuits(), seed=st.integers(0, 2**16))
+    def test_every_circuit_path_matches_dense_oracle(self, circuit, seed):
+        n = circuit.num_qubits
+        stack = np.stack([random_state(n, seed + row) for row in range(3)])
+        expected = dense_apply(circuit, stack)
+
+        np.testing.assert_allclose(apply_circuit(circuit, stack[0]), expected[0], atol=1e-12)
+        simulator = StatevectorSimulator(n)
+        simulator.state = stack[1].copy()
+        np.testing.assert_allclose(simulator.run(circuit), expected[1], atol=1e-12)
+        batch = BatchedStatevector.from_states(stack).apply_circuit(circuit)
+        np.testing.assert_allclose(batch.states, expected, atol=1e-12)
+        fused = fuse_circuit(circuit, cache=False).apply(stack.copy())
+        np.testing.assert_allclose(fused, expected, atol=1e-12)
+
+
 class TestInplaceGateKernels:
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_legacy_on_random_circuits(self, seed):
         num_qubits = 3 + seed % 3
         circuit = random_circuit(num_qubits, depth=40, seed=seed)
         state = random_state(num_qubits, seed)
-        legacy = apply_circuit(circuit, state, engine="legacy")
-        inplace = apply_circuit(circuit, state, engine="inplace")
-        np.testing.assert_allclose(inplace, legacy, atol=1e-12)
+        np.testing.assert_allclose(
+            apply_circuit(circuit, state), dense_apply(circuit, state), atol=1e-12
+        )
 
     def test_two_qubit_edge_case(self):
         """n == 2 exercises the all-axes-indexed slab path."""
         circuit = random_circuit(2, depth=30, seed=3)
         state = random_state(2, 5)
         np.testing.assert_allclose(
-            apply_circuit(circuit, state, engine="inplace"),
-            apply_circuit(circuit, state, engine="legacy"),
-            atol=1e-12,
+            apply_circuit(circuit, state), dense_apply(circuit, state), atol=1e-12
         )
 
     def test_input_state_not_mutated(self):
         state = random_state(3, 1)
         before = state.copy()
-        apply_circuit(random_circuit(3, 20, 2), state, engine="inplace")
+        apply_circuit(random_circuit(3, 20, 2), state)
         np.testing.assert_array_equal(state, before)
+
+    def test_rejects_mismatched_state_size(self):
+        bell = Circuit(2, [H(0), CNOT(0, 1)])
+        with pytest.raises(ValueError, match="does not match 2 qubits"):
+            apply_circuit(bell, basis_state(3))
+        with pytest.raises(ValueError, match="does not match 2 qubits"):
+            apply_gate(basis_state(3), H(0), 2)
+        with pytest.raises(ValueError, match="does not match 2 qubits"):
+            apply_circuit_inplace(bell, np.zeros((2, 8), dtype=complex))
+        # A (K, 2**n) stack is a batch, not a size mismatch.
+        assert apply_circuit(bell, np.stack([basis_state(2)] * 3)).shape == (3, 4)
 
     def test_inplace_mutates_buffer(self):
         circuit = Circuit(2, [H(0), CNOT(0, 1)])
@@ -106,10 +164,7 @@ class TestInplaceGateKernels:
         stack = np.stack([random_state(4, s) for s in range(5)])
         batch = stack.copy()
         apply_circuit_inplace(circuit, batch)
-        for row, single in zip(batch, stack):
-            np.testing.assert_allclose(
-                row, apply_circuit(circuit, single, engine="legacy"), atol=1e-12
-            )
+        np.testing.assert_allclose(batch, dense_apply(circuit, stack), atol=1e-12)
 
     def test_rejects_noncontiguous_buffer(self):
         from repro.sim import apply_gate_inplace
@@ -118,21 +173,38 @@ class TestInplaceGateKernels:
         with pytest.raises(ValueError, match="contiguous"):
             apply_gate_inplace(np.asarray(state)[0], H(0), 2)
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown simulation engine"):
-            check_engine("warp")
-        with pytest.raises(ValueError):
-            apply_circuit(Circuit(1, [H(0)]), engine="warp")
-
 
 class TestSimulatorEngines:
+    @staticmethod
+    def _ghz_probabilities(engine: str) -> np.ndarray:
+        """GHZ-state probabilities from one of the circuit paths.
+
+        ``inplace``: the stateful :class:`StatevectorSimulator`;
+        ``batched``: a two-row :class:`BatchedStatevector` (one row is
+        returned, the other must agree); ``legacy``: the copy-out
+        :func:`apply_circuit` signature on an explicit input state.
+        """
+        circuit = Circuit(3, [H(0), CNOT(0, 1), CNOT(1, 2)])
+        if engine == "inplace":
+            simulator = StatevectorSimulator(3, seed=0)
+            simulator.run(circuit)
+            return simulator.probabilities()
+        if engine == "batched":
+            rows = BatchedStatevector.broadcast(basis_state(3), 2)
+            probabilities = rows.apply_circuit(circuit).probabilities()
+            np.testing.assert_allclose(probabilities[1], probabilities[0], atol=1e-12)
+            return probabilities[0]
+        state = basis_state(3)
+        probabilities = np.abs(apply_circuit(circuit, state)) ** 2
+        np.testing.assert_array_equal(state, basis_state(3))
+        return probabilities
+
     @pytest.mark.parametrize("engine", ["inplace", "batched", "legacy"])
     def test_simulator_runs_under_every_engine(self, engine):
-        simulator = StatevectorSimulator(3, seed=0, engine=engine)
-        simulator.run(Circuit(3, [H(0), CNOT(0, 1), CNOT(1, 2)]))
-        probabilities = simulator.probabilities()
+        probabilities = self._ghz_probabilities(engine)
         np.testing.assert_allclose(probabilities[0], 0.5, atol=1e-12)
         np.testing.assert_allclose(probabilities[7], 0.5, atol=1e-12)
+        np.testing.assert_allclose(probabilities.sum(), 1.0, atol=1e-12)
 
     def test_sample_rejects_unnormalized_state(self):
         simulator = StatevectorSimulator(2, seed=0)
@@ -154,13 +226,9 @@ class TestBatchedStatevector:
         batch = BatchedStatevector.from_states(stack)
         batch.apply_circuit(circuit)
         for row, single in zip(batch.states, stack):
-            np.testing.assert_allclose(
-                row, apply_circuit(circuit, single, engine="legacy"), atol=1e-12
-            )
+            np.testing.assert_allclose(row, dense_apply(circuit, single), atol=1e-12)
 
     def test_evolve_matches_sequential_exponentials(self):
-        from repro.sim.pauli_evolution import evolve_pauli_sequence
-
         rng = np.random.default_rng(2)
         paulis = [
             PauliString.from_label(label)
@@ -177,8 +245,6 @@ class TestBatchedStatevector:
 
     def test_evolve_large_angles_hit_tan_guard(self):
         """Angles near pi/2 must take the exact (non-deferred) update."""
-        from repro.sim.pauli_evolution import evolve_pauli_sequence
-
         paulis = [PauliString.from_label("XY"), PauliString.from_label("ZY")]
         angles = np.array([[np.pi / 2, 1.5707], [0.1, -np.pi / 2]])
         batch = BatchedStatevector.broadcast(basis_state(2, 1), 2)
@@ -207,6 +273,20 @@ class TestBatchedStatevector:
             )
 
 
+def term_by_term_energies(program, hamiltonian, thetas):
+    """One point at a time through :func:`evolve_pauli_sequence`."""
+    engine = ExpectationEngine(hamiltonian)
+    reference = basis_state(
+        program.num_qubits, sum(1 << q for q in program.initial_occupations)
+    )
+    return np.array(
+        [
+            engine.value(evolve_pauli_sequence(program.bound_terms(theta), reference))
+            for theta in thetas
+        ]
+    )
+
+
 class TestBatchedSweeps:
     @pytest.fixture(scope="class")
     def lih(self):
@@ -219,13 +299,15 @@ class TestBatchedSweeps:
         assert real_evolution_compatible(program.paulis())
 
     def test_batched_matches_sequential_sweep(self, lih):
-        """Real fast path vs. one-at-a-time legacy evaluation."""
+        """Real fast path vs. one-at-a-time term-by-term evaluation."""
         program, hamiltonian = lih
         rng = np.random.default_rng(0)
         thetas = rng.normal(0, 0.4, (11, program.num_parameters))  # ragged tail
-        batched = sweep_energies(program, hamiltonian, thetas, engine="batched")
-        legacy = sweep_energies(program, hamiltonian, thetas, engine="legacy")
-        np.testing.assert_allclose(batched, legacy, atol=1e-9)
+        np.testing.assert_allclose(
+            sweep_energies(program, hamiltonian, thetas),
+            term_by_term_energies(program, hamiltonian, thetas),
+            atol=1e-9,
+        )
 
     def test_complex_fallback_matches_sequential(self, lih):
         """Programs with even-#Y strings take the complex batched path."""
@@ -245,17 +327,18 @@ class TestBatchedSweeps:
         rng = np.random.default_rng(1)
         thetas = rng.normal(0, 0.3, (5, mixed.num_parameters))
         np.testing.assert_allclose(
-            sweep_energies(mixed, hamiltonian, thetas, engine="batched"),
-            sweep_energies(mixed, hamiltonian, thetas, engine="legacy"),
+            sweep_energies(mixed, hamiltonian, thetas),
+            term_by_term_energies(mixed, hamiltonian, thetas),
             atol=1e-9,
         )
 
     def test_inplace_single_point_matches_legacy(self, lih):
         program, hamiltonian = lih
         theta = np.random.default_rng(3).normal(0, 0.3, program.num_parameters)
-        fast = StatevectorEnergy(program, hamiltonian, engine="inplace")
-        slow = StatevectorEnergy(program, hamiltonian, engine="legacy")
-        assert fast(theta) == pytest.approx(slow(theta), abs=1e-10)
+        (expected,) = term_by_term_energies(program, hamiltonian, [theta])
+        assert StatevectorEnergy(program, hamiltonian)(theta) == pytest.approx(
+            expected, abs=1e-10
+        )
 
     def test_expectation_values_batched(self):
         problem = build_molecule_hamiltonian("H2")
@@ -272,33 +355,3 @@ class TestBatchedSweeps:
             atol=1e-10,
         )
 
-
-class TestLegacyRegressionGuard:
-    """engine="legacy" must stay selectable end to end."""
-
-    def test_vqe_legacy_engine_matches_default(self):
-        problem = build_molecule_hamiltonian("H2")
-        program = build_uccsd_program(problem).program
-        legacy = VQE(program, problem.hamiltonian, engine="legacy").run()
-        default = VQE(program, problem.hamiltonian).run()
-        assert legacy.energy == pytest.approx(default.energy, abs=1e-9)
-
-    def test_pipeline_engine_field_round_trips(self):
-        config = PipelineConfig(molecule="H2", engine="legacy")
-        assert PipelineConfig.from_dict(config.to_dict()).engine == "legacy"
-
-    def test_energy_pass_uses_config_engine(self):
-        result = (
-            Pipeline(PipelineConfig(molecule="H2", ratio=1.0, engine="legacy"))
-            .appending(Energy(max_iterations=50))
-            .run()
-        )
-        assert result.metrics["energy"] == pytest.approx(
-            result.metrics["exact_energy"], abs=1e-4
-        )
-
-    def test_unknown_engine_rejected_at_vqe_construction(self):
-        problem = build_molecule_hamiltonian("H2")
-        program = build_uccsd_program(problem).program
-        with pytest.raises(ValueError, match="unknown simulation engine"):
-            VQE(program, problem.hamiltonian, engine="warp")
