@@ -5,9 +5,8 @@ the experiment harness leans on: Pauli algebra, statevector evolution,
 grouped expectation, Merge-to-Root compilation and SABRE routing --
 plus the Pauli-program comparison (blocked sweep vs. single-point calls,
 adjoint vs. finite-difference gradients) that writes the
-``BENCH_sim.json`` artifact -- including the gate-fusion vs. gate-level
-baseline row, the compile-cache cold-vs-warm row, and the per-molecule
-fusion exactness table -- the compiler-optimization comparison (adjacency-only vs.
+``BENCH_sim.json`` artifact -- including the compile-cache cold-vs-warm
+row -- the compiler-optimization comparison (adjacency-only vs.
 commutation-aware cancellation, ASAP-scheduled depth) that writes
 ``BENCH_compiler.json``, and the noisy-backend comparison (exact density
 matrix vs. stochastic Pauli trajectories, including the first noisy
@@ -169,11 +168,6 @@ def collect_sim_engine_timings(
         "speedup_blocked_vs_single_point": round(
             seconds["single_point"] / seconds["blocked"], 2
         ),
-        "note": (
-            "both paths apply exp(i*theta*P) at the Pauli level; the "
-            "gate-level fused sweep is compared against the gate-level "
-            "baseline in the 'fusion' section"
-        ),
         "gradient": {
             "finite_difference_seconds": round(difference_seconds, 6),
             "adjoint_seconds": round(adjoint_seconds, 6),
@@ -216,99 +210,17 @@ def test_sim_engine_speedup_and_artifact():
 
 
 # ----------------------------------------------------------------------
-# Gate fusion + compile cache -> merged into BENCH_sim.json
+# Compile cache -> merged into BENCH_sim.json
 # ----------------------------------------------------------------------
-def _gate_level_sweep(program, hamiltonian, parameter_sets) -> np.ndarray:
-    """The unfused gate-level sweep: per-row synthesis, gate-by-gate apply.
+def collect_compile_cache_timings(molecule: str = "H2O", ratio: float = 0.3) -> dict:
+    """Compile-cache timings, merged into ``BENCH_sim.json``.
 
-    This is what a circuit simulator without fusion must do for a
-    parameter sweep -- every row carries its own RZ angles, so the chain
-    is re-synthesized and walked gate by gate for each parameter set.
+    ``compile_cache`` -- one co-optimization ``Pipeline`` run cold
+    (empty cache) vs. rerun warm, with the cache counters split per
+    phase (``cold_hit_rate`` vs. ``warm_hit_rate``) next to the
+    aggregate totals.
     """
-    from repro.sim.statevector import apply_circuit
-
-    engine = ExpectationEngine(hamiltonian)
-    energies = np.zeros(len(parameter_sets))
-    for k, theta in enumerate(np.asarray(parameter_sets, dtype=float)):
-        chain = synthesize_program_chain(program, theta)
-        energies[k] = engine.value(apply_circuit(chain))
-    return energies
-
-
-def _fused_sweep(program, hamiltonian, parameter_sets) -> np.ndarray:
-    """The fused gate-level sweep: one chain template, one fusion plan,
-    every row bound at once into ``(K, 4, 4)`` matrix stacks."""
-    from repro.compiler.fusion import fusion_plan
-    from repro.compiler.synthesis import synthesize_program_chain_with_positions
-
-    parameter_sets = np.asarray(parameter_sets, dtype=float)
-    template, positions = synthesize_program_chain_with_positions(
-        program, np.zeros(program.num_parameters)
-    )
-    bound = program.bound_angles(parameter_sets)
-    # Chain synthesis realizes exp(i a P) with RZ(-2a) on the root.
-    overrides = {
-        position: -2.0 * bound[:, term]
-        for term, position in enumerate(positions)
-        if position is not None
-    }
-    stack = np.zeros((len(parameter_sets), 1 << program.num_qubits), dtype=complex)
-    stack[:, 0] = 1.0  # the template includes the Hartree-Fock X gates
-    fusion_plan(template).bind_sweep(template, overrides).apply(stack)
-    return ExpectationEngine(hamiltonian).values(stack)
-
-
-def collect_fusion_cache_timings(
-    molecule: str = "H2O",
-    batch_size: int = 24,
-    ratio: float = 0.3,
-    repeats: int = 2,
-    exact_molecules: tuple[str, ...] = TABLE2_MOLECULES,
-) -> dict:
-    """Gate-fusion and compile-cache timings (ISSUE-6).
-
-    Three rows merged into ``BENCH_sim.json``:
-
-    * ``fusion`` -- the ratio-compressed 12-qubit H2O sweep under the
-      unfused gate-level baseline vs. the fused sweep (one chain
-      template, one cached fusion plan, per-row ``(K, 4, 4)`` batched
-      GEMMs).  The fused run clears the compile cache first, so the
-      speedup includes planning, not just replay.
-    * ``compile_cache`` -- one co-optimization ``Pipeline`` run cold
-      (empty cache) vs. rerun warm, with the cache counters split per
-      phase (``cold_hit_rate`` vs. ``warm_hit_rate``) next to the
-      aggregate totals.
-    * ``fusion_exact_molecules`` -- max statevector deviation of the
-      fused synthesized circuit against the Pauli-evolution reference on
-      every Table II molecule (unitary-exactness evidence).
-    """
-    from repro.compiler.fusion import build_fusion_plan, fuse_circuit
     from repro.core import Pipeline, PipelineConfig, clear_compile_cache, compile_cache
-
-    problem = build_molecule_hamiltonian(molecule)
-    program = build_uccsd_program(problem).program
-    compressed = compress_ansatz(program, problem.hamiltonian, ratio).program
-    rng = np.random.default_rng(5)
-    parameter_sets = rng.normal(0.0, 0.1, (batch_size, compressed.num_parameters))
-
-    gate_seconds = _best_of(
-        repeats,
-        lambda: _gate_level_sweep(compressed, problem.hamiltonian, parameter_sets),
-    )
-
-    def fused_sweep():
-        clear_compile_cache()  # cold: the speedup must pay for planning
-        return _fused_sweep(compressed, problem.hamiltonian, parameter_sets)
-
-    fused_seconds = _best_of(repeats, fused_sweep)
-    np.testing.assert_allclose(
-        fused_sweep(),
-        _gate_level_sweep(compressed, problem.hamiltonian, parameter_sets),
-        atol=1e-8,
-    )
-    chain = synthesize_program_chain(compressed, [0.0] * compressed.num_parameters)
-    plan = build_fusion_plan(chain, "2q")
-    fused_program = fuse_circuit(chain, cache=False)
 
     clear_compile_cache()
     config = PipelineConfig(molecule=molecule, ratio=ratio)
@@ -326,44 +238,7 @@ def collect_fusion_cache_timings(
     cache_stats["warm_hit_rate"] = (
         round(warm_hits / warm_lookups, 4) if warm_lookups else 0.0
     )
-
-    exactness = {}
-    for name in exact_molecules:
-        exact_problem = build_molecule_hamiltonian(name)
-        exact_program = compress_ansatz(
-            build_uccsd_program(exact_problem).program,
-            exact_problem.hamiltonian,
-            0.15,
-        ).program
-        theta = np.random.default_rng(7).normal(
-            0.0, 0.1, exact_program.num_parameters
-        )
-        reference = StatevectorEnergy(exact_program, exact_problem.hamiltonian)
-        fused = fuse_circuit(synthesize_program_chain(exact_program, theta)).apply(
-            basis_state(exact_program.num_qubits)
-        )
-        deviation = float(np.max(np.abs(fused - reference.state(theta))))
-        exactness[name] = {
-            "num_qubits": exact_program.num_qubits,
-            "max_state_deviation": deviation,
-            "exact_to_1e-10": bool(deviation < 1e-10),
-        }
-
     return {
-        "fusion": {
-            "workload": (
-                f"{molecule} ratio-{ratio} UCCSD gate-level sweep, "
-                f"{batch_size} parameter sets"
-            ),
-            "num_qubits": compressed.num_qubits,
-            "num_parameters": compressed.num_parameters,
-            "source_gates": len(chain.gates),
-            "fused_ops": fused_program.num_ops,
-            "fused_dense_blocks": plan.num_dense,
-            "gate_batched_seconds": round(gate_seconds, 6),
-            "fused_seconds": round(fused_seconds, 6),
-            "speedup_fused_vs_gate_batched": round(gate_seconds / fused_seconds, 2),
-        },
         "compile_cache": {
             "workload": (
                 f"Pipeline({molecule}, ratio={ratio}) cold run vs. warm rerun"
@@ -373,43 +248,32 @@ def collect_fusion_cache_timings(
             "speedup_warm_vs_cold": round(cold_seconds / warm_seconds, 2),
             **cache_stats,
         },
-        "fusion_exact_molecules": exactness,
     }
 
 
-def test_fusion_cache_speedups_and_artifact():
-    """ISSUE-6 acceptance: fused >=1.3x over the gate-level batched
-    baseline on the 12-qubit H2O sweep, warm pipeline rerun >=5x over
-    cold, and fusion unitary-exact on every Table II molecule; the rows
-    are merged into ``BENCH_sim.json``.
+def test_compile_cache_speedup_and_artifact():
+    """Warm pipeline rerun >=5x over cold; the row is merged into
+    ``BENCH_sim.json``.
 
-    ``BENCH_FUSED_MIN_SPEEDUP`` / ``BENCH_CACHE_MIN_SPEEDUP`` relax the
-    wall-clock gates on shared CI runners; ``BENCH_FUSION_MOLECULES``
-    (comma-separated) restricts the exactness sweep where minutes matter.
+    ``BENCH_CACHE_MIN_SPEEDUP`` relaxes the wall-clock gate on shared CI
+    runners.
     """
     import os
 
-    fused_minimum = float(os.environ.get("BENCH_FUSED_MIN_SPEEDUP", "1.3"))
     cache_minimum = float(os.environ.get("BENCH_CACHE_MIN_SPEEDUP", "5.0"))
-    override = os.environ.get("BENCH_FUSION_MOLECULES")
-    molecules = tuple(override.split(",")) if override else TABLE2_MOLECULES
-    rows = collect_fusion_cache_timings(exact_molecules=molecules)
+    rows = collect_compile_cache_timings()
     merged = json.loads(BENCH_SIM_PATH.read_text()) if BENCH_SIM_PATH.exists() else {}
     merged.update(rows)
     path = write_bench_sim_artifact(merged)
     print()
     print(json.dumps(rows, indent=2, sort_keys=True))
     print(f"wrote {path}")
-    assert rows["fusion"]["num_qubits"] == 12
-    assert rows["fusion"]["speedup_fused_vs_gate_batched"] >= fused_minimum
     assert rows["compile_cache"]["speedup_warm_vs_cold"] >= cache_minimum
     assert rows["compile_cache"]["hits"] > 0
     assert (
         rows["compile_cache"]["warm_hit_rate"]
         > rows["compile_cache"]["cold_hit_rate"]
     )
-    for name, row in rows["fusion_exact_molecules"].items():
-        assert row["exact_to_1e-10"], (name, row["max_state_deviation"])
 
 
 # ----------------------------------------------------------------------
@@ -532,7 +396,7 @@ def test_scale_out_benchmark_and_artifact():
     ``scale_out`` row is merged into ``BENCH_sim.json``.
 
     ``BENCH_SCALE_OUT_MIN_SPEEDUP`` relaxes the wall-clock gate on
-    shared CI runners (like the fusion/cache gates); the speedup assert
+    shared CI runners (like the compile-cache gate); the speedup assert
     is skipped entirely on single-core hosts, where a process pool
     cannot win by construction -- determinism is asserted everywhere.
     ``BENCH_SCALE_OUT_TRAJECTORIES`` shrinks K where minutes matter.
@@ -789,7 +653,7 @@ def test_hamiltonian_construction_speed(benchmark):
 
 if __name__ == "__main__":
     sim_rows = collect_sim_engine_timings()
-    sim_rows.update(collect_fusion_cache_timings())
+    sim_rows.update(collect_compile_cache_timings())
     sim_rows.update(collect_scale_out_stats())
     artifact = write_bench_sim_artifact(sim_rows)
     print(json.dumps(json.loads(artifact.read_text()), indent=2, sort_keys=True))

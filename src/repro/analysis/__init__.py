@@ -16,9 +16,9 @@ True
 ``check`` dispatches on the artifact: circuits and DAGs get bounds /
 gate-set / parameter checks (plus coupling legality when a device is
 given), compiled results add layout-permutation and SWAP-accounting
-checks, fusion plans get coverage checks, and Pauli programs get IR
-sanity checks.  :func:`assert_clean` is the raising form the pipeline's
-``validate=`` knob uses.  Custom invariants plug in through
+checks, and Pauli programs get IR sanity checks.  :func:`assert_clean`
+is the raising form the pipeline's ``validate=`` knob uses.  Custom
+invariants plug in through
 :func:`repro.analysis.diagnostics.register_check`.
 
 The same registry also hosts *source-level* checks: the
@@ -50,7 +50,6 @@ from repro.analysis.circuit_checks import (
     CouplingLegalityCheck,
     DagCircuitConsistencyCheck,
     DagInvariantCheck,
-    FusionCoverageCheck,
     GateParameterCheck,
     GateSetCheck,
     LayoutPermutationCheck,
@@ -117,7 +116,6 @@ __all__ = [
     "LayoutPermutationCheck",
     "DagInvariantCheck",
     "DagCircuitConsistencyCheck",
-    "FusionCoverageCheck",
     "PauliProgramCheck",
     "ProjectModel",
     "ConcurrencySafetyCheck",

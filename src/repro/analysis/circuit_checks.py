@@ -3,7 +3,7 @@
 Each check here validates one structural invariant of the co-optimization
 flow in linear time -- the complement of the exponential dynamic verifier
 (:func:`repro.compiler.verify.assert_routed_equivalent`), which is
-skipped on big circuits.  The checks walk four artifact families:
+skipped on big circuits.  The checks walk three artifact families:
 
 * **Circuits and DAGs** (:class:`~repro.circuit.circuit.Circuit`,
   :class:`~repro.circuit.dag.CircuitDAG`): qubit-index bounds, gate-set
@@ -19,8 +19,6 @@ skipped on big circuits.  The checks walk four artifact families:
 * **DAG invariants**: predecessor/successor symmetry, forward-pointing
   (topologically ordered) edges, per-wire consistency, and commute-edge
   soundness via canonical reconstruction;
-* **Fusion plans** (:class:`~repro.compiler.fusion.FusionPlan`): every
-  source gate covered exactly once, block arities, qubit bounds;
 * **Pauli programs** (:class:`~repro.core.ir.PauliProgram`): support
   bounds, parameter wiring, finite coefficients, occupation sanity.
 
@@ -38,7 +36,6 @@ from repro.analysis.diagnostics import Check, Diagnostic, register_check
 from repro.circuit.circuit import Circuit
 from repro.circuit.dag import CircuitDAG
 from repro.circuit.gates import Gate, _MATRIX_BUILDERS
-from repro.compiler.fusion import FUSION_LEVELS, FusionPlan
 from repro.core.ir import PauliProgram
 from repro.hardware.coupling import CouplingGraph
 
@@ -451,80 +448,6 @@ class DagCircuitConsistencyCheck(Check):
             )
 
 
-class FusionCoverageCheck(Check):
-    """A fusion plan covers every source gate exactly once."""
-
-    name = "fusion-coverage"
-
-    def applies_to(self, obj: Any) -> bool:
-        return isinstance(obj, FusionPlan)
-
-    def run(self, obj: FusionPlan, device: Any = None) -> Iterator[Diagnostic]:
-        if obj.level not in FUSION_LEVELS:
-            yield self.error(
-                f"unknown fusion level {obj.level!r}",
-                location="plan header",
-                fix_hint=f"valid levels: {', '.join(FUSION_LEVELS)}",
-            )
-        seen: dict[int, int] = {}
-        for op_index, op in enumerate(obj.ops):
-            location = f"op {op_index} (qubits {op.qubits})"
-            if not op.dense and len(op.indices) != 1:
-                yield self.error(
-                    f"passthrough op carries {len(op.indices)} gates",
-                    location=location,
-                    fix_hint="passthrough ops wrap exactly one source gate",
-                )
-            if op.dense and len(op.indices) < 2:
-                yield self.error(
-                    "dense block with a single gate",
-                    location=location,
-                    fix_hint="single-gate blocks must stay passthrough so the "
-                    "specialized kernels keep handling them",
-                )
-            if op.dense and not 1 <= len(op.qubits) <= 2:
-                yield self.error(
-                    f"dense block spans {len(op.qubits)} qubits",
-                    location=location,
-                    fix_hint="the dense kernels handle 2x2 and 4x4 blocks only",
-                )
-            for qubit in op.qubits:
-                if not 0 <= qubit < obj.num_qubits:
-                    yield self.error(
-                        f"block qubit {qubit} out of range for "
-                        f"{obj.num_qubits} qubits",
-                        location=location,
-                        fix_hint="block qubits must index the source register",
-                    )
-            for index in op.indices:
-                if not 0 <= index < obj.source_gates:
-                    yield self.error(
-                        f"source index {index} out of range for "
-                        f"{obj.source_gates} gates",
-                        location=location,
-                        fix_hint="plan indices address the source gate list",
-                    )
-                elif index in seen:
-                    yield self.error(
-                        f"source gate {index} fused into ops {seen[index]} "
-                        f"and {op_index}",
-                        location=location,
-                        fix_hint="each source gate must be applied exactly once",
-                    )
-                else:
-                    seen[index] = op_index
-        missing = [i for i in range(obj.source_gates) if i not in seen]
-        if missing:
-            yield self.error(
-                f"source gate(s) {missing[:8]}{'...' if len(missing) > 8 else ''} "
-                "absent from every block: the fused program would silently "
-                "drop them",
-                location="plan coverage",
-                fix_hint="every source gate index must appear in exactly "
-                "one PlanOp",
-            )
-
-
 class PauliProgramCheck(Check):
     """Structural sanity of the Pauli-string IR feeding the compilers."""
 
@@ -583,7 +506,6 @@ def _register_builtin_checks() -> None:
         LayoutPermutationCheck(),
         DagInvariantCheck(),
         DagCircuitConsistencyCheck(),
-        FusionCoverageCheck(),
         PauliProgramCheck(),
     ):
         register_check(check)

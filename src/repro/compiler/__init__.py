@@ -15,11 +15,6 @@ Two flows are provided, mirroring the paper's comparison:
 Pauli-evolution reference semantics, and :mod:`repro.compiler.metrics`
 computes the paper's overhead numbers.
 
-:mod:`repro.compiler.fusion` sits after either flow: it merges adjacent
-gates into dense 2x2/4x4 unitary blocks, applied with
-``fuse_circuit(circuit).apply(state)``, with content-addressed plan
-caching (:mod:`repro.core.cache`).
-
 Both flows are exposed behind the string-keyed registry in
 :mod:`repro.compiler.registry` (``get_compiler("mtr")`` /
 ``get_compiler("sabre")``) with one uniform ``compile(program, device)``
@@ -29,18 +24,7 @@ entry point, which is how the pipeline's ``Route`` stage selects a flow.
 from repro.compiler.synthesis import (
     synthesize_pauli_chain,
     synthesize_program_chain,
-    synthesize_program_chain_with_positions,
     hartree_fock_circuit,
-)
-from repro.compiler.fusion import (
-    FUSION_LEVELS,
-    FusedOp,
-    FusedProgram,
-    FusionPlan,
-    build_fusion_plan,
-    check_fusion_level,
-    fuse_circuit,
-    fusion_plan,
 )
 from repro.compiler.layout import (
     circuit_cooccurrence,
@@ -83,16 +67,7 @@ __all__ = [
     "register_compiler",
     "synthesize_pauli_chain",
     "synthesize_program_chain",
-    "synthesize_program_chain_with_positions",
     "hartree_fock_circuit",
-    "FUSION_LEVELS",
-    "FusedOp",
-    "FusedProgram",
-    "FusionPlan",
-    "build_fusion_plan",
-    "check_fusion_level",
-    "fuse_circuit",
-    "fusion_plan",
     "hierarchical_initial_layout",
     "hierarchical_circuit_layout",
     "circuit_cooccurrence",

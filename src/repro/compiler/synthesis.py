@@ -75,41 +75,12 @@ def synthesize_program_chain(
     high-level Pauli semantics are gone and a mapper like SABRE only sees
     gates.
     """
-    circuit, _ = synthesize_program_chain_with_positions(
-        program, parameters, include_initial_state=include_initial_state
-    )
-    return circuit
-
-
-def synthesize_program_chain_with_positions(
-    program: PauliProgram, parameters: Sequence[float], *, include_initial_state: bool = True
-) -> tuple[Circuit, list[int | None]]:
-    """Chain synthesis that also reports where each term's rotation sits.
-
-    Returns ``(circuit, rz_positions)`` where ``rz_positions[t]`` is the
-    index in ``circuit.gates`` of term ``t``'s central RZ gate (its angle
-    is ``-2 *`` the bound angle), or ``None`` for identity-support terms,
-    which synthesize to nothing (global phase).  The positions are what
-    lets the fused sweep path rebind per-row angles into one structural
-    template instead of re-synthesizing K circuits
-    (:meth:`repro.compiler.fusion.FusionPlan.bind_sweep`).
-    """
     circuit = Circuit(program.num_qubits)
     if include_initial_state:
         circuit = circuit.compose(
             hartree_fock_circuit(program.num_qubits, program.initial_occupations)
         )
-    positions: list[int | None] = []
     for pauli, angle in program.bound_terms(parameters):
-        chain = synthesize_pauli_chain(pauli, angle)
-        if not chain.gates:
-            positions.append(None)
-            continue
-        offset = len(circuit.gates)
-        rz_local = next(
-            index for index, gate in enumerate(chain.gates) if gate.name == "rz"
-        )
-        positions.append(offset + rz_local)
         # Append in place: composing a fresh copy per term is quadratic.
-        circuit.gates.extend(chain.gates)
-    return circuit, positions
+        circuit.gates.extend(synthesize_pauli_chain(pauli, angle).gates)
+    return circuit

@@ -11,9 +11,9 @@
   pipeline stages over a shared context, configured by
   :class:`~repro.core.passes.PipelineConfig`;
 * :mod:`repro.core.cache`       -- the content-addressed compile cache:
-  canonical SHA-256 hashes over circuits/DAGs/programs/Hamiltonians plus
-  a thread-safe LRU store with hit/miss/eviction counters, shared by the
-  pipeline passes and the gate-fusion engine;
+  canonical SHA-256 hashes over circuits/programs/Hamiltonians plus a
+  thread-safe LRU store with hit/miss/eviction counters, shared by the
+  pipeline passes;
 * :mod:`repro.core.pipeline`    -- the end-to-end co-optimization flow of
   Figure 1 as a :class:`~repro.core.pipeline.Pipeline` of passes, plus
   batch execution and serializable results.
@@ -27,7 +27,6 @@ from repro.core.cache import (
     clear_compile_cache,
     compile_cache,
     coupling_key,
-    dag_key,
     pauli_sum_key,
     program_key,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "clear_compile_cache",
     "compile_cache",
     "coupling_key",
-    "dag_key",
     "pauli_sum_key",
     "program_key",
     "IRTerm",

@@ -1,43 +1,31 @@
 """Content-addressed compile cache: canonical hashes + LRU memo store.
 
 The co-optimization loop recompiles the same artifacts hundreds of times:
-a bond scan rebuilds the UCCSD ansatz, the importance compression, the
-routed circuit, and the fused kernel plan for every point and every
-optimizer restart, even though most of that work depends only on the
-*content* of its inputs.  This module provides the two halves of the
-caching subsystem:
+a bond scan rebuilds the UCCSD ansatz, the importance compression and
+the routed circuit for every point and every optimizer restart, even
+though most of that work depends only on the *content* of its inputs.
+This module provides the two halves of the caching subsystem:
 
 * **Canonical hashes** -- deterministic SHA-256 digests over the content
   that actually determines an artifact: gate kinds, qubits, and
-  parameter structure for circuits and DAGs (:func:`circuit_key`,
-  :func:`dag_key`), Pauli terms + coefficients + parameter wiring for
-  programs (:func:`program_key`), Hamiltonian terms
-  (:func:`pauli_sum_key`), and coupling-graph edges
+  parameters for circuits (:func:`circuit_key`), Pauli terms +
+  coefficients + parameter wiring for programs (:func:`program_key`),
+  Hamiltonian terms (:func:`pauli_sum_key`), and coupling-graph edges
   (:func:`coupling_key`).  Two objects with the same content hash to the
   same key regardless of identity, which is what lets ``run_batch``
   workers and repeated ``Pipeline`` runs share artifacts.
 * :class:`ContentAddressedCache` -- a thread-safe LRU store with
   hit/miss/eviction counters, used through :func:`compile_cache` (the
-  process-global instance the pipeline passes and the fusion engine
-  share) or as private instances (the importance-score memo).  Each
-  entry has a side slot (:meth:`~ContentAddressedCache.attach`) for
-  facts about the cached value, such as a sanitizer verdict, that live
-  and die with the entry.
+  process-global instance the pipeline passes share) or as private
+  instances (the importance-score memo).  Each entry has a side slot
+  (:meth:`~ContentAddressedCache.attach`) for facts about the cached
+  value, such as a sanitizer verdict, that live and die with the entry.
 
 Full content hashes are for ingress artifacts (Hamiltonians, devices,
 ingested circuits).  Pipeline stages key what they derive from those on
 the *entry keys* of their inputs (:func:`canonical_hash` over the
 upstream keys plus the config fields the stage reads), so a warm run
 never re-hashes an artifact the cache already produced.
-
-Circuit hashes come in two flavors, selected by ``values=``:
-
-* ``values=True`` includes rotation-angle bytes -- the key for artifacts
-  that bake values in (a bound :class:`~repro.compiler.fusion.FusedProgram`);
-* ``values=False`` records only the *parameter structure* (how many
-  angles each gate carries) -- the key for value-independent artifacts
-  (fusion plans, schedule reports, routed structure), so every point of
-  a parameter sweep hits the same entry.
 """
 
 from __future__ import annotations
@@ -46,14 +34,12 @@ import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
 if TYPE_CHECKING:
     from repro.circuit.circuit import Circuit
-    from repro.circuit.dag import CircuitDAG
-    from repro.circuit.gates import Gate
     from repro.core.ir import PauliProgram
     from repro.hardware.coupling import CouplingGraph
     from repro.pauli import PauliSum
@@ -104,52 +90,28 @@ def canonical_hash(*parts: Any) -> str:
     return hasher.hexdigest()
 
 
-def _feed_gates(hasher: "hashlib._Hash", gates: Iterable["Gate"], *, values: bool) -> None:
-    """Feed a gate sequence as a few packed buffers, not per-gate parts.
+def circuit_key(circuit: "Circuit") -> str:
+    """Canonical hash of a circuit: gate kinds, qubits, parameters.
 
-    The per-gate name lengths, qubit counts and parameter counts make
-    the concatenated names, qubits and angles unambiguous.
+    The gates go in as a few packed buffers, not per-gate parts; the
+    per-gate name lengths, qubit counts and parameter counts make the
+    concatenated names, qubits and angles unambiguous.
     """
     names: list[str] = []
     qubits: list[int] = []
     params: list[float] = []
     shape: list[int] = []
-    for gate in gates:
+    for gate in circuit.gates:
         names.append(gate.name)
         qubits.extend(gate.qubits)
         shape += (len(gate.name), len(gate.qubits), len(gate.params))
-        if values:
-            params.extend(gate.params)
+        params.extend(gate.params)
+    hasher = hashlib.sha256()
+    _feed(hasher, ("circuit", circuit.num_qubits))
     _feed(hasher, "".join(names))
     _feed(hasher, np.array(shape, dtype=np.int64))
     _feed(hasher, np.array(qubits, dtype=np.int64))
-    if values:
-        _feed(hasher, np.array(params, dtype=np.float64))
-
-
-def circuit_key(circuit: "Circuit", *, values: bool = True) -> str:
-    """Canonical hash of a circuit: gate kinds, qubits, parameters.
-
-    With ``values=False`` only the parameter *structure* (arity per
-    gate) is hashed, so all bindings of one template share a key.
-    """
-    hasher = hashlib.sha256()
-    _feed(hasher, ("circuit", circuit.num_qubits, values))
-    _feed_gates(hasher, circuit.gates, values=values)
-    return hasher.hexdigest()
-
-
-def dag_key(dag: "CircuitDAG", *, values: bool = True) -> str:
-    """Canonical hash of a :class:`~repro.circuit.dag.CircuitDAG`.
-
-    The append order is a topological order by construction, so hashing
-    the node sequence is deterministic; the ``commute`` flag is part of
-    the key because it changes the dependency structure compiler passes
-    see (two DAGs over the same gates are different IR objects).
-    """
-    hasher = hashlib.sha256()
-    _feed(hasher, ("dag", dag.num_qubits, bool(dag.commute), values))
-    _feed_gates(hasher, dag.topological_gates(), values=values)
+    _feed(hasher, np.array(params, dtype=np.float64))
     return hasher.hexdigest()
 
 
@@ -245,7 +207,7 @@ class ContentAddressedCache:
 
     Values are treated as immutable shared artifacts: a hit returns the
     same object every caller sees, which is safe for the compiled /
-    fused / scheduled records stored here (none are mutated after
+    scheduled records stored here (none are mutated after
     construction).  ``max_entries`` bounds memory; the least recently
     used entry is evicted (and counted) on overflow.
 
@@ -347,7 +309,7 @@ _COMPILE_CACHE = ContentAddressedCache(max_entries=512, name="compile-cache")
 
 
 def compile_cache() -> ContentAddressedCache:
-    """The process-global compile cache (pipelines, fusion plans)."""
+    """The process-global compile cache (pipeline stage artifacts)."""
     return _COMPILE_CACHE
 
 

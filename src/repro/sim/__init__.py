@@ -23,8 +23,7 @@
 
 The input's type picks the path (``docs/performance.md``): a Pauli
 program evolves term by term (:class:`repro.vqe.energy.StatevectorEnergy`),
-a circuit gate by gate through the in-place kernels.  Gate fusion is a
-separate, explicit call: ``repro.compiler.fusion.fuse_circuit(circuit)``.
+a circuit gate by gate through the in-place kernels.
 
 Every path runs on NumPy arrays; scale-out across processes is driven
 by the ``executor=``/``workers=`` knobs

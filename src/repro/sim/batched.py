@@ -109,11 +109,8 @@ class BatchedStatevector:
         return self
 
     def apply_circuit(self, circuit: Circuit) -> "BatchedStatevector":
-        """Run one circuit on every row.
-
-        The per-gate kernels broadcast over the batch axis; for gate
-        fusion, call ``fuse_circuit(circuit).apply(self.states)``.
-        """
+        """Run one circuit on every row; the per-gate kernels broadcast
+        over the batch axis."""
         if circuit.num_qubits != self.num_qubits:
             raise ValueError("qubit count mismatch")
         for gate in circuit.gates:

@@ -135,11 +135,16 @@ class ExpectationEngine:
 
         ``x_masks`` is ``(G,)`` uint64 and ``diagonals`` is ``(G, 2**n)``
         complex128 -- contiguous arrays a :class:`repro.core.shm.SharedSlabs`
-        segment can hold directly.
+        segment can hold directly.  An observable with no terms exports
+        ``G = 0`` (a ``(0, 2**n)`` stack).
         """
+        if self._diagonals:
+            diagonals = np.stack(self._diagonals)
+        else:
+            diagonals = np.empty((0, 1 << self.num_qubits), dtype=complex)
         return {
             "x_masks": np.asarray(self._x_masks, dtype=np.uint64),
-            "diagonals": np.stack(self._diagonals),
+            "diagonals": diagonals,
         }
 
     @property

@@ -11,11 +11,9 @@ for the common gates (X/Z/S/RZ/H, CX/CZ/SWAP) that avoid even the
 half-size temporary.  Kernels broadcast over any leading batch axes,
 which is what :class:`repro.sim.batched.BatchedStatevector` builds on.
 
-:func:`apply_unitary_inplace` applies a dense 2x2/4x4 unitary (or a
-per-row ``(K, 4, 4)`` stack) through a low-op-count gather/GEMM/scatter
-kernel; it is what :mod:`repro.compiler.fusion` runs its merged blocks
-on.  A caller who wants gate fusion calls
-``fuse_circuit(circuit).apply(state)`` directly.
+:func:`apply_unitary_inplace` applies a dense 2x2/4x4 unitary through
+a low-op-count gather/GEMM/scatter kernel; the density-matrix simulator
+runs its conjugated bra-side gates through it.
 
 ``apply_gate`` / ``apply_circuit`` keep their copy-out signatures over
 the in-place kernels.
@@ -189,20 +187,14 @@ def apply_unitary_inplace(
     """Apply a dense 1q/2q unitary to ``state`` by mutating it.
 
     ``state`` must be C-contiguous complex128 of shape
-    ``(..., 2**num_qubits)``.  ``matrix`` is ``(2, 2)`` / ``(4, 4)``
-    (shared across any leading batch axes) or a per-row stack
-    ``(K, 2, 2)`` / ``(K, 4, 4)`` matched to a ``(K, 2**n)`` state --
-    the vectorized-sweep path, where every row evolves under its own
-    bound matrix in one batched GEMM.
+    ``(..., 2**num_qubits)``; the ``(2, 2)`` / ``(4, 4)`` ``matrix`` is
+    shared across any leading batch axes.
 
     For two-qubit unitaries the matrix convention follows
     :mod:`repro.circuit.gates`: the first entry of ``qubits`` is the
     least significant bit of the 2-bit matrix index.  The kernel is a
     three-pass gather / GEMM / scatter (one strided copy into ``(.., 4)``
-    rows, one ``matmul``, one strided write-back), deliberately far
-    cheaper per amplitude than the generic slab loop -- that is what
-    makes fused dense blocks profitable against the specialized
-    single-gate kernels.
+    rows, one ``matmul``, one strided write-back).
     """
     _check_inplace_buffer(state)
     matrix = np.asarray(matrix, dtype=complex)
@@ -232,18 +224,8 @@ def apply_unitary_inplace(
         moved = view.transpose(0, 1, 3, 5, 2, 4)
     else:
         raise ValueError("dense unitary kernels support 1- and 2-qubit blocks only")
-    dim = 1 << arity
-    if matrix.ndim == 3:
-        if state.ndim != 2 or matrix.shape[0] != state.shape[0]:
-            raise ValueError(
-                "per-row matrix stacks require a matching (K, 2**n) state stack"
-            )
-        rows = matrix.shape[0]
-        gathered = moved.reshape(rows, -1, dim)  # strided view -> copy
-        updated = np.matmul(gathered, matrix.transpose(0, 2, 1))
-    else:
-        gathered = moved.reshape(-1, dim)
-        updated = gathered @ matrix.T
+    gathered = moved.reshape(-1, 1 << arity)  # strided view -> copy
+    updated = gathered @ matrix.T
     moved[...] = updated.reshape(moved.shape)
     return state
 

@@ -3,8 +3,8 @@
 Every gate becomes its full ``2**n x 2**n`` matrix, built from Kronecker
 products and its own small table of gate matrices, and the state is
 multiplied through.  It is slow (fine up to ~8 qubits) but shares no
-code with the in-place kernels, the dense-block kernel or fusion, so it
-checks all of them.
+code with the in-place kernels or the dense-block kernel, so it checks
+both.
 """
 
 import itertools

@@ -27,7 +27,6 @@ from repro.analysis.diagnostics import get_check, list_checks, register_check
 from repro.circuit.circuit import Circuit
 from repro.circuit.dag import CircuitDAG
 from repro.circuit.gates import Gate
-from repro.compiler.fusion import build_fusion_plan
 from repro.core import Pipeline, PipelineConfig, PipelineError
 from repro.core.passes import BuildProblem, Compress, Route
 
@@ -149,9 +148,7 @@ def test_device_checks_skipped_without_device(routed):
     assert report.ok
 
 
-def test_fusion_plan_and_pauli_program_clean(routed):
-    plan = build_fusion_plan(routed.compiled.circuit, "2q")
-    assert analysis.check(plan).ok
+def test_pauli_program_clean(routed):
     assert analysis.check(routed.compressed.program).ok
 
 
@@ -268,14 +265,6 @@ def test_mutation_dag_unsound_commute_edge_flagged(routed):
     if report.errors:  # only when the circuit has commuting neighbors
         assert sole_error_check(report) == "dag-invariants"
         assert all("dependency edge" in d.message for d in report.errors)
-
-
-def test_mutation_fusion_plan_dropped_gate_flagged(routed):
-    plan = build_fusion_plan(routed.compiled.circuit, "2q")
-    truncated = dataclasses.replace(plan, ops=plan.ops[:-1])
-    report = analysis.check(truncated)
-    assert sole_error_check(report) == "fusion-coverage"
-    assert "absent" in report.errors[0].message
 
 
 def test_mutation_pauli_program_bad_parameter_index_flagged(routed):

@@ -1,4 +1,4 @@
-"""Cancellation + fusion on QAOA-shaped circuits (ISSUE-8 satellite).
+"""Gate cancellation on QAOA-shaped circuits.
 
 Chain-synthesized ZZ cost layers keep their rotation pinned between the
 ladder CNOTs, so *unrouted* QAOA circuits cancel nothing -- the wins
@@ -17,11 +17,10 @@ from repro.circuit.gates import CNOT, H, RZ
 from repro.compiler import (
     assert_circuit_routed_equivalent,
     cancel_gates,
-    fuse_circuit,
     get_compiler,
 )
 from repro.hardware import get_device
-from repro.sim import apply_circuit, basis_state
+from repro.sim import apply_circuit
 
 
 def _same_unitary_on_zero(a: Circuit, b: Circuit) -> bool:
@@ -106,24 +105,3 @@ class TestFixedPointTermination:
         once = cancel_gates(routed, commute=True)
         twice = cancel_gates(once, commute=True, max_passes=1)
         assert twice.gates == once.gates
-
-
-class TestFusionOnQAOA:
-    @pytest.mark.parametrize("level", ["off", "1q", "2q"])
-    def test_fusion_preserves_qaoa_state(self, level):
-        circuit = qaoa_maxcut_er_circuit(6, 2, seed=4)
-        fused = fuse_circuit(circuit, level=level)
-        state = fused.apply(basis_state(circuit.num_qubits, 0))
-        reference = apply_circuit(circuit)
-        assert abs(abs(np.vdot(reference, state)) - 1.0) < 1e-8
-
-    def test_fusion_composes_with_cancellation(self):
-        circuit = qaoa_maxcut_er_circuit(6, 1, seed=2)
-        result = get_compiler("sabre").compile_circuit(
-            circuit, get_device("grid2x3")
-        )
-        routed = result.circuit.decompose_swaps()
-        optimized = cancel_gates(routed, commute=True)
-        fused = fuse_circuit(optimized, level="2q")
-        state = fused.apply(basis_state(routed.num_qubits, 0))
-        assert abs(abs(np.vdot(apply_circuit(routed), state)) - 1.0) < 1e-8

@@ -2,20 +2,19 @@
 
 Every committed corpus circuit is compiled by both flows (Merge-to-Root
 spanning-tree mode and SABRE) under every knob combination the issue
-names -- ``commute`` x ``fusion`` -- and each configuration must
+names -- ``commute`` on and off -- and each configuration must
 reproduce the logical circuit's statevector exactly (up to global
 phase) through the final layout.  The two flows are thereby checked
 against each other *and* against the gate-level reference simulator.
 
 Compilation results are memoized per (circuit, compiler, commute) so
-the fusion / sanitizer / cancellation variants reuse one routed
+the sanitizer / cancellation variants reuse one routed
 circuit instead of recompiling.
 """
 
 import functools
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import repro.analysis as analysis
@@ -23,12 +22,10 @@ from repro.bench.corpus import CORPUS_COMPILERS, corpus_devices, load_corpus
 from repro.compiler import (
     assert_circuit_routed_equivalent,
     cancel_gates,
-    fuse_circuit,
     get_compiler,
 )
 from repro.core import Pipeline, PipelineConfig
 from repro.hardware import get_device
-from repro.sim import apply_circuit, basis_state
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "benchmarks" / "corpus"
 ENTRIES = load_corpus(CORPUS_DIR)
@@ -36,7 +33,6 @@ NAMES = [name for name, _ in ENTRIES]
 CIRCUITS = dict(ENTRIES)
 
 COMMUTE_MODES = (False, True)
-FUSION_LEVELS = ("off", "2q")
 
 
 def test_corpus_is_present_and_large_enough():
@@ -62,19 +58,6 @@ def test_routed_equivalence(name, compiler, commute):
     """Both flows must preserve the logical unitary on every circuit."""
     result, _ = compiled(name, compiler, commute)
     assert_circuit_routed_equivalent(CIRCUITS[name], result)
-
-
-@pytest.mark.parametrize("level", FUSION_LEVELS)
-@pytest.mark.parametrize("compiler", CORPUS_COMPILERS)
-@pytest.mark.parametrize("name", NAMES)
-def test_fusion_preserves_routed_state(name, compiler, level):
-    """Gate fusion over the routed circuit must not change its state."""
-    result, _ = compiled(name, compiler, False)
-    routed = result.circuit.decompose_swaps()
-    fused = fuse_circuit(routed, level=level)
-    state = fused.apply(basis_state(routed.num_qubits, 0))
-    reference = apply_circuit(routed)
-    assert abs(abs(np.vdot(reference, state)) - 1.0) < 1e-8
 
 
 @pytest.mark.parametrize("compiler", CORPUS_COMPILERS)

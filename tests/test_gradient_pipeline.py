@@ -15,8 +15,6 @@ from hypothesis import strategies as st
 
 from repro.ansatz import build_uccsd_program
 from repro.chem import build_molecule_hamiltonian
-from repro.compiler.fusion import fuse_circuit
-from repro.compiler.synthesis import synthesize_program_chain
 from repro.core import co_optimize
 from repro.core.ir import IRTerm, PauliProgram
 from repro.hardware.xtree import xtree, xtree_with_degrees
@@ -34,9 +32,7 @@ def reference_energy(engine, program, hamiltonian):
 
     ``inplace``: :class:`StatevectorEnergy`'s single-point workspace;
     ``batched``: its blocked :meth:`StatevectorEnergy.values` sweep;
-    ``fused``: the chain-synthesized circuit run through
-    :func:`fuse_circuit`; ``legacy``: out-of-place term-by-term
-    :func:`evolve_pauli_sequence`.
+    ``legacy``: out-of-place term-by-term :func:`evolve_pauli_sequence`.
     """
     statevector = StatevectorEnergy(program, hamiltonian)
     if engine == "inplace":
@@ -47,12 +43,6 @@ def reference_energy(engine, program, hamiltonian):
     reference = basis_state(
         program.num_qubits, sum(1 << q for q in program.initial_occupations)
     )
-    if engine == "fused":
-        def fused(theta):
-            circuit = synthesize_program_chain(program, theta, include_initial_state=False)
-            return expectation.value(fuse_circuit(circuit, cache=False).apply(reference.copy()))
-
-        return fused
     return lambda theta: expectation.value(
         evolve_pauli_sequence(program.bound_terms(theta), reference)
     )
@@ -211,7 +201,7 @@ class TestAdjointGradient:
         with pytest.raises(ValueError):
             AdjointGradient(program, hamiltonian).gradient([0.0])
 
-    @pytest.mark.parametrize("engine", ["inplace", "batched", "fused", "legacy"])
+    @pytest.mark.parametrize("engine", ["inplace", "batched", "legacy"])
     def test_vqe_default_matches_finite_difference_run(self, engine):
         problem = build_molecule_hamiltonian("LiH")
         program = build_uccsd_program(problem).program

@@ -2,11 +2,10 @@
 
 Covers the contract points of the two paths:
 
-* circuits: ``apply_circuit``, ``StatevectorSimulator``,
-  ``BatchedStatevector.apply_circuit`` and ``fuse_circuit(...).apply``
-  agree with the dense ``np.kron`` oracle (:mod:`dense_oracle`) on
-  generated circuits over the full gate set (single states and
-  batches), and reject states of the wrong size;
+* circuits: ``apply_circuit``, ``StatevectorSimulator`` and
+  ``BatchedStatevector.apply_circuit`` agree with the dense ``np.kron``
+  oracle (:mod:`dense_oracle`) on generated circuits over the full gate
+  set (single states and batches), and reject states of the wrong size;
 * Pauli programs: the blocked parameter sweep and the single-point
   path agree with term-by-term :func:`evolve_pauli_sequence` (both the
   real-orthogonal fast path and the generic complex path).
@@ -36,7 +35,6 @@ from repro.circuit.gates import (
     Y,
     Z,
 )
-from repro.compiler.fusion import fuse_circuit
 from repro.pauli import PauliString
 from repro.sim import (
     BatchedStatevector,
@@ -113,8 +111,6 @@ class TestDenseOracle:
         np.testing.assert_allclose(simulator.run(circuit), expected[1], atol=1e-12)
         batch = BatchedStatevector.from_states(stack).apply_circuit(circuit)
         np.testing.assert_allclose(batch.states, expected, atol=1e-12)
-        fused = fuse_circuit(circuit, cache=False).apply(stack.copy())
-        np.testing.assert_allclose(fused, expected, atol=1e-12)
 
 
 class TestInplaceGateKernels:

@@ -318,6 +318,19 @@ class TestDenseOracle:
             "initial_state": None,
         }
     )
+    @example(
+        # An observable whose only term has a zero coefficient has no
+        # groups: the process executor must still export its tables.
+        {
+            "circuit": Circuit(3, [H(0), H(1), H(2), H(0), H(1)]),
+            "observable": PauliSum.from_label_dict({"ZZZ": 0.0}),
+            "noise": DepolarizingNoiseModel(one_qubit_error=0.3),
+            "trajectories": 2,
+            "block_size": 1,
+            "seed": 0,
+            "initial_state": None,
+        }
+    )
     def test_executors_agree(self, case):
         reference = trajectory_expectations(**case)
         for executor, workers in (("thread", 4), ("process", 2)):

@@ -35,7 +35,7 @@ STAGED = ("ansatz", "compressed", "initial_layout", "compiled")
 def counters(monkeypatch):
     """Count content hashes and sanitizer runs from here on."""
     counts = Counter()
-    for name in ("circuit_key", "program_key", "dag_key", "pauli_sum_key"):
+    for name in ("circuit_key", "program_key", "pauli_sum_key"):
         original = getattr(cache_module, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -74,7 +74,6 @@ def test_warm_rerun_hashes_nothing_and_checks_nothing(counters):
 
     warm = Pipeline(config).run()
     assert counters["circuit_key"] == counters["program_key"] == 0
-    assert counters["dag_key"] == 0
     assert counters["checks"] == 0
     assert counters["pauli_sum_key"] == 1  # ingress: once per run
     assert len(compile_cache()) == cold_entries
@@ -96,7 +95,7 @@ def test_warm_gate_level_run_hashes_the_circuit_once(counters, tmp_path):
     counters.clear()
     warm = Pipeline(config).run()
     assert counters["circuit_key"] == 1  # the freshly parsed problem
-    assert counters["program_key"] == counters["dag_key"] == 0
+    assert counters["program_key"] == 0
     assert counters["checks"] == 0
     assert warm.metrics == cold.metrics
 
