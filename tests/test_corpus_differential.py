@@ -15,6 +15,7 @@ circuit instead of recompiling.
 import functools
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro.analysis as analysis
@@ -26,6 +27,7 @@ from repro.compiler import (
 )
 from repro.core import Pipeline, PipelineConfig
 from repro.hardware import get_device
+from repro.sim import BatchedStatevector, apply_circuit, basis_state
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "benchmarks" / "corpus"
 ENTRIES = load_corpus(CORPUS_DIR)
@@ -33,6 +35,7 @@ NAMES = [name for name, _ in ENTRIES]
 CIRCUITS = dict(ENTRIES)
 
 COMMUTE_MODES = (False, True)
+FUSION_LEVELS = ("off",)
 
 
 def test_corpus_is_present_and_large_enough():
@@ -58,6 +61,20 @@ def test_routed_equivalence(name, compiler, commute):
     """Both flows must preserve the logical unitary on every circuit."""
     result, _ = compiled(name, compiler, commute)
     assert_circuit_routed_equivalent(CIRCUITS[name], result)
+
+
+@pytest.mark.parametrize("level", FUSION_LEVELS)
+@pytest.mark.parametrize("compiler", CORPUS_COMPILERS)
+@pytest.mark.parametrize("name", NAMES)
+def test_fusion_preserves_routed_state(name, compiler, level):
+    """The routed circuit run unfused (``off``: one kernel call per gate)
+    on a two-row batch must match :func:`apply_circuit` on every row."""
+    result, _ = compiled(name, compiler, False)
+    routed = result.circuit.decompose_swaps()
+    batch = BatchedStatevector.broadcast(basis_state(routed.num_qubits, 0), 2)
+    reference = apply_circuit(routed)
+    for state in batch.apply_circuit(routed).states:
+        assert abs(abs(np.vdot(reference, state)) - 1.0) < 1e-8
 
 
 @pytest.mark.parametrize("compiler", CORPUS_COMPILERS)
