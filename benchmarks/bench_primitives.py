@@ -481,15 +481,8 @@ def test_commutation_cancellation_dominates_adjacency():
     """ISSUE-4 acceptance: the commutation-aware pass removes at least as
     many CNOTs as the adjacency pass on every Table II molecule, and
     strictly more on at least one; writes ``BENCH_compiler.json``.
-
-    ``BENCH_COMPILER_MOLECULES`` restricts the sweep (comma-separated)
-    where wall-clock matters; the default covers all nine molecules.
     """
-    import os
-
-    override = os.environ.get("BENCH_COMPILER_MOLECULES")
-    molecules = tuple(override.split(",")) if override else TABLE2_MOLECULES
-    stats = collect_compiler_optimization_stats(molecules)
+    stats = collect_compiler_optimization_stats(TABLE2_MOLECULES)
     path = write_bench_compiler_artifact(stats)
     print()
     print(json.dumps(stats, indent=2, sort_keys=True))

@@ -31,7 +31,7 @@ from repro.core.cache import (
     program_key,
 )
 from repro.core.ir import IRTerm, PauliProgram
-from repro.core.importance import decay_factor, parameter_importance, string_score
+from repro.core.importance import parameter_importance
 from repro.core.compression import CompressedAnsatz, compress_ansatz, random_ansatz
 from repro.core.passes import (
     BuildAnsatz,
@@ -70,8 +70,6 @@ __all__ = [
     "program_key",
     "IRTerm",
     "PauliProgram",
-    "decay_factor",
-    "string_score",
     "parameter_importance",
     "CompressedAnsatz",
     "compress_ansatz",

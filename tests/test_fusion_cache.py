@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_oracle import embed
+import importance_oracle
 from repro.chem import build_molecule_hamiltonian
 from repro.circuit import Circuit
 from repro.circuit.gates import CNOT, H, RZ, Gate, X
@@ -204,6 +205,35 @@ class TestImportanceMemo:
         second = importance.parameter_importance(program, problem.hamiltonian)
         assert memo.stats.hits > hits_before  # the per-Hamiltonian memo hit
         np.testing.assert_allclose(first, second, rtol=0, atol=0)
+        want = importance_oracle.parameter_importance(program, problem.hamiltonian)
+        assert np.array_equal(second, want)
+
+    def test_only_missing_strings_are_scored(self, monkeypatch):
+        import repro.core.importance as importance
+
+        problem = build_molecule_hamiltonian("LiH")
+        program = build_uccsd_program(problem).program
+        scored = []
+        real = importance._string_scores
+
+        def recording(keys, *args):
+            scored.append(sorted(keys))
+            return real(keys, *args)
+
+        monkeypatch.setattr(importance, "_string_scores", recording)
+        monkeypatch.setattr(importance, "_SCORE_MEMOS", None)
+        half = program.restricted_to(list(range(4)))
+        importance.parameter_importance(half, problem.hamiltonian, decay_base=3.0)
+        full = importance.parameter_importance(program, problem.hamiltonian, decay_base=3.0)
+        importance.parameter_importance(program, problem.hamiltonian, decay_base=3.0)
+        all_keys = {term.pauli.key() for term in program}
+        half_keys = {term.pauli.key() for term in half}
+        # One batch per call with misses; the warm call scores nothing.
+        assert scored == [sorted(half_keys), sorted(all_keys - half_keys)]
+        want = importance_oracle.parameter_importance(
+            program, problem.hamiltonian, decay_base=3.0
+        )
+        assert np.array_equal(full, want)
 
     def test_decay_base_keys_are_isolated(self):
         problem = build_molecule_hamiltonian("H2")

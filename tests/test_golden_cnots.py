@@ -1,4 +1,4 @@
-"""Golden Table II CNOT counts for the small molecules.
+"""Golden Table II CNOT counts for six of the nine molecules.
 
 Each molecule's UCCSD ansatz is compressed to ratio 0.3, chain-synthesized
 and Merge-to-Root-compiled on XTree17Q, then run through the adjacency-only
@@ -23,6 +23,8 @@ TABLE2_CNOTS = {
     "LiH": (208, 208, 188, 176),
     "NaH": (464, 464, 436, 372),
     "HF": (912, 912, 704, 472),
+    "H2O": (3840, 3840, 2840, 2136),
+    "BeH2": (3808, 3808, 2646, 2004),
 }
 
 
