@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro.circuit.gates import Gate
+
+#: Gates that take no schedule level (they still synchronize their wires).
+_NO_LEVEL = ("barrier", "measure")
 
 
 class Circuit:
@@ -91,15 +94,39 @@ class Circuit:
         return self.counts().get("swap", 0)
 
     def depth(self) -> int:
-        """Circuit depth: the DAG critical path in gate counts.
+        """ASAP depth in gate levels; see :meth:`asap_schedule`."""
+        return self.asap_schedule(lambda gate: 0.0)[0]
 
-        Thin wrapper over :meth:`repro.circuit.dag.CircuitDAG.depth`;
-        barriers and measurements take no levels (but do synchronize
-        their wires).
+    def asap_schedule(self, duration: Callable[[Gate], float]) -> tuple[int, int, float]:
+        """``(depth, scheduled_depth, time)`` of the ASAP schedule, in one pass.
+
+        Each wire keeps running maxima, and a gate starts once all its
+        wires are free.  ``depth`` counts a SWAP as one level;
+        ``scheduled_depth`` and ``time`` count its three-CNOT chain,
+        adding the CNOT time three times in chain order.  ``duration`` is
+        a name-keyed gate time (e.g. :meth:`GateLatencyModel.duration`).
+        Barriers and measurements take no level but synchronize their wires.
         """
-        from repro.circuit.dag import CircuitDAG
-
-        return CircuitDAG.from_circuit(self).depth()
+        cx = duration(Gate("cx", (0, 1)))
+        levels, steps, clock = [0] * self.num_qubits, [0] * self.num_qubits, [0.0] * self.num_qubits
+        depth = scheduled = 0
+        total = 0.0
+        for gate in self.gates:
+            qubits = gate.qubits
+            level = max([levels[q] for q in qubits], default=0)
+            step = max([steps[q] for q in qubits], default=0)
+            end = max([clock[q] for q in qubits], default=0.0)
+            if gate.name == "swap":
+                level, step, end = level + 1, step + 3, end + cx + cx + cx
+            else:
+                cost = gate.name not in _NO_LEVEL
+                level, step, end = level + cost, step + cost, end + duration(gate)
+            for q in qubits:
+                levels[q], steps[q], clock[q] = level, step, end
+            depth, scheduled = max(depth, level), max(scheduled, step)
+            if end > total:
+                total = end
+        return depth, scheduled, total
 
     def two_qubit_pairs(self) -> list[tuple[int, int]]:
         """Ordered list of interacting qubit pairs (for mapping analysis)."""

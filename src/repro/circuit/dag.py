@@ -2,9 +2,11 @@
 
 Every compiler stage operates on the same dependency structure instead of
 re-deriving private ones: SABRE's front layer and lookahead window, the
-peephole cancellation pass, Merge-to-Root's emission, and the scheduling
-metrics (ASAP depth, critical-path duration) all consume a
-:class:`CircuitDAG`.
+peephole cancellation pass, Merge-to-Root's emission, and the static
+checks on a routed artifact all consume a :class:`CircuitDAG`.  The
+scheduling metrics do not: :meth:`repro.circuit.Circuit.asap_schedule`
+keeps per-wire running maxima over the gate list, which is the wire DAG's
+critical path without building it.
 
 The DAG is built by O(1) appends.  Each gate node records, per qubit it
 touches, how it acts on that wire:
@@ -34,7 +36,7 @@ lets :meth:`CircuitDAG.to_circuit` reproduce the emission order exactly.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from repro.circuit.circuit import Circuit
 from repro.circuit.gates import Gate
@@ -184,55 +186,13 @@ class CircuitDAG:
         """Nodes with no unsatisfied dependencies (the executable frontier)."""
         return [node for node in self.nodes if not node.predecessors]
 
-    def topological_nodes(self) -> list[DAGNode]:
-        """Nodes in a topological order.
-
-        The append order is topological by construction (edges always
-        point forward), so this is deterministic and, for DAGs built
-        from a circuit, identical to the original gate order.
-        """
-        return list(self.nodes)
-
     def topological_gates(self) -> list[Gate]:
+        """Gates in append order, which is topological (edges point forward)."""
         return [node.gate for node in self.nodes]
 
     def to_circuit(self) -> Circuit:
         """Materialize back into an ordered-list circuit."""
         return Circuit(self.num_qubits, self.topological_gates())
-
-    # ------------------------------------------------------------------
-    # Scheduling metrics
-    # ------------------------------------------------------------------
-    def depth(self) -> int:
-        """ASAP-scheduled depth (critical path in gate counts).
-
-        Barriers and measurements take zero levels but still synchronize
-        their wires.  Build the DAG with ``commute=False`` for depth: a
-        commutation edge-sparsified DAG under-counts, because two
-        commuting gates on one qubit still occupy the wire sequentially.
-        """
-        return int(self._critical_path(lambda gate: 0 if gate.name in ("barrier", "measure") else 1))
-
-    def duration(self, latency: "Callable[[Gate], float] | object") -> float:
-        """Critical-path duration under per-gate latencies.
-
-        ``latency`` is either a callable ``gate -> seconds`` or an
-        object with a ``duration(gate)`` method (e.g.
-        :class:`repro.hardware.latency.GateLatencyModel`).
-        """
-        if not callable(latency):
-            latency = latency.duration
-        return self._critical_path(latency)
-
-    def _critical_path(self, cost: Callable[[Gate], float]) -> float:
-        finish = [0.0] * len(self.nodes)
-        total = 0.0
-        for node in self.nodes:
-            start = max((finish[p.index] for p in node.predecessors), default=0.0)
-            finish[node.index] = start + cost(node.gate)
-            if finish[node.index] > total:
-                total = finish[node.index]
-        return total
 
     def __repr__(self) -> str:
         mode = "commute" if self.commute else "wire"

@@ -3,10 +3,10 @@
 "Mapping overhead" = CNOTs added on top of the unmapped chain-synthesized
 circuit.  Every SWAP contributes three CNOTs.  The module also provides a
 one-call comparison of the three flows the paper tabulates, plus the
-scheduling dimension the shared DAG IR opens up: ASAP-scheduled depth and
-latency-weighted critical-path duration
-(:func:`schedule_report`, per-gate latencies from
-:mod:`repro.hardware.latency`).
+scheduling dimension: ASAP-scheduled depth and latency-weighted
+critical-path duration (:func:`schedule_report`, per-gate latencies from
+:mod:`repro.hardware.latency`), computed in one per-wire pass over the
+gate list.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.circuit.circuit import Circuit
-from repro.circuit.dag import CircuitDAG
 from repro.compiler.merge_to_root import MergeToRootCompiler
 from repro.compiler.sabre import SabreRouter
 from repro.compiler.synthesis import synthesize_program_chain
@@ -29,10 +28,9 @@ class ScheduleReport:
     """ASAP-schedule metrics of one physical circuit.
 
     ``depth`` counts the listed circuit as-is (SWAPs one level each);
-    ``scheduled_depth`` and ``duration_ns`` are computed on the
-    SWAP-decomposed circuit's wire-dependency DAG, so a routing SWAP
-    costs three CNOT levels / latencies, matching the paper's CNOT
-    accounting.
+    ``scheduled_depth`` and ``duration_ns`` count each routing SWAP as
+    its three-CNOT chain (three levels, three CNOT latencies), matching
+    the paper's CNOT accounting.
     """
 
     depth: int
@@ -43,14 +41,8 @@ class ScheduleReport:
 def schedule_report(
     circuit: Circuit, latency: GateLatencyModel = DEFAULT_LATENCY
 ) -> ScheduleReport:
-    """Depth / critical-path metrics of a compiled circuit."""
-    decomposed = circuit.decompose_swaps()
-    dag = CircuitDAG.from_circuit(decomposed)
-    return ScheduleReport(
-        depth=circuit.depth(),
-        scheduled_depth=dag.depth(),
-        duration_ns=dag.duration(latency),
-    )
+    """Depth / critical-path metrics of a compiled circuit, in one pass."""
+    return ScheduleReport(*circuit.asap_schedule(latency.duration))
 
 
 @dataclass

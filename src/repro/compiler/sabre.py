@@ -19,14 +19,23 @@ the DAG drops edges between commuting gates (CNOTs sharing a control,
 rotations sliding through controls, ...), so the frontier is larger and
 the router may satisfy gates in any commutation-valid order.
 
+Each piece of work is done once: :meth:`SabreRouter.run` builds two DAGs,
+the circuit's and its reverse, that every traversal pass walks with its
+own in-degree counts; the extended set changes only with the front; and
+SWAP scores are incremental.  Integer hop totals of the front and
+lookahead sets are summed once per SWAP step, and a candidate ``(a, b)``
+adjusts only the terms of gates on ``a`` or ``b``.  The totals are exact,
+so every score has the bits of a full re-sum.
+
 SABRE is general-purpose: it sees only gates, so on a sparse X-Tree it
 pays the full price the co-designed Merge-to-Root flow avoids.
 """
 
 from __future__ import annotations
 
+import math
+from collections import defaultdict
 from dataclasses import dataclass, field
-import numpy as np
 
 from repro.circuit import Circuit
 from repro.circuit.dag import CircuitDAG, DAGNode
@@ -60,13 +69,18 @@ class SabreResult:
 
 
 class SabreRouter:
-    """Route logical circuits onto a coupling graph with SWAP insertion."""
+    """Route logical circuits onto a coupling graph with SWAP insertion.
+
+    Routing is deterministic: score ties go to the first candidate in
+    sorted edge order.  ``seed`` is accepted only so every compiler
+    shares one interface; it does not change a routing.
+    """
 
     def __init__(self, graph: CouplingGraph, *, seed: int = 11, commute: bool = False) -> None:
         self.graph = graph
-        self.distance = graph.distance_matrix().astype(float)
+        #: Integer all-pairs hop counts, ``hops[p][q]``.
+        self.hops: list[list[int]] = graph.distance_matrix().tolist()
         self.commute = commute
-        self._rng = np.random.default_rng(seed)
 
     # ------------------------------------------------------------------
     # Public interface
@@ -85,12 +99,16 @@ class SabreRouter:
         layout = dict(initial_layout) if initial_layout else {
             q: q for q in range(circuit.num_qubits)
         }
-        reversed_circuit = Circuit(circuit.num_qubits, list(reversed(circuit.gates)))
+        forward = CircuitDAG.from_circuit(circuit, commute=self.commute)
+        backward = CircuitDAG(circuit.num_qubits, commute=self.commute).extend(
+            reversed(circuit.gates)
+        )
         for _ in range(refinement_passes):
             # Forward pass: discard the routed gates, keep the final layout.
-            layout = self._route_once(circuit, layout, emit=False)[1]
-            layout = self._route_once(reversed_circuit, layout, emit=False)[1]
-        routed_dag, final_layout, swaps = self._route_once(circuit, layout, emit=True)
+            layout = self._route_once(forward, layout, emit=False)[1]
+            layout = self._route_once(backward, layout, emit=False)[1]
+        del backward  # free it before the emitting pass builds its output
+        routed_dag, final_layout, swaps = self._route_once(forward, layout, emit=True)
         return SabreResult(
             circuit=routed_dag.to_circuit(),
             initial_layout=layout,
@@ -105,22 +123,22 @@ class SabreRouter:
     # ------------------------------------------------------------------
     def _route_once(
         self,
-        circuit: Circuit,
+        dag: CircuitDAG,
         initial_layout: dict[int, int],
         *,
         emit: bool,
-    ) -> tuple[Circuit | None, dict[int, int], int]:
+    ) -> tuple[CircuitDAG | None, dict[int, int], int]:
         position = dict(initial_layout)
         occupant = {p: l for l, p in position.items()}
 
-        dag = CircuitDAG.from_circuit(circuit, commute=self.commute)
         remaining = [node.num_predecessors for node in dag.nodes]
         front = [node for node in dag.nodes if remaining[node.index] == 0]
         # Emit through a DAG builder so the routed artifact carries its
-        # own wire-dependency structure for the scheduling metrics.
+        # own wire-dependency structure for the Metrics pass's DAG checks.
         output = CircuitDAG(self.graph.num_qubits) if emit else None
         num_swaps = 0
-        decay = np.ones(self.graph.num_qubits)
+        decay = [1.0] * self.graph.num_qubits
+        extended: list[DAGNode] | None = None  # of the current front
         since_reset = 0
         swaps_since_progress = 0
         stall_limit = 6 * self.graph.num_qubits
@@ -156,7 +174,8 @@ class SabreRouter:
                             still_blocked.append(node)
                 front = still_blocked
                 if progressed:
-                    decay[:] = 1.0
+                    decay = [1.0] * self.graph.num_qubits
+                    extended = None
                     since_reset = 0
                     swaps_since_progress = 0
             if not front:
@@ -168,8 +187,9 @@ class SabreRouter:
             if swaps_since_progress >= stall_limit:
                 a_phys, b_phys = self._escape_swap(front[0].gate, position)
             else:
+                if extended is None:
+                    extended = self._extended_set(front)
                 candidates = self._candidate_swaps(front, position)
-                extended = self._extended_set(front)
                 a_phys, b_phys = self._best_swap(
                     candidates, front, extended, position, decay
                 )
@@ -182,13 +202,10 @@ class SabreRouter:
             decay[b_phys] += _DECAY_INCREMENT
             since_reset += 1
             if since_reset >= _DECAY_RESET_INTERVAL:
-                decay[:] = 1.0
+                decay = [1.0] * self.graph.num_qubits
                 since_reset = 0
 
-        final_layout = dict(position)
-        if emit:
-            return output, final_layout, num_swaps
-        return None, final_layout, num_swaps
+        return output, dict(position), num_swaps
 
     # ------------------------------------------------------------------
     # Helpers
@@ -196,16 +213,10 @@ class SabreRouter:
     def _candidate_swaps(
         self, front: list[DAGNode], position: dict[int, int]
     ) -> list[tuple[int, int]]:
-        involved: set[int] = set()
-        for node in front:
-            for qubit in node.gate.qubits:
-                involved.add(position[qubit])
-        candidates = {
-            (min(a, b), max(a, b))
-            for a, b in self.graph.edges
-            if a in involved or b in involved
-        }
-        return sorted(candidates)
+        involved = {position[qubit] for node in front for qubit in node.gate.qubits}
+        return sorted(
+            {(min(a, b), max(a, b)) for a, b in self.graph.edges if a in involved or b in involved}
+        )
 
     def _extended_set(self, front: list[DAGNode]) -> list[DAGNode]:
         """Lookahead window: the next two-qubit gates past the frontier."""
@@ -235,27 +246,42 @@ class SabreRouter:
         front: list[DAGNode],
         extended: list[DAGNode],
         position: dict[int, int],
-        decay: np.ndarray,
+        decay: list[float],
     ) -> tuple[int, int]:
-        best_score = np.inf
+        """Lowest-scoring candidate; ties go to the first.
+
+        The hop totals of the front and lookahead sets are summed once.
+        A SWAP ``(a, b)`` moves only the gates with one endpoint on ``a``
+        or ``b`` (a gate on both keeps its distance), so each candidate
+        adjusts the totals through the partners listed at ``a`` and ``b``.
+        """
+        hops = self.hops
+        totals = [0, 0]
+        ends: tuple[dict[int, list[int]], ...] = (defaultdict(list), defaultdict(list))
+        for side, nodes in enumerate((front, extended)):
+            for node in nodes:
+                first, second = node.gate.qubits
+                p, q = position[first], position[second]
+                totals[side] += hops[p][q]
+                ends[side][p].append(q)
+                ends[side][q].append(p)
+        best_score = math.inf
         best = candidates[0]
         for a_phys, b_phys in candidates:
-            trial = dict(position)
-            for logical, physical in position.items():
-                if physical == a_phys:
-                    trial[logical] = b_phys
-                elif physical == b_phys:
-                    trial[logical] = a_phys
-            front_cost = sum(
-                self.distance[trial[n.gate.qubits[0]], trial[n.gate.qubits[1]]]
-                for n in front
-            ) / len(front)
+            row_a, row_b = hops[a_phys], hops[b_phys]
+            moved = []
+            for total, partners in zip(totals, ends):
+                for other in partners.get(a_phys, ()):
+                    if other != b_phys:
+                        total += row_b[other] - row_a[other]
+                for other in partners.get(b_phys, ()):
+                    if other != a_phys:
+                        total += row_a[other] - row_b[other]
+                moved.append(float(total))
+            front_cost = moved[0] / len(front)
             extended_cost = 0.0
             if extended:
-                extended_cost = _LOOKAHEAD_WEIGHT * sum(
-                    self.distance[trial[n.gate.qubits[0]], trial[n.gate.qubits[1]]]
-                    for n in extended
-                ) / len(extended)
+                extended_cost = _LOOKAHEAD_WEIGHT * moved[1] / len(extended)
             score = max(decay[a_phys], decay[b_phys]) * (front_cost + extended_cost)
             if score < best_score - 1e-12:
                 best_score = score
@@ -269,7 +295,7 @@ class SabreRouter:
         source = position[gate.qubits[0]]
         target = position[gate.qubits[1]]
         for neighbor in sorted(self.graph.neighbors(source)):
-            if self.distance[neighbor, target] < self.distance[source, target]:
+            if self.hops[neighbor][target] < self.hops[source][target]:
                 return (min(source, neighbor), max(source, neighbor))
         raise RuntimeError("disconnected coupling graph")
 
@@ -289,10 +315,3 @@ class SabreRouter:
             occupant[a] = logical_b
         else:
             occupant.pop(a, None)
-
-
-def route_with_sabre(
-    circuit: Circuit, graph: CouplingGraph, *, seed: int = 11, commute: bool = False
-) -> SabreResult:
-    """One-call convenience wrapper."""
-    return SabreRouter(graph, seed=seed, commute=commute).run(circuit)

@@ -54,8 +54,9 @@ class PipelineConfig:
 
     ``device`` and ``compiler`` are registry names (see
     :func:`repro.hardware.get_device` / :func:`repro.compiler.get_compiler`);
-    ``layout`` is one of :data:`LAYOUT_SCHEMES`; ``seed`` feeds the SABRE
-    baseline's tie-breaking RNG; ``trajectories`` sizes the stochastic
+    ``layout`` is one of :data:`LAYOUT_SCHEMES`; ``seed`` is handed to the
+    compiler (both routers are deterministic and ignore it; it still keys
+    the route cache); ``trajectories`` sizes the stochastic
     Pauli-trajectory noise engine when the :class:`Energy` stage runs
     with ``backend="trajectory"`` (the noisy path past the
     density-matrix simulator's 12-qubit cap).  The :class:`Energy` stage
@@ -64,8 +65,8 @@ class PipelineConfig:
 
     ``dag`` and ``commute`` control the shared circuit DAG IR
     (:class:`repro.circuit.dag.CircuitDAG`): with ``dag`` on, the
-    :class:`Metrics` stage reports ASAP-scheduled depth and
-    critical-path duration of the compiled circuit; with ``commute`` on,
+    :class:`Metrics` stage checks the compiled circuit's DAG and reports
+    its ASAP-scheduled depth and critical-path duration; with ``commute`` on,
     the :class:`Route` stage hands the commutation-aware frontier to the
     compiler and the :class:`Compress` stage reports how many CNOTs the
     adjacency vs. commutation-aware peephole passes remove from the
@@ -76,7 +77,7 @@ class PipelineConfig:
     :class:`Compress` stage sanitizes the compressed Pauli program, the
     :class:`Route` stage sanitizes the routed circuit and its layouts
     against the device, and the :class:`Metrics` stage sanitizes the
-    scheduling DAG it consumes.  Checks are linear-time, and a cached
+    routed artifact's DAG.  Checks are linear-time, and a cached
     artifact is checked once per cache entry: a warm rerun finds the
     recorded verdict and runs no check (with ``cache`` off, every run
     checks).
@@ -576,7 +577,7 @@ class Route(Pass):
     produces = ("device", "compiled")
 
     #: Checks applied to the routed result; the DAG checks are left to
-    #: the :class:`Metrics` stage, which is what consumes the DAG.
+    #: the :class:`Metrics` stage.
     VALIDATION_CHECKS = (
         "qubit-bounds",
         "gate-set",
@@ -730,16 +731,16 @@ def _exact_ground_state_energy(problem: MolecularProblem) -> float:
 class Metrics(Pass):
     """Summarize the run into JSON-safe scalars (Table II conventions).
 
-    With ``config.validate`` on, the compiled artifact's DAG is checked
-    for structural soundness (edge symmetry, topological order,
-    commute-edge validity, DAG/circuit agreement) before the scheduling
-    metrics read it -- a corrupt DAG would silently skew
-    ``scheduled_depth`` and ``duration_ns``.
+    With ``config.dag`` and ``config.validate`` on, the compiled
+    artifact's DAG is checked for structural soundness (edge symmetry,
+    topological order, commute-edge validity, DAG/circuit agreement).
+    The schedule metrics do not read that DAG: they are one per-wire
+    pass over the gate list (:meth:`repro.circuit.Circuit.asap_schedule`).
     """
 
     name = "metrics"
 
-    #: DAG checks applied before the schedule report consumes the IR.
+    #: DAG checks applied to the routed artifact.
     VALIDATION_CHECKS = ("dag-invariants", "dag-circuit-consistency")
 
     def run(self, context: PipelineContext) -> None:

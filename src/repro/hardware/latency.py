@@ -6,7 +6,7 @@ magnitude longer than single-qubit rotations.  The default numbers here
 are representative fixed-frequency transmon values (~35 ns single-qubit
 pulses, ~300 ns echoed cross-resonance CNOT); routing SWAPs decompose
 into three CNOTs.  The model feeds
-:meth:`repro.circuit.dag.CircuitDAG.duration`, turning the shared DAG IR
+:meth:`repro.circuit.Circuit.asap_schedule`, turning a routed circuit
 into critical-path durations for Table II-style reports.
 """
 

@@ -1,13 +1,17 @@
 """Tests for the shared circuit DAG IR and its consumers.
 
 Covers construction (wire edges, commutation-aware edges, front layer),
-scheduling metrics (depth, latency-weighted critical path), and the
-integration points: SABRE's commutation-aware frontier and the DAG
+scheduling metrics (depth, latency-weighted critical path; the one-pass
+schedule against the DAG critical-path oracle in ``sabre_oracle``), and
+the integration points: SABRE's commutation-aware frontier and the DAG
 emitted by Merge-to-Root.
 """
 
 import numpy as np
 import pytest
+import sabre_oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.circuit import Circuit, CircuitDAG
 from repro.circuit.dag import gate_axes
@@ -17,10 +21,13 @@ from repro.circuit.gates import (
     CZ,
     H,
     Measure,
+    RX,
+    RY,
     RZ,
     S,
     SWAP,
     X,
+    Y,
 )
 from repro.hardware.latency import DEFAULT_LATENCY, GateLatencyModel
 
@@ -110,7 +117,7 @@ class TestScheduling:
         """
         circuit = Circuit(3, [H(0), H(1), CNOT(0, 1), CNOT(1, 2), H(0)])
         assert circuit.depth() == 3
-        assert CircuitDAG.from_circuit(circuit).depth() == 3
+        assert sabre_oracle.depth(CircuitDAG.from_circuit(circuit)) == 3
 
     def test_depth_barrier_synchronizes_but_costs_nothing(self):
         circuit = Circuit(2, [H(0), Barrier(0, 1), H(1)])
@@ -129,7 +136,8 @@ class TestScheduling:
         circuit = Circuit(3, [H(0), CNOT(0, 1), H(2)])
         dag = CircuitDAG.from_circuit(circuit)
         # Critical path: H(0) -> CNOT = 110 ns; H(2) runs in parallel.
-        assert dag.duration(model) == pytest.approx(110.0)
+        assert sabre_oracle.duration(dag, model) == pytest.approx(110.0)
+        assert circuit.asap_schedule(model.duration)[2] == pytest.approx(110.0)
 
     def test_duration_swap_is_three_cnots(self):
         assert DEFAULT_LATENCY.duration(SWAP(0, 1)) == pytest.approx(
@@ -137,8 +145,10 @@ class TestScheduling:
         )
 
     def test_duration_accepts_callable(self):
-        dag = CircuitDAG.from_circuit(Circuit(1, [H(0), X(0)]))
-        assert dag.duration(lambda gate: 2.0) == pytest.approx(4.0)
+        circuit = Circuit(1, [H(0), X(0)])
+        dag = CircuitDAG.from_circuit(circuit)
+        assert sabre_oracle.duration(dag, lambda gate: 2.0) == pytest.approx(4.0)
+        assert circuit.asap_schedule(lambda gate: 2.0)[2] == pytest.approx(4.0)
 
 
 class TestScheduleReport:
@@ -172,6 +182,54 @@ class TestScheduleReport:
         result = SabreRouter(xtree(8)).run(Circuit(8, [CNOT(2, 6), H(3)]))
         assert result.dag is not None
         assert result.dag.to_circuit().gates == result.circuit.gates
+
+
+_CUSTOM_LATENCY = GateLatencyModel(single_qubit_ns=17.3, cx_ns=211.7, cz_ns=123.4, measure_ns=41.9)
+
+
+@st.composite
+def scheduled_circuits(draw):
+    """Random circuits over every gate kind the schedule treats apart."""
+    num_qubits = draw(st.integers(1, 6))
+    qubit = st.integers(0, num_qubits - 1)
+    pair = st.lists(qubit, min_size=2, max_size=2, unique=True)
+    angle = st.floats(-3.0, 3.0, allow_nan=False)
+    kinds = ["h", "x", "y", "s", "rz", "rx", "ry", "measure", "barrier"]
+    if num_qubits > 1:
+        kinds += ["cx", "cz", "swap"]
+    gates = []
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=40)):
+        if kind in ("cx", "cz", "swap"):
+            a, b = draw(pair)
+            gates.append({"cx": CNOT, "cz": CZ, "swap": SWAP}[kind](a, b))
+        elif kind in ("rz", "rx", "ry"):
+            gates.append({"rz": RZ, "rx": RX, "ry": RY}[kind](draw(angle), draw(qubit)))
+        elif kind == "barrier":
+            gates.append(Barrier(*draw(st.lists(qubit, max_size=num_qubits, unique=True))))
+        elif kind == "measure":
+            gates.append(Measure(draw(qubit)))
+        else:
+            gates.append({"h": H, "x": X, "y": Y, "s": S}[kind](draw(qubit)))
+    return Circuit(num_qubits, gates)
+
+
+class TestScheduleOracle:
+    """The one-pass schedule equals the DAG critical path, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        circuit=scheduled_circuits(),
+        latency=st.sampled_from([DEFAULT_LATENCY, _CUSTOM_LATENCY]),
+    )
+    def test_schedule_report_matches_dag_critical_path(self, circuit, latency):
+        from repro.compiler import schedule_report
+
+        report = schedule_report(circuit, latency)
+        depth, scheduled_depth, duration_ns = sabre_oracle.schedule(circuit, latency)
+        assert report.depth == depth
+        assert report.scheduled_depth == scheduled_depth
+        assert report.duration_ns == duration_ns
+        assert circuit.depth() == depth
 
 
 class TestCommutingFrontierRouting:

@@ -1,12 +1,16 @@
 """White-box tests for Merge-to-Root routing and SABRE internals."""
 
 import pytest
+import sabre_oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.circuit import Circuit
-from repro.circuit.gates import CNOT, H
+from repro.circuit.gates import CNOT, CZ, RZ, SWAP, Barrier, H, Measure, S, X
 from repro.compiler.merge_to_root import MergeToRootCompiler
 from repro.compiler.sabre import SabreRouter
 from repro.core.ir import IRTerm, PauliProgram
+from repro.hardware.grid import grid
 from repro.hardware.xtree import xtree
 from repro.pauli import PauliString
 
@@ -160,3 +164,53 @@ class TestCompiledProgramAccounting:
             assert compiled.final_layout != compiled.initial_layout
         # Layout stays injective.
         assert len(set(compiled.final_layout.values())) == 2
+
+
+@st.composite
+def routing_cases(draw):
+    """A connected device, a circuit that fits it, and maybe a layout."""
+    if draw(st.booleans()):
+        device = xtree(draw(st.integers(2, 17)))
+    else:
+        device = grid(draw(st.integers(1, 4)), draw(st.integers(2, 5)))
+    num_qubits = draw(st.integers(2, device.num_qubits))
+    qubit = st.integers(0, num_qubits - 1)
+    pair = st.lists(qubit, min_size=2, max_size=2, unique=True)
+    gates = []
+    for kind in draw(st.lists(st.sampled_from(["1q", "2q", "2q", "barrier"]), max_size=60)):
+        if kind == "1q":
+            maker = draw(st.sampled_from([H, X, S, Measure, lambda q: RZ(0.25, q)]))
+            gates.append(maker(draw(qubit)))
+        elif kind == "2q":
+            maker = draw(st.sampled_from([CNOT, CNOT, CZ, SWAP]))
+            gates.append(maker(*draw(pair)))
+        else:
+            gates.append(Barrier(*draw(st.lists(qubit, min_size=1, max_size=4, unique=True))))
+    layout = None
+    if draw(st.booleans()):
+        physical = draw(st.permutations(range(device.num_qubits)))
+        layout = dict(enumerate(physical[:num_qubits]))
+    return device, Circuit(num_qubits, gates), layout
+
+
+class TestOracleEquality:
+    """Incremental SWAP scoring against the full-recompute oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=routing_cases(), commute=st.booleans())
+    def test_router_matches_full_recompute_oracle(self, case, commute):
+        device, circuit, layout = case
+        result = SabreRouter(device, commute=commute).run(circuit, initial_layout=layout)
+        gates, num_swaps, final_layout = sabre_oracle.route(
+            circuit, device, commute=commute, initial_layout=layout
+        )
+        assert result.circuit.gates == gates
+        assert result.num_swaps == num_swaps
+        assert result.final_layout == final_layout
+
+    def test_seed_does_not_change_a_routing(self):
+        circuit = Circuit(6, [CNOT(0, 5), CNOT(5, 3), CNOT(3, 0), CNOT(1, 4)])
+        routers = [SabreRouter(xtree(8), seed=seed) for seed in (0, 11, 99)]
+        routed = [router.run(circuit) for router in routers]
+        assert all(r.circuit.gates == routed[0].circuit.gates for r in routed)
+        assert not any(hasattr(router, "_rng") for router in routers)
