@@ -212,6 +212,10 @@ def test_sim_engine_speedup_and_artifact():
 # ----------------------------------------------------------------------
 # Compile cache -> merged into BENCH_sim.json
 # ----------------------------------------------------------------------
+#: Least warm-over-cold speedup of one pipeline rerun.
+CACHE_MIN_SPEEDUP = 5.0
+
+
 def collect_compile_cache_timings(molecule: str = "H2O", ratio: float = 0.3) -> dict:
     """Compile-cache timings, merged into ``BENCH_sim.json``.
 
@@ -252,15 +256,9 @@ def collect_compile_cache_timings(molecule: str = "H2O", ratio: float = 0.3) -> 
 
 
 def test_compile_cache_speedup_and_artifact():
-    """Warm pipeline rerun >=5x over cold; the row is merged into
-    ``BENCH_sim.json``.
-
-    ``BENCH_CACHE_MIN_SPEEDUP`` relaxes the wall-clock gate on shared CI
-    runners.
+    """Warm pipeline rerun >= ``CACHE_MIN_SPEEDUP`` over cold; the row is
+    merged into ``BENCH_sim.json``.
     """
-    import os
-
-    cache_minimum = float(os.environ.get("BENCH_CACHE_MIN_SPEEDUP", "5.0"))
     rows = collect_compile_cache_timings()
     merged = json.loads(BENCH_SIM_PATH.read_text()) if BENCH_SIM_PATH.exists() else {}
     merged.update(rows)
@@ -268,155 +266,12 @@ def test_compile_cache_speedup_and_artifact():
     print()
     print(json.dumps(rows, indent=2, sort_keys=True))
     print(f"wrote {path}")
-    assert rows["compile_cache"]["speedup_warm_vs_cold"] >= cache_minimum
+    assert rows["compile_cache"]["speedup_warm_vs_cold"] >= CACHE_MIN_SPEEDUP
     assert rows["compile_cache"]["hits"] > 0
     assert (
         rows["compile_cache"]["warm_hit_rate"]
         > rows["compile_cache"]["cold_hit_rate"]
     )
-
-
-# ----------------------------------------------------------------------
-# Process-pool scale-out -> merged into BENCH_sim.json
-# ----------------------------------------------------------------------
-def collect_scale_out_stats(
-    molecule: str = "H2O",
-    bond_lengths: tuple[float, ...] = (0.85, 0.9587, 1.05, 1.15),
-    trajectories: int = 512,
-    trajectory_molecule: str = "LiH",
-    ratio: float = 0.3,
-    seed: int = 31,
-) -> dict:
-    """Process-pool vs. threaded scale-out timings (ISSUE-9).
-
-    Two rows under the ``scale_out`` key of ``BENCH_sim.json``:
-
-    * ``batch`` -- the multi-point ``molecule`` sweep through
-      :func:`repro.core.pipeline.run_batch` under ``executor="thread"``
-      vs. ``executor="process"`` (Hamiltonian tables in shared memory,
-      compile work GIL-free).  Chemistry is pre-warmed in the parent so
-      both timings measure the compile pipeline, not integrals.
-    * ``trajectory`` -- a K=``trajectories`` noisy estimate on the
-      ratio-compressed ``trajectory_molecule`` circuit, serial vs.
-      process pool: the per-block spawned seeds must make the two
-      bit-identical (the determinism half of the acceptance gate).
-    """
-    import os
-
-    from repro.core import PipelineConfig, clear_compile_cache, run_batch
-    from repro.sim.noise import DepolarizingNoiseModel
-    from repro.sim.trajectory import trajectory_estimate
-
-    configs = [
-        PipelineConfig(molecule=molecule, bond_length=bond)
-        for bond in bond_lengths
-    ]
-    for config in configs:  # pre-warm chemistry out of the timed region
-        build_molecule_hamiltonian(config.molecule, config.bond_length)
-
-    def timed_batch(executor: str) -> tuple[float, list]:
-        clear_compile_cache()  # both executors start compile-cold
-        start = time.perf_counter()
-        results = run_batch(configs, executor=executor, workers="auto")
-        return time.perf_counter() - start, results
-
-    thread_seconds, thread_results = timed_batch("thread")
-    process_seconds, process_results = timed_batch("process")
-    batch_identical = [t.to_dict() for t in thread_results] == [
-        p.to_dict() for p in process_results
-    ]
-
-    problem = build_molecule_hamiltonian(trajectory_molecule)
-    program = build_uccsd_program(problem).program
-    compressed = compress_ansatz(program, problem.hamiltonian, ratio).program
-    circuit = synthesize_program_chain(
-        compressed,
-        np.random.default_rng(seed).normal(0.0, 0.05, compressed.num_parameters),
-    )
-    noise = DepolarizingNoiseModel(two_qubit_error=1e-4)
-
-    def estimate(executor: str) -> tuple[float, object]:
-        start = time.perf_counter()
-        result = trajectory_estimate(
-            circuit,
-            problem.hamiltonian,
-            noise,
-            trajectories=trajectories,
-            seed=seed,
-            executor=executor,
-            workers="auto",
-        )
-        return time.perf_counter() - start, result
-
-    serial_seconds, serial_estimate = estimate("serial")
-    trajectory_seconds, process_estimate = estimate("process")
-    bit_identical = (
-        serial_estimate.value == process_estimate.value
-        and serial_estimate.standard_error == process_estimate.standard_error
-        and serial_estimate.error_events == process_estimate.error_events
-    )
-
-    return {
-        "scale_out": {
-            "cpu_count": os.cpu_count(),
-            "batch": {
-                "workload": (
-                    f"{molecule} sweep, {len(configs)} bond points, "
-                    "run_batch thread pool vs. process pool + shared memory"
-                ),
-                "configs": len(configs),
-                "thread_seconds": round(thread_seconds, 6),
-                "process_seconds": round(process_seconds, 6),
-                "speedup_process_vs_thread": round(
-                    thread_seconds / process_seconds, 2
-                ),
-                "results_identical": bool(batch_identical),
-            },
-            "trajectory": {
-                "workload": (
-                    f"{trajectory_molecule} ratio-{ratio} noisy estimate, "
-                    f"K={trajectories}, serial vs. process pool"
-                ),
-                "num_qubits": compressed.num_qubits,
-                "trajectories": trajectories,
-                "serial_seconds": round(serial_seconds, 6),
-                "process_seconds": round(trajectory_seconds, 6),
-                "serial_energy": serial_estimate.value,
-                "process_energy": process_estimate.value,
-                "bit_identical_vs_serial": bool(bit_identical),
-            },
-        }
-    }
-
-
-def test_scale_out_benchmark_and_artifact():
-    """ISSUE-9 acceptance: process-pool ``run_batch`` beats the threaded
-    pool on the multi-point H2O sweep and the K=512 trajectory estimate
-    is bit-identical across serial and process executors; the
-    ``scale_out`` row is merged into ``BENCH_sim.json``.
-
-    ``BENCH_SCALE_OUT_MIN_SPEEDUP`` relaxes the wall-clock gate on
-    shared CI runners (like the compile-cache gate); the speedup assert
-    is skipped entirely on single-core hosts, where a process pool
-    cannot win by construction -- determinism is asserted everywhere.
-    ``BENCH_SCALE_OUT_TRAJECTORIES`` shrinks K where minutes matter.
-    """
-    import os
-
-    minimum = float(os.environ.get("BENCH_SCALE_OUT_MIN_SPEEDUP", "1.5"))
-    trajectories = int(os.environ.get("BENCH_SCALE_OUT_TRAJECTORIES", "512"))
-    stats = collect_scale_out_stats(trajectories=trajectories)
-    merged = json.loads(BENCH_SIM_PATH.read_text()) if BENCH_SIM_PATH.exists() else {}
-    merged.update(stats)
-    path = write_bench_sim_artifact(merged)
-    print()
-    print(json.dumps(stats, indent=2, sort_keys=True))
-    print(f"wrote {path}")
-    row = stats["scale_out"]
-    assert row["batch"]["results_identical"]
-    assert row["trajectory"]["bit_identical_vs_serial"]
-    if (os.cpu_count() or 1) >= 2:
-        assert row["batch"]["speedup_process_vs_thread"] >= minimum
 
 
 # ----------------------------------------------------------------------
@@ -647,7 +502,6 @@ def test_hamiltonian_construction_speed(benchmark):
 if __name__ == "__main__":
     sim_rows = collect_sim_engine_timings()
     sim_rows.update(collect_compile_cache_timings())
-    sim_rows.update(collect_scale_out_stats())
     artifact = write_bench_sim_artifact(sim_rows)
     print(json.dumps(json.loads(artifact.read_text()), indent=2, sort_keys=True))
     print(f"wrote {artifact}")

@@ -5,9 +5,9 @@ STO-3G Hamiltonian of molecular hydrogen at several bond lengths, run VQE
 with the full UCCSD ansatz, and locate the equilibrium geometry (the
 energy minimum, experimentally at ~0.74 Angstrom).
 
-Each bond length is one ``PipelineConfig``; ``run_batch`` fans the whole
-scan out over a thread pool, and an appended ``Energy`` stage turns the
-compile pipeline into a VQE workload.
+Each bond length is one ``PipelineConfig``; ``run_batch`` runs the whole
+scan, and an appended ``Energy`` stage turns the compile pipeline into a
+VQE workload.
 
 Run:  python examples/quickstart.py
 """

@@ -230,8 +230,8 @@ class ContentAddressedCache:
     def get_or_compute(self, key: Any, compute: Callable[[], Any]) -> Any:
         """The cached value for ``key``, computing and storing on a miss.
 
-        ``compute`` runs outside the lock so concurrent pipeline workers
-        never serialize on a slow compile; two threads racing the same
+        ``compute`` runs outside the lock so caller threads never
+        serialize on a slow compile; two threads racing the same
         cold key may both compute, and the later result wins -- wasted
         work, never a wrong answer (values are content-determined).
         """

@@ -11,12 +11,11 @@ The flow is a :class:`Pipeline` of named, swappable passes (see
       -> JSON-safe summary scalars              (Metrics)
 
 ``co_optimize`` remains as a thin compatibility wrapper that builds the
-default pipeline; :func:`run_batch` fans a list of configs out over a
-serial loop, a thread pool with shared per-problem Hamiltonian caching,
-or a process pool that ships Hamiltonian tables through shared memory
-(``executor="serial" | "thread" | "process"``), aggregating per-item
-failures as :class:`BatchItemError` records, and results serialize
-through ``to_dict``/``from_dict`` for persistence and diffing.
+default pipeline; :func:`run_batch` runs a list of configs in a serial
+loop or fans them out over a process pool that ships Hamiltonian tables
+through shared memory (``executor="serial" | "process"``), aggregating
+per-item failures as :class:`BatchItemError` records, and results
+serialize through ``to_dict``/``from_dict`` for persistence and diffing.
 
 Usage -- run one instance, swap a stage, batch a sweep:
 
@@ -46,7 +45,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
@@ -552,7 +551,7 @@ def _run_batch_item(
     config: PipelineConfig,
     factory: Callable[[PipelineConfig], Pipeline],
 ) -> CoOptimizationResult | BatchItemError:
-    """In-process (serial/thread) batch item: live result or error record."""
+    """In-process (serial) batch item: live result or error record."""
     try:
         return factory(config).run()
     except Exception as exc:  # noqa: BLE001 - aggregated, not swallowed
@@ -639,25 +638,26 @@ def _run_batch_process(
 def run_batch(
     configs: Iterable[PipelineConfig],
     *,
-    executor: str = "thread",
+    executor: str = "serial",
     workers: int | str | None = None,
     pipeline_factory: Callable[[PipelineConfig], Pipeline] | None = None,
 ) -> list[CoOptimizationResult | BatchItemError]:
-    """Run many pipeline configs concurrently (bond scans, yield studies).
+    """Run many pipeline configs (bond scans, yield studies).
 
-    ``executor`` picks the fan-out strategy (``"serial"`` / ``"thread"``
-    / ``"process"``); ``workers`` the pool width (``None``/``"auto"``
-    means the CPU count, capped at the task count).  The thread pool
-    (default) shares the in-process Hamiltonian cache, so each unique
-    (molecule, bond length) problem is built exactly once up front; the
-    process pool sidesteps the GIL for compile-heavy sweeps by shipping
-    each unique Hamiltonian's Pauli coefficient tables through shared
-    memory (:mod:`repro.core.shm`) -- workers map the tables zero-copy
-    instead of unpickling per task.  Every config is an independent,
-    deterministic task, so all three executors produce identical
-    results item for item (process-mode results are metrics-only
-    snapshots, the :meth:`CoOptimizationResult.from_dict` flavor, since
-    results cross a process boundary).
+    ``executor`` picks the fan-out strategy (``"serial"`` / ``"process"``);
+    ``workers`` the pool width (``None``/``"auto"`` means the CPU count,
+    capped at the task count).  The serial loop (default) shares the
+    in-process Hamiltonian and compile caches across items; the process
+    pool sidesteps the GIL for compile-heavy sweeps by shipping each
+    unique Hamiltonian's Pauli coefficient tables through shared memory
+    (:mod:`repro.core.shm`) -- workers map the tables zero-copy instead
+    of unpickling per task.  Every config is an independent,
+    deterministic task, so both executors produce identical results
+    item for item (process-mode results are metrics-only snapshots, the
+    :meth:`CoOptimizationResult.from_dict` flavor, since results cross a
+    process boundary).  A worker process that dies outright (rather
+    than raising) breaks the pool: the call raises
+    :class:`concurrent.futures.process.BrokenProcessPool`.
 
     A config whose pipeline raises does not abort the batch: its slot in
     the returned list carries a :class:`BatchItemError` (index, config,
@@ -667,8 +667,8 @@ def run_batch(
 
     Args:
         configs: pipeline configurations to run.
-        executor: ``"serial"``, ``"thread"`` (default), or ``"process"``
-            (the latter needs a picklable ``pipeline_factory``).
+        executor: ``"serial"`` (default) or ``"process"`` (which needs a
+            picklable ``pipeline_factory``).
         workers: pool width; ``None``/``"auto"`` = CPU count.
         pipeline_factory: builds the pipeline for one config; defaults to
             the standard ``Pipeline(config)`` (pass a custom factory to
@@ -689,30 +689,7 @@ def run_batch(
             for index, config in enumerate(configs)
         ]
 
-    if executor == "process":
-        return _run_batch_process(configs, factory, count)
-
-    unique_problems: dict[tuple[str, float | None], PipelineConfig] = {}
-    for config in configs:
-        unique_problems.setdefault((config.molecule, config.bond_length), config)
-
-    def _warm(config: PipelineConfig) -> None:
-        # Warm the per-problem Hamiltonian cache without duplicate work;
-        # best-effort -- a bad config fails in its own run, where the
-        # error is recorded against the right item.
-        try:
-            build_molecule_hamiltonian(config.molecule, config.bond_length)
-        except Exception:  # noqa: BLE001
-            pass
-
-    with ThreadPoolExecutor(max_workers=count) as pool:
-        list(pool.map(_warm, unique_problems.values()))
-        return list(
-            pool.map(
-                lambda pair: _run_batch_item(pair[0], pair[1], factory),
-                enumerate(configs),
-            )
-        )
+    return _run_batch_process(configs, factory, count)
 
 
 def save_batch(

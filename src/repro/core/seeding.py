@@ -2,7 +2,7 @@
 
 Every random draw in the library must be a pure function of an explicit
 seed, or the executor bit-identity guarantees (``run_batch``,
-``trajectory_expectations``: serial == thread == process, any worker
+``trajectory_expectations``: serial == process, any worker
 count) silently die.  The discipline (see docs/analysis.md):
 
 1. normalize whatever the caller passed -- int, ``SeedSequence``, or

@@ -25,9 +25,9 @@ The input's type picks the path (``docs/performance.md``): a Pauli
 program evolves term by term (:class:`repro.vqe.energy.StatevectorEnergy`),
 a circuit gate by gate through the in-place kernels.
 
-Every path runs on NumPy arrays; scale-out across processes is driven
-by the ``executor=``/``workers=`` knobs
-(:data:`repro.sim.trajectory.EXECUTORS`).
+Every path runs on NumPy arrays in one process unless the
+``executor=``/``workers=`` knobs (:data:`repro.sim.trajectory.EXECUTORS`:
+``"serial"`` or ``"process"``) fan the work out over a process pool.
 """
 
 from repro.sim.statevector import (

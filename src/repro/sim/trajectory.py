@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -48,7 +48,7 @@ from repro.sim.statevector import apply_gate_inplace, basis_state
 
 #: Valid values of the ``executor=`` knob of the streaming helpers (and
 #: of :func:`repro.core.pipeline.run_batch`).
-EXECUTORS = ("serial", "thread", "process")
+EXECUTORS = ("serial", "process")
 
 
 def check_executor(executor: str) -> str:
@@ -342,8 +342,8 @@ def _run_trajectories(
     its noisy-gate signature, ``trajectories`` and ``block_size`` still
     match (the common-random-numbers memo of
     :class:`repro.vqe.energy.TrajectoryEnergy`).  Every executor maps
-    the same chunk function over the same chunks, so serial, threaded
-    and process runs are bit-identical for any ``workers`` count.
+    the same chunk function over the same chunks, so serial and process
+    runs are bit-identical for any ``workers`` count.
     """
     check_executor(executor)
     engine = _as_engine(observable)
@@ -360,9 +360,6 @@ def _run_trajectories(
     chunks = events.chunks
     count = resolve_workers(workers, len(chunks))
 
-    def evolve(chunk: _Chunk) -> np.ndarray:
-        return _evolve_chunk(hardware, positions, engine, chunk, initial_state)
-
     values = np.empty(trajectories)
 
     def store(results: Iterable[np.ndarray]) -> None:
@@ -370,10 +367,10 @@ def _run_trajectories(
             values[chunk.start:chunk.start + chunk.rows] = chunk_values
 
     if executor == "serial" or count == 1:
-        store(map(evolve, chunks))
-    elif executor == "thread":
-        with ThreadPoolExecutor(max_workers=count) as pool:
-            store(pool.map(evolve, chunks))
+        store(
+            _evolve_chunk(hardware, positions, engine, chunk, initial_state)
+            for chunk in chunks
+        )
     else:
         from repro.core.shm import SharedSlabs
 
@@ -418,10 +415,9 @@ def trajectory_expectations(
     ``block_size`` rows draws from its own spawned child of one
     ``SeedSequence`` root, so results are fully deterministic given
     ``(seed, trajectories, block_size)`` -- and bit-identical across
-    ``executor="serial" | "thread" | "process"`` and any ``workers``
-    count.  ``executor="process"`` shares the observable's grouped
-    diagonals with the workers through
-    :class:`repro.core.shm.SharedSlabs`.
+    ``executor="serial" | "process"`` and any ``workers`` count.
+    ``executor="process"`` shares the observable's grouped diagonals
+    with the workers through :class:`repro.core.shm.SharedSlabs`.
     """
     values, _ = _run_trajectories(
         circuit, observable, noise, trajectories, seed, block_size,

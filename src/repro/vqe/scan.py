@@ -15,7 +15,7 @@ the ``BENCH_sim.json`` speedup benchmark.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -162,9 +162,9 @@ def bond_scan(
     feeds the configuration randomization (``randNN%`` ansatz subsets).
 
     ``executor``/``workers`` fan the (bond length, configuration) grid
-    over a thread or process pool; every point is an independent
-    module-level task, so results are identical point for point across
-    ``executor="serial" | "thread" | "process"`` and any worker count
+    over a process pool; every point is an independent module-level
+    task, so results are identical point for point across
+    ``executor="serial" | "process"`` and any worker count
     (each VQE run is deterministic given its knobs).
     """
     check_executor(executor)
@@ -185,8 +185,5 @@ def bond_scan(
     count = resolve_workers(workers, len(tasks))
     if executor == "serial" or count == 1 or len(tasks) == 1:
         return [_scan_point_task(task) for task in tasks]
-    if executor == "thread":
-        with ThreadPoolExecutor(max_workers=count) as pool:
-            return list(pool.map(_scan_point_task, tasks))
     with ProcessPoolExecutor(max_workers=count) as pool:
         return list(pool.map(_scan_point_task, tasks))

@@ -3,7 +3,8 @@
 Covers :mod:`repro.core.shm` slab round-trips, the executor knobs, and
 the determinism guarantee -- seeded ``bond_scan`` /
 ``trajectory_estimate`` runs are bit-identical across
-``executor="serial" | "thread" | "process"`` and any worker count.
+``executor="serial" | "process"`` and any worker count; every surface
+that takes ``executor=`` rejects an unknown name with a ``ValueError``.
 """
 
 import numpy as np
@@ -90,10 +91,53 @@ class TestSharedSlabs:
 # ----------------------------------------------------------------------
 class TestExecutorPlumbing:
     def test_check_executor_names_valid_choices(self):
-        for name in ("serial", "thread", "process"):
+        for name in ("serial", "process"):
             check_executor(name)
         with pytest.raises(ValueError, match="serial"):
             check_executor("fork-bomb")
+
+    @pytest.mark.parametrize(
+        "surface",
+        [
+            "run_batch",
+            "bond_scan",
+            "trajectory_estimate",
+            "trajectory_expectations",
+            "TrajectoryEnergy",
+            "VQE",
+        ],
+    )
+    def test_thread_executor_rejected(self, surface):
+        from repro.core.ir import PauliProgram
+        from repro.core.pipeline import PipelineConfig, run_batch
+        from repro.vqe.energy import TrajectoryEnergy
+        from repro.vqe.runner import VQE
+        from repro.vqe.scan import bond_scan
+
+        observable = PauliSum.from_label_dict({"ZZI": 1.0})
+        program = PauliProgram(3, 0)
+        calls = {
+            "run_batch": lambda: run_batch(
+                [PipelineConfig(molecule="H2")], executor="thread"
+            ),
+            "bond_scan": lambda: bond_scan(
+                "H2", [0.735], ["full"], executor="thread"
+            ),
+            "trajectory_estimate": lambda: trajectory_estimate(
+                small_circuit(), observable, executor="thread"
+            ),
+            "trajectory_expectations": lambda: trajectory_expectations(
+                small_circuit(), observable, executor="thread"
+            ),
+            "TrajectoryEnergy": lambda: TrajectoryEnergy(
+                program, observable, executor="thread"
+            ),
+            "VQE": lambda: VQE(
+                program, observable, backend="trajectory", executor="thread"
+            ),
+        }
+        with pytest.raises(ValueError, match="serial, process"):
+            calls[surface]()
 
     def test_resolve_workers(self):
         assert resolve_workers(4, 10) == 4
@@ -135,8 +179,6 @@ class TestExecutorDeterminism:
         reference = run("serial", None)
         for executor, workers in (
             ("serial", 1),
-            ("thread", 1),
-            ("thread", 4),
             ("process", 1),
             ("process", 4),
         ):
@@ -161,7 +203,6 @@ class TestExecutorDeterminism:
             )
 
         reference = run("serial", None)
-        np.testing.assert_array_equal(run("thread", 4), reference)
         np.testing.assert_array_equal(run("process", 4), reference)
 
     def test_bond_scan_bit_identical_across_executors(self):
@@ -179,6 +220,5 @@ class TestExecutorDeterminism:
             )
 
         reference = run("serial", None)
-        assert run("thread", 4) == reference
         assert run("process", 4) == reference
         assert run("process", 1) == reference

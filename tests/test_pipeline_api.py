@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 
@@ -245,6 +248,13 @@ class TestCompilerRegistry:
         assert via_registry.overhead_cnots == direct.overhead_cnots
 
 
+def _crashing_factory(config: PipelineConfig) -> Pipeline:
+    """Kill the worker outright (no exception) on the 0.7 A config."""
+    if config.bond_length == 0.7:
+        os._exit(3)
+    return Pipeline(config)
+
+
 class TestRunBatch:
     def test_batch_matches_individual_runs(self):
         configs = [
@@ -271,16 +281,31 @@ class TestRunBatch:
             PipelineConfig(molecule="H2", bond_length=b) for b in (0.7, 0.735)
         ]
         serial = run_batch(configs, executor="serial")
-        thread = run_batch(configs, executor="thread", workers=2)
         process = run_batch(configs, executor="process", workers=2)
-        assert [r.to_dict() for r in serial] == [r.to_dict() for r in thread]
         assert [r.to_dict() for r in serial] == [r.to_dict() for r in process]
 
     def test_unknown_executor_rejected(self):
         with pytest.raises(ValueError, match="serial"):
             run_batch([PipelineConfig(molecule="H2")], executor="fork-bomb")
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.skipif(
+        not Path("/dev/shm").is_dir(), reason="needs a /dev/shm listing"
+    )
+    def test_crashed_worker_breaks_pool_and_leaks_no_segment(self):
+        configs = [
+            PipelineConfig(molecule="H2", bond_length=b) for b in (0.7, 0.735)
+        ]
+        before = set(os.listdir("/dev/shm"))
+        with pytest.raises(BrokenProcessPool):
+            run_batch(
+                configs,
+                executor="process",
+                workers=2,
+                pipeline_factory=_crashing_factory,
+            )
+        assert set(os.listdir("/dev/shm")) - before == set()
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_failed_item_aggregated_not_fatal(self, executor):
         configs = [
             PipelineConfig(molecule="H2", ratio=0.5),

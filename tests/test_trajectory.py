@@ -332,12 +332,10 @@ class TestDenseOracle:
         }
     )
     def test_executors_agree(self, case):
-        reference = trajectory_expectations(**case)
-        for executor, workers in (("thread", 4), ("process", 2)):
-            np.testing.assert_array_equal(
-                trajectory_expectations(**case, executor=executor, workers=workers),
-                reference,
-            )
+        np.testing.assert_array_equal(
+            trajectory_expectations(**case, executor="process", workers=2),
+            trajectory_expectations(**case),
+        )
 
     def test_certain_errors_give_every_block_its_own_chunk(self):
         # p = 1 forks every row, so no two blocks fit in one chunk and the
