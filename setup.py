@@ -25,7 +25,6 @@ setup(
     install_requires=[
         "numpy>=2.0",
         "scipy",
-        "networkx",
     ],
     extras_require={
         "test": ["pytest", "pytest-benchmark"],

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from repro.chem.fermion import FermionOperator
+from repro.chem.jordan_wigner import LadderTerm
 from repro.chem.mo_integrals import spin_orbital_index
 
 
@@ -41,22 +41,15 @@ class Excitation:
     def is_double(self) -> bool:
         return len(self.occupied) == 2
 
-    def generator(self) -> FermionOperator:
-        """The anti-Hermitian generator ``T - T+``."""
-        if self.is_single:
-            excite = FermionOperator.from_term(
-                [(self.virtual[0], True), (self.occupied[0], False)]
-            )
-        else:
-            excite = FermionOperator.from_term(
-                [
-                    (self.virtual[0], True),
-                    (self.virtual[1], True),
-                    (self.occupied[1], False),
-                    (self.occupied[0], False),
-                ]
-            )
-        return excite - excite.dagger()
+    def generator(self) -> list[tuple[float, LadderTerm]]:
+        """The anti-Hermitian generator ``T - T+`` as ladder-sorted
+        ``(coefficient, ladder)`` terms."""
+        excite = tuple(
+            [(index, True) for index in self.virtual]
+            + [(index, False) for index in reversed(self.occupied)]
+        )
+        dagger = tuple((index, not creation) for index, creation in reversed(excite))
+        return sorted([(1.0, excite), (-1.0, dagger)], key=lambda term: term[1])
 
     def support(self) -> tuple[int, ...]:
         return tuple(sorted(self.occupied + self.virtual))

@@ -10,8 +10,9 @@ Pipeline, exactly mirroring the paper's setup section:
 4. :mod:`repro.chem.active_space`  -- frozen-core active-space reduction
    ("we freeze the core electrons and only simulate the interaction of
    the outermost electrons");
-5. :mod:`repro.chem.fermion` + :mod:`repro.chem.jordan_wigner` -- second
-   quantization and the Jordan-Wigner encoding [54];
+5. :mod:`repro.chem.jordan_wigner` -- the Jordan-Wigner encoding [54] of
+   second-quantized ``(coefficient, ladder)`` terms, multiplied out on
+   symplectic masks straight into one Pauli sum;
 6. :mod:`repro.chem.hamiltonian`   -- the top-level driver producing the
    weighted-Pauli-string Hamiltonian the rest of the stack consumes.
 """

@@ -15,11 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from repro.chem.active_space import ActiveSpaceIntegrals, reduce_to_active_space
-from repro.chem.fermion import FermionOperator
 from repro.chem.hartree_fock import RHFResult, run_rhf
 from repro.chem.integrals import build_basis, compute_integrals
-from repro.chem.jordan_wigner import jordan_wigner
+from repro.chem.jordan_wigner import LadderTerm, jordan_wigner
 from repro.chem.mo_integrals import spin_orbital_integrals, transform_to_mo
 from repro.chem.molecules import Molecule, molecule_by_name
 from repro.pauli import PauliSum
@@ -60,29 +61,22 @@ class MolecularProblem:
         return index
 
 
-def fermionic_hamiltonian(active: ActiveSpaceIntegrals) -> FermionOperator:
-    """Second-quantized active-space Hamiltonian (blocked spin orbitals)."""
-    h1, h2 = spin_orbital_integrals(active.hcore, active.eri)
-    n = h1.shape[0]
-    operator = FermionOperator.identity(active.core_energy)
-    for p in range(n):
-        for q in range(n):
-            coefficient = h1[p, q]
-            if abs(coefficient) > 1e-12:
-                operator += FermionOperator.from_term(
-                    [(p, True), (q, False)], coefficient
-                )
-    for p in range(n):
-        for q in range(n):
-            for r in range(n):
-                for s in range(n):
-                    coefficient = 0.5 * h2[p, q, r, s]
-                    if abs(coefficient) > 1e-12:
-                        # physicist ordering a_p+ a_q+ a_s a_r
-                        operator += FermionOperator.from_term(
-                            [(p, True), (q, True), (s, False), (r, False)], coefficient
-                        )
-    return operator
+def fermion_terms(
+    h1: np.ndarray, h2: np.ndarray, constant: float
+) -> list[tuple[complex, LadderTerm]]:
+    """``constant + sum h1 a+_p a_q + 1/2 sum h2 a+_p a+_q a_s a_r`` as sorted terms.
+
+    Returns ``(coefficient, ladder)`` pairs in ladder order, skipping
+    coefficients within 1e-12 of zero (blocked spin orbitals, physicist
+    ordering for ``h2``).
+    """
+    terms: dict[LadderTerm, complex] = {(): constant}
+    for p, q in np.argwhere(np.abs(h1) > 1e-12).tolist():
+        terms[(p, True), (q, False)] = h1[p, q]
+    half = 0.5 * h2
+    for p, q, r, s in np.argwhere(np.abs(half) > 1e-12).tolist():
+        terms[(p, True), (q, True), (s, False), (r, False)] = half[p, q, r, s]
+    return [(terms[ladder], ladder) for ladder in sorted(terms)]
 
 
 @lru_cache(maxsize=256)
@@ -104,7 +98,8 @@ def _build_cached(name: str, bond_length_key: int) -> MolecularProblem:
         molecule.active_space.num_orbitals,
     )
     num_qubits = 2 * active.num_orbitals
-    qubit_hamiltonian = jordan_wigner(fermionic_hamiltonian(active), num_qubits)
+    h1, h2 = spin_orbital_integrals(active.hcore, active.eri)
+    qubit_hamiltonian = jordan_wigner(fermion_terms(h1, h2, active.core_energy), num_qubits)
     num_alpha = active.num_electrons // 2
     num_beta = active.num_electrons - num_alpha
     return MolecularProblem(

@@ -14,8 +14,7 @@ pipeline.
 
 from __future__ import annotations
 
-from repro.chem.fermion import FermionOperator
-from repro.chem.jordan_wigner import jordan_wigner
+from repro.chem.jordan_wigner import LadderTerm, jordan_wigner
 from repro.pauli import PauliSum
 
 
@@ -34,18 +33,16 @@ def hubbard_hamiltonian(
     def spin_orbital(site: int, spin: int) -> int:
         return site + spin * num_sites  # blocked ordering, like chemistry
 
-    operator = FermionOperator.zero()
+    terms: dict[LadderTerm, float] = {}
     bonds = [(i, i + 1) for i in range(num_sites - 1)]
     if periodic and num_sites > 2:
         bonds.append((num_sites - 1, 0))
     for i, j in bonds:
         for spin in (0, 1):
             p, q = spin_orbital(i, spin), spin_orbital(j, spin)
-            operator += FermionOperator.from_term([(p, True), (q, False)], -tunneling)
-            operator += FermionOperator.from_term([(q, True), (p, False)], -tunneling)
+            terms[(p, True), (q, False)] = -tunneling
+            terms[(q, True), (p, False)] = -tunneling
     for i in range(num_sites):
         up, down = spin_orbital(i, 0), spin_orbital(i, 1)
-        operator += FermionOperator.from_term(
-            [(up, True), (up, False), (down, True), (down, False)], interaction
-        )
-    return jordan_wigner(operator, num_qubits)
+        terms[(up, True), (up, False), (down, True), (down, False)] = interaction
+    return jordan_wigner(((terms[ladder], ladder) for ladder in sorted(terms)), num_qubits)

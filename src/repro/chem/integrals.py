@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammainc, gamma
@@ -197,22 +198,54 @@ def _primitive_kinetic(alpha, powers_a, center_a, beta, powers_b, center_b) -> f
     return term0 + term1 + term2
 
 
-def _hermite_coulomb(t: int, u: int, v: int, n: int, p: float, pc: tuple[float, float, float]) -> float:
-    """Auxiliary Hermite Coulomb integrals R_{tuv}^n (recursive)."""
+# Hermite Coulomb tables are dicts keyed by one int per (t, u, v),
+# ``(t * _STRIDE + u) * _STRIDE + v``, so the key of (t+tau, u+nu, v+phi)
+# is the sum of the bra and ket keys.  Any order below _STRIDE fits.
+_STRIDE = 16
+_ERI_PREFACTOR = 2.0 * math.pi**2.5
+
+
+def _tuv_key(t: int, u: int, v: int) -> int:
+    return (t * _STRIDE + u) * _STRIDE + v
+
+
+@lru_cache(maxsize=None)
+def _tuv_recursion(limit: int) -> tuple[tuple[int, int, int, int], ...]:
+    """(key, axis, step, k) for every 0 < t+u+v <= limit, lowest total first.
+
+    ``axis`` is the first nonzero index of (t, u, v), ``k`` its value and
+    ``step`` its key stride: the recursion lowers it.
+    """
+    steps = []
+    for total in range(1, limit + 1):
+        for t in range(total, -1, -1):
+            for u in range(total - t, -1, -1):
+                v = total - t - u
+                axis = 0 if t else (1 if u else 2)
+                step = (_STRIDE * _STRIDE, _STRIDE, 1)[axis]
+                steps.append((_tuv_key(t, u, v), axis, step, (t, u, v)[axis]))
+    return tuple(steps)
+
+
+def _hermite_coulomb_table(
+    order: int, p: float, pc: tuple[float, float, float]
+) -> dict[int, float]:
+    """Auxiliary Hermite Coulomb integrals R_{tuv}^0 for all t+u+v <= order.
+
+    Level n holds R_{tuv}^n for t+u+v <= order-n and is built from level
+    n+1 by the McMurchie-Davidson recursion on the first nonzero index,
+    e.g. R_{tuv}^n = (t-1) R_{t-2,u,v}^{n+1} + X_PC R_{t-1,u,v}^{n+1}.
+    """
     x, y, z = pc
-    if t == u == v == 0:
-        r2 = x * x + y * y + z * z
-        return (-2.0 * p) ** n * boys(n, p * r2)
-    if t < 0 or u < 0 or v < 0:
-        return 0.0
-    if t > 0:
-        value = (t - 1) * _hermite_coulomb(t - 2, u, v, n + 1, p, pc) if t > 1 else 0.0
-        return value + x * _hermite_coulomb(t - 1, u, v, n + 1, p, pc)
-    if u > 0:
-        value = (u - 1) * _hermite_coulomb(t, u - 2, v, n + 1, p, pc) if u > 1 else 0.0
-        return value + y * _hermite_coulomb(t, u - 1, v, n + 1, p, pc)
-    value = (v - 1) * _hermite_coulomb(t, u, v - 2, n + 1, p, pc) if v > 1 else 0.0
-    return value + z * _hermite_coulomb(t, u, v - 1, n + 1, p, pc)
+    argument = p * (x * x + y * y + z * z)
+    upper: dict[int, float] = {}
+    for n in range(order, -1, -1):
+        level = {0: (-2.0 * p) ** n * boys(n, argument)}
+        for key, axis, step, k in _tuv_recursion(order - n):
+            value = (k - 1) * upper[key - 2 * step] if k > 1 else 0.0
+            level[key] = value + pc[axis] * upper[key - step]
+        upper = level
+    return upper
 
 
 def _primitive_nuclear(
@@ -231,65 +264,129 @@ def _primitive_nuclear(
         pb = composite[axis] - center_b[axis]
         es.append(_hermite_coefficients(powers_a[axis], powers_b[axis], pa, pb, p))
     pc = tuple(composite[axis] - nucleus[axis] for axis in range(3))
+    r = _hermite_coulomb_table(sum(powers_a) + sum(powers_b), p, pc)
     value = 0.0
     for t in range(len(es[0])):
         for u in range(len(es[1])):
             for v in range(len(es[2])):
-                value += (
-                    es[0][t] * es[1][u] * es[2][v] * _hermite_coulomb(t, u, v, 0, p, pc)
-                )
+                value += es[0][t] * es[1][u] * es[2][v] * r[_tuv_key(t, u, v)]
     return 2.0 * math.pi / p * prefactor * value
 
 
-def _primitive_eri(
-    alpha, pa_pows, a_center, beta, pb_pows, b_center,
-    gamma_, pc_pows, c_center, delta, pd_pows, d_center,
+class _PairGeometry:
+    """The exponent sum p and centre P shared by some primitive pairs.
+
+    An sp shell's s and p functions share exponents, so their primitive
+    pairs meet at one (p, P), and every quartet of two geometries needs
+    the same R table.  ``order`` grows to the largest l_a + l_b of any
+    member, so one table serves them all.
+    """
+
+    __slots__ = ("exponent", "center", "order")
+
+    def __init__(self, exponent: float, center: tuple[float, ...]):
+        self.exponent = exponent
+        self.center = center
+        self.order = 0
+
+
+@dataclass(frozen=True)
+class _PrimitivePair:
+    """Everything a primitive pair (alpha on A, beta on B) adds to an ERI.
+
+    ``hermite`` lists the nonzero products E_t E_u E_v of the Hermite
+    expansion as (tuv key, value) in (t, u, v) order; ``signed`` holds
+    the same products times (-1)^(t+u+v) for use on the ket side.
+    """
+
+    coefficients: tuple[float, float]
+    gaussian: float                    # exp(-alpha beta / p |AB|^2)
+    geometry: _PairGeometry
+    hermite: tuple[tuple[int, float], ...]
+    signed: tuple[tuple[int, float], ...]
+
+
+def _primitive_pairs(
+    a: BasisFunction, b: BasisFunction, geometries: dict[tuple, _PairGeometry]
+) -> list[_PrimitivePair]:
+    """The primitive pairs of a contracted pair, a's primitives outermost.
+
+    ``geometries`` maps (p, P) to the shared :class:`_PairGeometry`.
+    """
+    pairs = []
+    ab2 = sum((x - y) ** 2 for x, y in zip(a.center, b.center))
+    order = sum(a.powers) + sum(b.powers)
+    for ca, alpha in zip(a.coefficients, a.exponents):
+        for cb, beta in zip(b.coefficients, b.exponents):
+            p = alpha + beta
+            center = tuple((alpha * x + beta * y) / p for x, y in zip(a.center, b.center))
+            geometry = geometries.get((p, center))
+            if geometry is None:
+                geometry = geometries[p, center] = _PairGeometry(p, center)
+            geometry.order = max(geometry.order, order)
+            es = [
+                _hermite_coefficients(
+                    a.powers[axis], b.powers[axis],
+                    center[axis] - a.center[axis], center[axis] - b.center[axis], p,
+                ).tolist()
+                for axis in range(3)
+            ]
+            hermite = []
+            signed = []
+            for t, et in enumerate(es[0]):
+                for u, eu in enumerate(es[1]):
+                    for v, ev in enumerate(es[2]):
+                        product = et * eu * ev
+                        if product != 0.0:
+                            key = _tuv_key(t, u, v)
+                            hermite.append((key, product))
+                            signed.append((key, product * (-1.0) ** (t + u + v)))
+            pairs.append(_PrimitivePair(
+                coefficients=(ca, cb),
+                gaussian=math.exp(-alpha * beta / p * ab2),
+                geometry=geometry,
+                hermite=tuple(hermite),
+                signed=tuple(signed),
+            ))
+    return pairs
+
+
+def _eri_contracted(
+    bra: list[_PrimitivePair],
+    ket: list[_PrimitivePair],
+    tables: dict[tuple[_PairGeometry, _PairGeometry], dict[int, float]],
 ) -> float:
-    p = alpha + beta
-    q = gamma_ + delta
-    composite_p = tuple((alpha * a + beta * b) / p for a, b in zip(a_center, b_center))
-    composite_q = tuple(
-        (gamma_ * c + delta * d) / q for c, d in zip(c_center, d_center)
-    )
-    omega = p * q / (p + q)
-    ab2 = sum((a - b) ** 2 for a, b in zip(a_center, b_center))
-    cd2 = sum((c - d) ** 2 for c, d in zip(c_center, d_center))
-    prefactor = math.exp(-alpha * beta / p * ab2) * math.exp(-gamma_ * delta / q * cd2)
+    """(ab|cd) from the primitive pairs of (a, b) and of (c, d).
 
-    e_bra = []
-    e_ket = []
-    for axis in range(3):
-        pa = composite_p[axis] - a_center[axis]
-        pb = composite_p[axis] - b_center[axis]
-        e_bra.append(_hermite_coefficients(pa_pows[axis], pb_pows[axis], pa, pb, p))
-        qc = composite_q[axis] - c_center[axis]
-        qd = composite_q[axis] - d_center[axis]
-        e_ket.append(_hermite_coefficients(pc_pows[axis], pd_pows[axis], qc, qd, q))
-
-    pq = tuple(composite_p[axis] - composite_q[axis] for axis in range(3))
+    ``tables`` memoizes one R table per pair of geometries.
+    """
     value = 0.0
-    for t in range(len(e_bra[0])):
-        for u in range(len(e_bra[1])):
-            for v in range(len(e_bra[2])):
-                bra = e_bra[0][t] * e_bra[1][u] * e_bra[2][v]
-                if bra == 0.0:
-                    continue
-                for tau in range(len(e_ket[0])):
-                    for nu in range(len(e_ket[1])):
-                        for phi in range(len(e_ket[2])):
-                            ket = e_ket[0][tau] * e_ket[1][nu] * e_ket[2][phi]
-                            if ket == 0.0:
-                                continue
-                            sign = (-1.0) ** (tau + nu + phi)
-                            value += bra * ket * sign * _hermite_coulomb(
-                                t + tau, u + nu, v + phi, 0, omega, pq
-                            )
-    return (
-        2.0 * math.pi**2.5
-        / (p * q * math.sqrt(p + q))
-        * prefactor
-        * value
-    )
+    for left in bra:
+        ca, cb = left.coefficients
+        lg = left.geometry
+        p = lg.exponent
+        for right in ket:
+            rg = right.geometry
+            q = rg.exponent
+            r = tables.get((lg, rg))
+            if r is None:
+                r = tables[lg, rg] = _hermite_coulomb_table(
+                    lg.order + rg.order,
+                    p * q / (p + q),
+                    tuple(x - y for x, y in zip(lg.center, rg.center)),
+                )
+            primitive = 0.0
+            for bra_key, bra_value in left.hermite:
+                for ket_key, ket_value in right.signed:
+                    primitive += bra_value * ket_value * r[bra_key + ket_key]
+            primitive = (
+                _ERI_PREFACTOR / (p * q * math.sqrt(p + q))
+                * (left.gaussian * right.gaussian)
+                * primitive
+            )
+            cc, cd = right.coefficients
+            value += ca * cb * cc * cd * primitive
+    return value
 
 
 # ----------------------------------------------------------------------
@@ -330,23 +427,6 @@ def _nuclear_contracted(
     return value
 
 
-def _eri_contracted(
-    a: BasisFunction, b: BasisFunction, c: BasisFunction, d: BasisFunction
-) -> float:
-    value = 0.0
-    for ca, alpha in zip(a.coefficients, a.exponents):
-        for cb, beta in zip(b.coefficients, b.exponents):
-            for cc, gamma_ in zip(c.coefficients, c.exponents):
-                for cd, delta in zip(d.coefficients, d.exponents):
-                    value += ca * cb * cc * cd * _primitive_eri(
-                        alpha, a.powers, a.center,
-                        beta, b.powers, b.center,
-                        gamma_, c.powers, c.center,
-                        delta, d.powers, d.center,
-                    )
-    return value
-
-
 @dataclass
 class IntegralTables:
     """All AO integrals of a molecule (chemist's notation for the ERI)."""
@@ -372,8 +452,10 @@ def compute_integrals(
 ) -> IntegralTables:
     """Evaluate S, T, V and (pq|rs) over the contracted basis.
 
-    Uses the 8-fold permutational symmetry of the ERI tensor; STO-3G
-    molecule sizes here (<= 10 AOs) keep this comfortably fast.
+    The ERI visits each of the 8-fold symmetric quartets once.  Its
+    per-primitive-pair work (centre, Gaussian factor, Hermite products)
+    is done once per contracted pair, and each R table once per pair of
+    pair geometries; the primitive sums run in quartet order.
     """
     n = len(basis)
     overlap = np.zeros((n, n))
@@ -386,18 +468,23 @@ def compute_integrals(
             value = _nuclear_contracted(basis[p], basis[q], charges, coordinates_bohr)
             nuclear[p, q] = nuclear[q, p] = value
 
+    geometries: dict[tuple, _PairGeometry] = {}
+    pairs = {
+        (p, q): _primitive_pairs(basis[p], basis[q], geometries)
+        for p in range(n)
+        for q in range(p + 1)
+    }
+    tables: dict[tuple[_PairGeometry, _PairGeometry], dict[int, float]] = {}
     eri = np.zeros((n, n, n, n))
     for p in range(n):
         for q in range(p + 1):
             for r in range(p + 1):
                 s_max = q if r == p else r
                 for s in range(s_max + 1):
-                    value = _eri_contracted(basis[p], basis[q], basis[r], basis[s])
-                    for (i, j, k, l) in {
-                        (p, q, r, s), (q, p, r, s), (p, q, s, r), (q, p, s, r),
-                        (r, s, p, q), (s, r, p, q), (r, s, q, p), (s, r, q, p),
-                    }:
-                        eri[i, j, k, l] = value
+                    value = _eri_contracted(pairs[p, q], pairs[r, s], tables)
+                    eri[p, q, r, s] = eri[q, p, r, s] = eri[p, q, s, r] = value
+                    eri[q, p, s, r] = eri[r, s, p, q] = eri[s, r, p, q] = value
+                    eri[r, s, q, p] = eri[s, r, q, p] = value
 
     return IntegralTables(
         overlap=overlap,

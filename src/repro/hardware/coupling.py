@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-import networkx as nx
 import numpy as np
 
 
@@ -84,12 +83,6 @@ class CouplingGraph:
                     seen.add(neighbor)
                     queue.append(neighbor)
         return len(seen) == self.num_qubits
-
-    def to_networkx(self) -> nx.Graph:
-        graph = nx.Graph()
-        graph.add_nodes_from(range(self.num_qubits))
-        graph.add_edges_from(self.edges)
-        return graph
 
     def _graph_center(self) -> int:
         """A qubit minimizing eccentricity (the root for level purposes)."""

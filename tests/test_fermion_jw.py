@@ -1,12 +1,22 @@
-"""Second quantization and Jordan-Wigner encoding tests."""
+"""Second quantization and Jordan-Wigner encoding tests.
+
+The ladder-operator algebra is checked on the oracle in
+``tests/chem_oracle.py``; the shipped mask-arithmetic map must then
+reproduce the oracle's Pauli sums exactly, dict order included.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chem.fermion import FermionOperator
-from repro.chem.jordan_wigner import jordan_wigner, ladder_operator
+import chem_oracle
+from chem_oracle import FermionOperator, ladder_operator
+from repro.ansatz import generate_excitations
+from repro.chem import build_molecule_hamiltonian
+from repro.chem.hamiltonian import fermion_terms
+from repro.chem.hubbard import hubbard_hamiltonian
+from repro.chem.jordan_wigner import jordan_wigner
 from repro.pauli import PauliSum
 
 
@@ -107,8 +117,6 @@ class TestJordanWigner:
 
 class TestHubbard:
     def test_two_site_dimensions(self):
-        from repro.chem.hubbard import hubbard_hamiltonian
-
         h = hubbard_hamiltonian(2, tunneling=1.0, interaction=4.0)
         assert h.num_qubits == 4
         assert h.is_hermitian()
@@ -128,15 +136,12 @@ class TestHubbard:
 
     def test_two_site_ground_state_energy(self):
         # Half-filled 2-site Hubbard: E0 = U/2 - sqrt((U/2)^2 + 4 t^2).
-        from repro.chem.hubbard import hubbard_hamiltonian
-
         t, u = 1.0, 4.0
         h = hubbard_hamiltonian(2, tunneling=t, interaction=u)
         expected = u / 2.0 - np.sqrt((u / 2.0) ** 2 + 4.0 * t**2)
         assert self._half_filled_ground_energy(h) == pytest.approx(expected, abs=1e-8)
 
     def test_interaction_free_limit(self):
-        from repro.chem.hubbard import hubbard_hamiltonian
         from repro.sim.exact import spectrum
 
         h = hubbard_hamiltonian(2, tunneling=1.0, interaction=0.0)
@@ -145,7 +150,76 @@ class TestHubbard:
         assert spectrum(h, k=4)[0] == pytest.approx(-2.0, abs=1e-8)
 
     def test_invalid_size_rejected(self):
-        from repro.chem.hubbard import hubbard_hamiltonian
-
         with pytest.raises(ValueError):
             hubbard_hamiltonian(1)
+
+
+def assert_same_terms(shipped, oracle):
+    """Same keys in the same order, same coefficient types and bits."""
+    assert shipped.num_qubits == oracle.num_qubits
+    assert list(shipped._terms) == list(oracle._terms)
+
+    def bits(value):
+        value_type = type(value).__name__
+        value = complex(value)
+        return value_type, value.real.hex(), value.imag.hex()
+
+    assert [bits(v) for v in shipped._terms.values()] == [
+        bits(v) for v in oracle._terms.values()
+    ]
+
+
+@st.composite
+def integrals(draw):
+    """Random (h1, h2, constant) over 1-6 spin orbitals, with exact zeros
+    and sub-threshold entries so the 1e-12 filters are exercised."""
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def sample(shape):
+        values = rng.normal(size=shape)
+        values[rng.random(shape) < 0.3] = 0.0
+        values[rng.random(shape) < 0.1] = 3e-13
+        return values
+
+    return sample((n, n)), sample((n, n, n, n)), float(rng.normal())
+
+
+class TestOracleEquality:
+    @settings(max_examples=40, deadline=None)
+    @given(integrals())
+    def test_random_hamiltonians(self, drawn):
+        h1, h2, constant = drawn
+        n = h1.shape[0]
+        assert_same_terms(
+            jordan_wigner(fermion_terms(h1, h2, constant), n),
+            chem_oracle.jordan_wigner(chem_oracle.fermionic_hamiltonian(h1, h2, constant), n),
+        )
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.integers(2, 4),
+        st.floats(-3.0, 3.0),
+        st.floats(-6.0, 6.0),
+        st.booleans(),
+    )
+    def test_hubbard_chains(self, sites, tunneling, interaction, periodic):
+        assert_same_terms(
+            hubbard_hamiltonian(sites, tunneling, interaction, periodic=periodic),
+            chem_oracle.hubbard_hamiltonian(
+                sites, tunneling, interaction, periodic=periodic
+            ),
+        )
+
+    @pytest.mark.parametrize("molecule", ["LiH", "H2O"])
+    def test_uccsd_generators(self, molecule):
+        problem = build_molecule_hamiltonian(molecule)
+        n = problem.num_qubits
+        excitations = generate_excitations(
+            problem.num_spatial_orbitals, problem.num_alpha, problem.num_beta
+        )
+        for excitation in excitations:
+            assert_same_terms(
+                jordan_wigner(excitation.generator(), n),
+                chem_oracle.jordan_wigner(chem_oracle.excitation_generator(excitation), n),
+            )

@@ -1,5 +1,5 @@
-"""Golden Table II CNOT counts for six of the nine molecules, and routed
-SABRE circuits pinned byte for byte.
+"""Golden Table II CNOT counts for all nine molecules, and routed SABRE
+circuits pinned byte for byte.
 
 Each molecule's UCCSD ansatz is compressed to ratio 0.3, chain-synthesized
 and Merge-to-Root-compiled on XTree17Q, then run through the adjacency-only
@@ -34,6 +34,9 @@ TABLE2_CNOTS = {
     "HF": (912, 912, 704, 472),
     "H2O": (3840, 3840, 2840, 2136),
     "BeH2": (3808, 3808, 2646, 2004),
+    "BH3": (9632, 9632, 6882, 4744),
+    "NH3": (9680, 9680, 6314, 4658),
+    "CH4": (19040, 19076, 12176, 8326),
 }
 
 

@@ -1,5 +1,10 @@
 """Tests for coupling graphs, X-Tree construction, grids and yield model."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,6 +19,18 @@ from repro.hardware import (
 )
 from repro.hardware.frequency import chip_functions
 from repro.hardware.yield_model import yield_sweep
+
+
+def test_import_does_not_load_networkx():
+    """Coupling graphs are plain adjacency sets: no graph library loads."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    ))
+    subprocess.run(
+        [sys.executable, "-c", "import sys, repro; assert 'networkx' not in sys.modules"],
+        env=env, check=True,
+    )
 
 
 class TestCouplingGraph:

@@ -5,6 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import chem_oracle
+from chem_oracle import primitive_eri
 from repro.chem.basis_data import shells_for_element, num_basis_functions
 from repro.chem.integrals import (
     BasisFunction,
@@ -14,11 +19,10 @@ from repro.chem.integrals import (
     nuclear_repulsion,
     _hermite_coefficients,
     _overlap_contracted,
-    _primitive_eri,
     _primitive_kinetic,
     _primitive_nuclear,
-    _primitive_overlap,
 )
+from repro.chem.molecules import molecule_by_name
 
 
 def s_function(alpha: float, center=(0.0, 0.0, 0.0)) -> BasisFunction:
@@ -129,7 +133,7 @@ class TestPrimitiveIntegrals:
     def test_eri_self_repulsion(self, alpha):
         # Closed form for a normalized s Gaussian: (aa|aa) = 2 sqrt(alpha/pi).
         norm = (2.0 * alpha / math.pi) ** 0.75
-        value = norm**4 * _primitive_eri(
+        value = norm**4 * primitive_eri(
             alpha, (0, 0, 0), (0.0, 0.0, 0.0),
             alpha, (0, 0, 0), (0.0, 0.0, 0.0),
             alpha, (0, 0, 0), (0.0, 0.0, 0.0),
@@ -141,9 +145,9 @@ class TestPrimitiveIntegrals:
         a = s_function(0.7)
         b = s_function(1.3, center=(0.0, 0.0, 0.9))
         args_ab = (0.7, (0, 0, 0), a.center, 1.3, (0, 0, 0), b.center)
-        value_abab = _primitive_eri(*args_ab, *args_ab)
+        value_abab = primitive_eri(*args_ab, *args_ab)
         args_ba = (1.3, (0, 0, 0), b.center, 0.7, (0, 0, 0), a.center)
-        value_baba = _primitive_eri(*args_ba, *args_ba)
+        value_baba = primitive_eri(*args_ba, *args_ba)
         assert value_abab == pytest.approx(value_baba, rel=1e-10)
 
 
@@ -177,3 +181,16 @@ class TestMoleculeIntegrals:
         eri = tables.eri
         assert eri[0, 1, 0, 1] == pytest.approx(eri[1, 0, 1, 0], rel=1e-10)
         assert eri[0, 1, 0, 0] == pytest.approx(eri[0, 0, 0, 1], rel=1e-10)
+
+
+class TestOracleEquality:
+    """The hoisted ERI must equal the per-quartet oracle bit for bit."""
+
+    @pytest.mark.parametrize("name", ["H2", "LiH", "HF"])
+    @settings(max_examples=2, deadline=None)
+    @given(scale=st.floats(0.6, 2.0))
+    def test_eri_tensor_matches_oracle(self, name, scale):
+        molecule = molecule_by_name(name, molecule_by_name(name).bond_length * scale)
+        basis = build_basis(molecule.symbols, molecule.coordinates_bohr)
+        tables = compute_integrals(basis, molecule.charges, molecule.coordinates_bohr)
+        assert np.array_equal(tables.eri, chem_oracle.eri_tensor(basis))
