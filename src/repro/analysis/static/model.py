@@ -155,7 +155,7 @@ class ProjectModel:
 
 
 def dotted_name(rel: str) -> str:
-    """``src/repro/sim/batched.py`` -> ``repro.sim.batched``."""
+    """``src/repro/sim/expectation.py`` -> ``repro.sim.expectation``."""
     parts = rel[:-3] if rel.endswith(".py") else rel
     if parts.startswith("src/"):
         parts = parts[len("src/"):]

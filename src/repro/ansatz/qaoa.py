@@ -3,7 +3,7 @@
 The ansatz is emitted directly in the Pauli-string IR
 (:class:`~repro.core.ir.PauliProgram`), so everything downstream --
 compression, hierarchical layout, Merge-to-Root and SABRE compilation,
-the statevector energy, its blocked sweeps and the adjoint gradient --
+the statevector energy, its parameter sweeps and the adjoint gradient --
 consumes QAOA workloads unchanged:
 
 * **State preparation.** ``|+>^n`` is itself a product of Pauli

@@ -73,26 +73,6 @@ class PauliProgram:
             for term in self.terms
         ]
 
-    def bound_angles(self, parameter_sets: Sequence[Sequence[float]]) -> np.ndarray:
-        """Batched binding: the ``(K, len(terms))`` angle matrix.
-
-        Row ``k``, column ``j`` holds ``theta_k[parameter_index_j] * c_j``
-        -- the angle term ``j`` evolves by under parameter set ``k``.
-        Feeds :meth:`repro.sim.batched.BatchedStatevector.evolve`, which
-        applies each term to all K states in one vectorized call.
-        """
-        values = np.asarray(parameter_sets, dtype=float)
-        if values.ndim != 2 or values.shape[1] != self.num_parameters:
-            raise ValueError(
-                f"expected parameter sets of shape (K, {self.num_parameters}), "
-                f"got {values.shape}"
-            )
-        indices = np.array([term.parameter_index for term in self.terms], dtype=int)
-        coefficients = np.array([term.coefficient for term in self.terms], dtype=float)
-        if len(self.terms) == 0:
-            return np.zeros((values.shape[0], 0), dtype=float)
-        return values[:, indices] * coefficients
-
     def parameters_of_terms(self) -> dict[int, list[int]]:
         """parameter index -> positions of its terms in the program."""
         mapping: dict[int, list[int]] = {}

@@ -3,13 +3,11 @@
 * :mod:`repro.sim.statevector` -- gate-level statevector simulator on
   in-place index-slice kernels (the stand-in for Qiskit Aer's
   statevector simulator).
-* :mod:`repro.sim.batched` -- K statevectors in one ``(K, 2**n)`` array,
-  evolved per gate in one vectorized call (parameter sweeps).
 * :mod:`repro.sim.pauli_evolution` -- fast application of ``exp(i theta P)``
   directly to statevectors (the workhorse of the VQE energy loop),
   including the allocation-free workspace of the single-point path.
 * :mod:`repro.sim.expectation` -- grouped Pauli-sum expectation values
-  (single, batched, and real-arithmetic evaluation).
+  (single states, ``(K, 2**n)`` stacks and density matrices).
 * :mod:`repro.sim.density_matrix` -- exact density-matrix simulator with
   noise channels (the stand-in for Aer's qasm simulator + noise model);
   vec(rho) on the statevector kernels, O(4^n), capped at 12 qubits.
@@ -22,8 +20,10 @@
   State" reference curves in Figure 9).
 
 The input's type picks the path (``docs/performance.md``): a Pauli
-program evolves term by term (:class:`repro.vqe.energy.StatevectorEnergy`),
-a circuit gate by gate through the in-place kernels.
+program evolves term by term, one parameter set at a time
+(:class:`repro.vqe.energy.StatevectorEnergy`); a circuit runs gate by
+gate through the in-place kernels, which broadcast over the leading
+axis of a ``(K, 2**n)`` stack of states.
 
 Every path runs on NumPy arrays in one process unless the
 ``executor=``/``workers=`` knobs (:data:`repro.sim.trajectory.EXECUTORS`:
@@ -52,7 +52,6 @@ from repro.sim.pauli_evolution import (
     apply_pauli,
     apply_pauli_exponential,
 )
-from repro.sim.batched import BatchedStatevector
 from repro.sim.expectation import ExpectationEngine, expectation
 from repro.sim.exact import ground_state_energy
 from repro.sim.density_matrix import DensityMatrixSimulator
@@ -61,7 +60,6 @@ from repro.sim.noise import DepolarizingNoiseModel
 __all__ = [
     "EXECUTORS",
     "StatevectorSimulator",
-    "BatchedStatevector",
     "DensityMatrixSimulator",
     "DepolarizingNoiseModel",
     "ExpectationEngine",

@@ -36,18 +36,15 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg.blas import daxpy, zaxpy
+from scipy.linalg.blas import zaxpy
 
 from repro.pauli import PauliSum
 from repro.sim.pauli_evolution import cached_xor_indices, parity_signs
 
 
 def _axpy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``y += x`` in place as one fused BLAS pass; returns ``y``."""
-    if y.dtype == np.float64:
-        daxpy(x, y, a=1.0)
-    else:
-        zaxpy(x, y, a=1.0)
+    """Complex ``y += x`` in place as one fused BLAS pass; returns ``y``."""
+    zaxpy(x, y, a=1.0)
     return y
 
 
@@ -102,10 +99,6 @@ class ExpectationEngine:
             self._x_masks.append(x)
             self._diagonals.append(diagonal)
 
-        #: Real parts of the grouped diagonals, built lazily on the first
-        #: real-arithmetic evaluation (see :meth:`values_real`).
-        self._real_diagonals: list[np.ndarray] | None = None
-
     @classmethod
     def from_arrays(
         cls,
@@ -127,7 +120,6 @@ class ExpectationEngine:
         engine.num_terms = int(num_terms)
         engine._x_masks = [int(x) for x in x_masks]
         engine._diagonals = [np.asarray(d, dtype=complex) for d in diagonals]
-        engine._real_diagonals = None
         return engine
 
     def export_tables(self) -> dict[str, np.ndarray]:
@@ -182,7 +174,12 @@ class ExpectationEngine:
         X-mask group, never the dense ``2**n x 2**n`` Hamiltonian.
         """
         dim = 1 << self.num_qubits
-        flat = np.asarray(rho, dtype=complex).reshape(-1)
+        rho = np.asarray(rho, dtype=complex)
+        if rho.shape != (dim, dim):
+            raise ValueError(
+                f"rho must have shape ({dim}, {dim}), got {tuple(rho.shape)}"
+            )
+        flat = rho.reshape(-1)
         row_starts = np.arange(dim, dtype=np.uint64) * np.uint64(dim)
         total = 0.0 + 0.0j
         for x, diagonal in zip(self._x_masks, self._diagonals):
@@ -190,42 +187,23 @@ class ExpectationEngine:
             total += complex(diagonal @ gathered)
         return float(total.real)
 
-    def _batched_quadratic(
-        self, states: np.ndarray, conj: np.ndarray, diagonals: list[np.ndarray]
-    ) -> np.ndarray:
-        """``sum_x <conj_k| perm_x (D_x states_k)>`` per row ``k``."""
+    def values(self, states: np.ndarray) -> np.ndarray:
+        """Batched ``<state|H|state>`` over a ``(K, 2**n)`` stack.
+
+        One vectorized pass per X-mask group, shared across all K rows
+        (the trajectory engine's per-row readout).
+        """
+        states = np.asarray(states, dtype=complex)
         if states.ndim != 2 or states.shape[1] != (1 << self.num_qubits):
             raise ValueError(
                 f"states must have shape (K, {1 << self.num_qubits}), "
                 f"got {tuple(states.shape)}"
             )
-        totals = np.zeros(states.shape[0], dtype=states.dtype)
-        for x, diagonal in zip(self._x_masks, diagonals):
+        conj = np.conjugate(states)
+        totals = np.zeros(states.shape[0], dtype=complex)
+        for x, diagonal in zip(self._x_masks, self._diagonals):
             term = diagonal * states
             if x:
                 term = np.take(term, cached_xor_indices(self.num_qubits, x), axis=-1)
             totals = _axpy(np.einsum("kd,kd->k", conj, term), totals)
-        return totals
-
-    def values(self, states: np.ndarray) -> np.ndarray:
-        """Batched ``<state|H|state>`` over a ``(K, 2**n)`` stack.
-
-        One vectorized pass per X-mask group, shared across all K rows;
-        the workhorse of the batched parameter-sweep engine.
-        """
-        states = np.asarray(states, dtype=complex)
-        return self._batched_quadratic(states, np.conjugate(states), self._diagonals).real
-
-    def values_real(self, states: np.ndarray) -> np.ndarray:
-        """Batched expectations of *real* float64 states, shape ``(K,)``.
-
-        Each per-X-mask group operator is Hermitian, so for real states
-        the imaginary parts of its combined diagonal cancel in the
-        quadratic form and ``Re(D_x)`` gives the exact value -- the
-        whole evaluation stays in float arithmetic (used by the real
-        fast path of :func:`repro.sim.batched.sweep_expectations`).
-        """
-        states = np.asarray(states, dtype=float)
-        if self._real_diagonals is None:
-            self._real_diagonals = [np.ascontiguousarray(d.real) for d in self._diagonals]
-        return self._batched_quadratic(states, states, self._real_diagonals)
+        return totals.real

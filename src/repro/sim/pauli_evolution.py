@@ -78,7 +78,7 @@ def evolve_pauli_sequence(
 
 
 # ----------------------------------------------------------------------
-# In-place / batched fast path
+# In-place single-point fast path
 # ----------------------------------------------------------------------
 #: Byte budget for cached parity-sign vectors (keyed by (n, z)); molecular
 #: programs revisit the same Z masks every sweep point and optimizer
@@ -133,10 +133,9 @@ def pauli_sign_factor(pauli: PauliString) -> complex:
 class PauliEvolutionWorkspace:
     """Preallocated scratch for allocation-free exponential application.
 
-    The two scratch buffers match the state's shape: ``shape=(dim,)`` for
-    a single statevector or ``(K, dim)`` for a batch.  One workspace is
-    reused across every term of an evolution and across evaluations,
-    which is what eliminates the per-term allocations of
+    The scratch buffer matches the statevector's ``shape``.  One
+    workspace is reused across every term of an evolution and across
+    evaluations, which is what eliminates the per-term allocations of
     :func:`evolve_pauli_sequence`.
     """
 
@@ -148,7 +147,7 @@ class PauliEvolutionWorkspace:
         """Compute ``P |state>`` into scratch and return that buffer.
 
         The result aliases workspace scratch -- consume it before the
-        next call.  Broadcasts over leading batch axes.
+        next call.
         """
         n = pauli.num_qubits
         if pauli.x:
@@ -162,19 +161,11 @@ class PauliEvolutionWorkspace:
         return self._a
 
     def apply_exponential_inplace(
-        self, pauli: PauliString, theta: float | np.ndarray, state: np.ndarray
+        self, pauli: PauliString, theta: float, state: np.ndarray
     ) -> np.ndarray:
-        """Mutate ``state`` to ``exp(i theta P) |state>``; returns it.
-
-        ``theta`` is a scalar for a single state, or an array of per-row
-        angles for a ``(K, dim)`` batch (each row gets its own angle --
-        the vectorization the batched parameter sweeps rely on).
-        """
-        theta = np.asarray(theta, dtype=float)
-        scalar = theta.ndim == 0
+        """Mutate ``state`` to ``exp(i theta P) |state>``; returns it."""
         if pauli.is_identity():
-            phase = np.exp(1j * theta)
-            state *= phase if scalar else phase[:, None]
+            state *= np.exp(1j * theta)
             return state
         n = pauli.num_qubits
         rotated = self._a
@@ -186,31 +177,18 @@ class PauliEvolutionWorkspace:
         # i * sin(theta) * (-i)**#Y folds the permuted-parity sign and the
         # Y phase into one scalar (see pauli_sign_factor): the gathered
         # signs vector equals the unpermuted one times (-1)**#Y.
-        factor = 1j * pauli_sign_factor(pauli)
-        if scalar:
-            state *= math.cos(float(theta))
-            rotated *= factor * math.sin(float(theta))
-        else:
-            state *= np.cos(theta)[:, None]
-            rotated *= (factor * np.sin(theta))[:, None]
+        state *= math.cos(theta)
+        rotated *= 1j * pauli_sign_factor(pauli) * math.sin(theta)
         state += rotated
         return state
 
     def evolve_inplace(
         self,
         paulis: Sequence[PauliString],
-        angles: np.ndarray,
+        angles: Sequence[float],
         state: np.ndarray,
     ) -> np.ndarray:
-        """Apply ``prod_k exp(i angles[..., k] P_k)`` in place.
-
-        ``angles`` has shape ``(len(paulis),)`` for a single state or
-        ``(K, len(paulis))`` for a batch (column ``k`` holds every row's
-        angle for term ``k``).
-        """
-        angles = np.asarray(angles, dtype=float)
-        batched = angles.ndim == 2
-        for position, pauli in enumerate(paulis):
-            theta = angles[:, position] if batched else float(angles[position])
-            self.apply_exponential_inplace(pauli, theta, state)
+        """Apply ``prod_k exp(i angles[k] P_k)`` in place (first term first)."""
+        for pauli, theta in zip(paulis, angles, strict=True):
+            self.apply_exponential_inplace(pauli, float(theta), state)
         return state

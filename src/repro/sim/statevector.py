@@ -9,7 +9,8 @@ the contiguous buffer) and the two (four) amplitude slabs selected by
 the acted-on qubit(s) are combined in place, with specialized updates
 for the common gates (X/Z/S/RZ/H, CX/CZ/SWAP) that avoid even the
 half-size temporary.  Kernels broadcast over any leading batch axes,
-which is what :class:`repro.sim.batched.BatchedStatevector` builds on.
+so a ``(K, 2**n)`` stack runs one circuit on K states at once (the
+trajectory engine's forked rows).
 
 :func:`apply_unitary_inplace` applies a dense 2x2/4x4 unitary through
 a low-op-count gather/GEMM/scatter kernel; the density-matrix simulator

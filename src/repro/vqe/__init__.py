@@ -16,7 +16,7 @@
   (energy backends; statevector backends use the adjoint gradient,
   the others finite differences);
 * :mod:`repro.vqe.scan`        -- bond-length scans (Figure 9 workloads)
-  and batched parameter sweeps (:func:`repro.vqe.scan.sweep_energies`).
+  and K-point parameter sweeps (:func:`repro.vqe.scan.sweep_energies`).
 """
 
 from repro.vqe.energy import (

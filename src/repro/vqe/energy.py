@@ -28,7 +28,6 @@ from repro.core.bits import popcount
 from repro.core.ir import PauliProgram
 from repro.core.seeding import seeded_rng
 from repro.pauli import PauliString, PauliSum
-from repro.sim.batched import sweep_expectations
 from repro.sim.density_matrix import DensityMatrixSimulator
 from repro.sim.expectation import ExpectationEngine
 from repro.sim.noise import DepolarizingNoiseModel
@@ -50,8 +49,7 @@ class StatevectorEnergy:
     The program evolves term by term at the Pauli level (see
     ``docs/performance.md``): :meth:`__call__` and :meth:`state` run the
     allocation-free single-point workspace kernels on a preallocated
-    buffer, and :meth:`values` evaluates K parameter sets through
-    cache-sized ``(K, 2**n)`` blocks.
+    buffer.
     """
 
     def __init__(self, program: PauliProgram, hamiltonian: PauliSum):
@@ -76,32 +74,8 @@ class StatevectorEnergy:
             self._buffer = np.empty_like(self._reference)
             self._workspace = PauliEvolutionWorkspace(self._reference.shape)
         np.copyto(self._buffer, self._reference)
-        angles = np.array(
-            [angle for _, angle in self.program.bound_terms(parameters)], dtype=float
-        )
+        angles = [angle for _, angle in self.program.bound_terms(parameters)]
         return self._workspace.evolve_inplace(self._paulis, angles, self._buffer)
-
-    #: Rows per batched block.  Each block keeps ``block x 2**n`` state
-    #: plus one scratch buffer resident; 8 rows at 12 qubits is ~1 MiB,
-    #: inside L2 on commodity cores -- larger stacks go memory-bound and
-    #: lose the vectorization win (measured in ``BENCH_sim.json``).
-    batch_block_size = 8
-
-    def values(self, parameter_sets: Sequence[Sequence[float]]) -> np.ndarray:
-        """Energies of K parameter sets, shape ``(K,)``.
-
-        The points evolve per term in vectorized cache-sized blocks (see
-        :attr:`batch_block_size`).
-        """
-        parameter_sets = np.asarray(parameter_sets, dtype=float)
-        self.evaluations += len(parameter_sets)
-        return sweep_expectations(
-            self._paulis,
-            self.program.bound_angles(parameter_sets),
-            self._reference,
-            self.engine,
-            block_size=self.batch_block_size,
-        )
 
     def __call__(self, parameters: Sequence[float]) -> float:
         self.evaluations += 1
@@ -119,6 +93,8 @@ class DensityMatrixEnergy:
     ):
         from repro.compiler.synthesis import synthesize_program_chain
 
+        if program.num_qubits != hamiltonian.num_qubits:
+            raise ValueError("program and Hamiltonian sizes differ")
         self.program = program
         self.hamiltonian = hamiltonian
         self.noise = noise or DepolarizingNoiseModel(two_qubit_error=1e-4)
@@ -228,6 +204,8 @@ class SamplingEnergy:
         shots_per_group: int = 4096,
         seed: int | None = 17,
     ):
+        if program.num_qubits != hamiltonian.num_qubits:
+            raise ValueError("program and Hamiltonian sizes differ")
         self.program = program
         self.hamiltonian = hamiltonian
         self.shots_per_group = shots_per_group

@@ -6,11 +6,9 @@ and records simulated energy, error against the exact ground state, and
 outer-loop iteration counts.
 
 Every inner-loop energy evaluation evolves the Pauli program term by
-term (see ``docs/performance.md``), and :func:`sweep_energies` exposes
-the blocked sweep directly: K parameter sets stacked into
-``(K, 2**n)`` blocks that evolve per term in one vectorized NumPy call
--- the primitive behind energy landscapes, multi-start screening, and
-the ``BENCH_sim.json`` speedup benchmark.
+term (see ``docs/performance.md``), and :func:`sweep_energies`
+evaluates K parameter sets on that same single-point path (energy
+landscapes, multi-start screening).
 """
 
 from __future__ import annotations
@@ -83,15 +81,13 @@ def sweep_energies(
 ) -> np.ndarray:
     """Energies of K parameter sets for one (program, Hamiltonian).
 
-    The K points are stacked into cache-sized ``(K, 2**n)`` blocks and
-    every ansatz term is applied to all rows of a block in one
-    vectorized call (:meth:`StatevectorEnergy.values`).
+    One :class:`StatevectorEnergy` evaluates the K points in turn;
+    returns a float ``(K,)`` array (``(0,)`` for no sets).
     """
     from repro.vqe.energy import StatevectorEnergy
 
-    return StatevectorEnergy(program, hamiltonian).values(
-        np.asarray(parameter_sets, dtype=float)
-    )
+    energy = StatevectorEnergy(program, hamiltonian)
+    return np.array([energy(parameters) for parameters in parameter_sets], dtype=float)
 
 
 #: Per-process memo of exact ground-state energies keyed by

@@ -27,7 +27,7 @@ from repro.compiler import (
 )
 from repro.core import Pipeline, PipelineConfig
 from repro.hardware import get_device
-from repro.sim import BatchedStatevector, apply_circuit, basis_state
+from repro.sim import apply_circuit, apply_circuit_inplace, basis_state
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "benchmarks" / "corpus"
 ENTRIES = load_corpus(CORPUS_DIR)
@@ -71,9 +71,9 @@ def test_fusion_preserves_routed_state(name, compiler, level):
     on a two-row batch must match :func:`apply_circuit` on every row."""
     result, _ = compiled(name, compiler, False)
     routed = result.circuit.decompose_swaps()
-    batch = BatchedStatevector.broadcast(basis_state(routed.num_qubits, 0), 2)
+    batch = np.stack([basis_state(routed.num_qubits, 0)] * 2)
     reference = apply_circuit(routed)
-    for state in batch.apply_circuit(routed).states:
+    for state in apply_circuit_inplace(routed, batch):
         assert abs(abs(np.vdot(reference, state)) - 1.0) < 1e-8
 
 

@@ -8,11 +8,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dense_oracle import embed, kron_chain
+from repro.ansatz import build_uccsd_program
+from repro.chem import build_molecule_hamiltonian
 from repro.circuit import Circuit
 from repro.circuit.gates import CNOT, SDG, SWAP, H, RX, RZ, S, X, Y, Gate
 from repro.pauli import PauliSum
-from repro.sim import DensityMatrixSimulator, DepolarizingNoiseModel, apply_circuit
+from repro.sim import (
+    DensityMatrixSimulator,
+    DepolarizingNoiseModel,
+    ExpectationEngine,
+    apply_circuit,
+)
 from repro.sim.noise import depolarizing_paulis
+from repro.vqe import VQE, DensityMatrixEnergy, SamplingEnergy
 
 
 class TestNoiseModel:
@@ -107,6 +115,30 @@ class TestDepolarizingChannel:
     def test_qubit_cap(self):
         with pytest.raises(ValueError):
             DensityMatrixSimulator(13)
+
+
+class TestSizeMismatch:
+    """A program, Hamiltonian or rho of the wrong size raises instead of
+    returning a plausible number."""
+
+    def test_energy_rejects_mismatched_program_and_hamiltonian(self):
+        program = build_uccsd_program(build_molecule_hamiltonian("H2")).program
+        two_qubit = PauliSum.from_label_dict({"ZZ": 1.0, "XX": 0.5, "II": -0.2})
+        assert program.num_qubits == 4
+        with pytest.raises(ValueError, match="sizes differ"):
+            DensityMatrixEnergy(program, two_qubit)
+        with pytest.raises(ValueError, match="sizes differ"):
+            VQE(program, two_qubit, backend="density_matrix")
+        with pytest.raises(ValueError, match="sizes differ"):
+            SamplingEnergy(program, two_qubit)
+
+    def test_trace_value_rejects_wrong_rho_shape(self):
+        engine = ExpectationEngine(PauliSum.from_label_dict({"ZZ": 1.0, "XI": 0.5}))
+        with pytest.raises(ValueError, match=r"rho must have shape \(4, 4\)"):
+            engine.trace_value(np.eye(16) / 16)
+        with pytest.raises(ValueError, match=r"rho must have shape \(4, 4\)"):
+            engine.trace_value(np.eye(4).reshape(-1) / 4)
+        assert engine.trace_value(np.eye(4) / 4) == pytest.approx(0.0, abs=1e-15)
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Golden simulator values on LiH, pinned to 1e-12 relative.
 
 The numbers below are recorded outputs of the NumPy kernels, not
-physics references: any refactor of the statevector, batched,
-expectation, trajectory or density-matrix engines must reproduce them
-to rounding.
-Each case names the code path it pins.
+physics references: any refactor of the statevector, expectation,
+trajectory or density-matrix engines must reproduce them to rounding.
+Each case names the code path it pins.  The ``test_batched_sweep_*``
+values were recorded from an earlier blocked sweep engine; the one
+remaining Pauli-program path (single-point evaluation, looped by
+``sweep_energies``) reproduces them to rounding.
 
 The converged VQE energies are pinned to 1e-9 Ha absolute instead,
 with exact iteration counts: how SLSQP gets its gradient (finite
@@ -20,7 +22,6 @@ from repro.chem import build_molecule_hamiltonian
 from repro.core.compression import compress_ansatz
 from repro.core.ir import IRTerm, PauliProgram
 from repro.pauli import PauliString
-from repro.sim.batched import real_evolution_compatible
 from repro.sim.expectation import ExpectationEngine
 from repro.sim.noise import DepolarizingNoiseModel
 from repro.bench.fig9 import default_bond_lengths
@@ -69,13 +70,14 @@ def lih():
 
 
 def test_batched_sweep_real_orthogonal_path(lih):
+    """UCCSD, every string with an odd Y count, through sweep_energies."""
     program, hamiltonian, thetas = lih
-    assert real_evolution_compatible(program.paulis())
     energies = sweep_energies(program, hamiltonian, thetas)
     np.testing.assert_allclose(energies, SWEEP, rtol=RTOL, atol=0)
 
 
 def test_batched_sweep_complex_path(lih):
+    """The same sweep with one even-Y string appended."""
     program, hamiltonian, thetas = lih
     even_y = IRTerm(
         PauliString.from_label("ZZ" + "I" * (program.num_qubits - 2)), 0.5, 0
@@ -86,7 +88,6 @@ def test_batched_sweep_complex_path(lih):
         list(program.terms) + [even_y],
         list(program.initial_occupations),
     )
-    assert not real_evolution_compatible(mixed.paulis())
     energies = sweep_energies(mixed, hamiltonian, thetas[:5])
     np.testing.assert_allclose(energies, EVEN_Y_SWEEP, rtol=RTOL, atol=0)
 

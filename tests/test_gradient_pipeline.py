@@ -31,14 +31,11 @@ def reference_energy(engine, program, hamiltonian):
     """``E(theta)`` through one of the evaluation paths.
 
     ``inplace``: :class:`StatevectorEnergy`'s single-point workspace;
-    ``batched``: its blocked :meth:`StatevectorEnergy.values` sweep;
     ``legacy``: out-of-place term-by-term :func:`evolve_pauli_sequence`.
     """
     statevector = StatevectorEnergy(program, hamiltonian)
     if engine == "inplace":
         return statevector
-    if engine == "batched":
-        return lambda theta: statevector.values([theta])[0]
     expectation = ExpectationEngine(hamiltonian)
     reference = basis_state(
         program.num_qubits, sum(1 << q for q in program.initial_occupations)
@@ -201,7 +198,7 @@ class TestAdjointGradient:
         with pytest.raises(ValueError):
             AdjointGradient(program, hamiltonian).gradient([0.0])
 
-    @pytest.mark.parametrize("engine", ["inplace", "batched", "legacy"])
+    @pytest.mark.parametrize("engine", ["inplace", "legacy"])
     def test_vqe_default_matches_finite_difference_run(self, engine):
         problem = build_molecule_hamiltonian("LiH")
         program = build_uccsd_program(problem).program

@@ -3,12 +3,14 @@
 Covers the contract points of the two paths:
 
 * circuits: ``apply_circuit``, ``StatevectorSimulator`` and
-  ``BatchedStatevector.apply_circuit`` agree with the dense ``np.kron``
-  oracle (:mod:`dense_oracle`) on generated circuits over the full gate
-  set (single states and batches), and reject states of the wrong size;
-* Pauli programs: the blocked parameter sweep and the single-point
-  path agree with term-by-term :func:`evolve_pauli_sequence` (both the
-  real-orthogonal fast path and the generic complex path).
+  ``apply_circuit_inplace`` on a ``(K, 2**n)`` stack agree with the
+  dense ``np.kron`` oracle (:mod:`dense_oracle`) on generated circuits
+  over the full gate set, and reject states of the wrong size;
+* Pauli programs: the single-point workspace behind
+  ``StatevectorEnergy`` and ``sweep_energies`` agrees with term-by-term
+  :func:`evolve_pauli_sequence` and with the dense Hamiltonian matrix on
+  generated programs (odd- and even-Y strings, identity terms, shared
+  parameters, angles of +-pi/2).
 """
 
 import numpy as np
@@ -35,16 +37,16 @@ from repro.circuit.gates import (
     Y,
     Z,
 )
-from repro.pauli import PauliString
+from repro.core.ir import IRTerm, PauliProgram
+from repro.pauli import PauliString, PauliSum
 from repro.sim import (
-    BatchedStatevector,
     ExpectationEngine,
+    PauliEvolutionWorkspace,
     StatevectorSimulator,
     apply_circuit,
     apply_circuit_inplace,
     basis_state,
 )
-from repro.sim.batched import real_evolution_compatible
 from repro.sim.pauli_evolution import evolve_pauli_sequence
 from repro.sim.statevector import apply_gate
 from repro.vqe import sweep_energies
@@ -109,8 +111,9 @@ class TestDenseOracle:
         simulator = StatevectorSimulator(n)
         simulator.state = stack[1].copy()
         np.testing.assert_allclose(simulator.run(circuit), expected[1], atol=1e-12)
-        batch = BatchedStatevector.from_states(stack).apply_circuit(circuit)
-        np.testing.assert_allclose(batch.states, expected, atol=1e-12)
+        batch = stack[1:].copy()
+        apply_circuit_inplace(circuit, batch)
+        np.testing.assert_allclose(batch, expected[1:], atol=1e-12)
 
 
 class TestInplaceGateKernels:
@@ -176,8 +179,9 @@ class TestSimulatorEngines:
         """GHZ-state probabilities from one of the circuit paths.
 
         ``inplace``: the stateful :class:`StatevectorSimulator`;
-        ``batched``: a two-row :class:`BatchedStatevector` (one row is
-        returned, the other must agree); ``legacy``: the copy-out
+        ``batched``: a two-row ``(2, 2**n)`` stack through
+        :func:`apply_circuit_inplace` (one row is returned, the other
+        must agree); ``legacy``: the copy-out
         :func:`apply_circuit` signature on an explicit input state.
         """
         circuit = Circuit(3, [H(0), CNOT(0, 1), CNOT(1, 2)])
@@ -186,8 +190,8 @@ class TestSimulatorEngines:
             simulator.run(circuit)
             return simulator.probabilities()
         if engine == "batched":
-            rows = BatchedStatevector.broadcast(basis_state(3), 2)
-            probabilities = rows.apply_circuit(circuit).probabilities()
+            rows = np.stack([basis_state(3)] * 2)
+            probabilities = np.abs(apply_circuit_inplace(circuit, rows)) ** 2
             np.testing.assert_allclose(probabilities[1], probabilities[0], atol=1e-12)
             return probabilities[0]
         state = basis_state(3)
@@ -216,56 +220,44 @@ class TestSimulatorEngines:
 
 
 class TestBatchedStatevector:
+    """``(K, 2**n)`` stacks of states and K-point parameter sweeps."""
+
     def test_circuit_batch_matches_sequential(self):
         circuit = random_circuit(3, depth=25, seed=11)
         stack = np.stack([random_state(3, s) for s in range(4)])
-        batch = BatchedStatevector.from_states(stack)
-        batch.apply_circuit(circuit)
-        for row, single in zip(batch.states, stack):
+        batch = stack.copy()
+        apply_circuit_inplace(circuit, batch)
+        for row, single in zip(batch, stack):
             np.testing.assert_allclose(row, dense_apply(circuit, single), atol=1e-12)
 
     def test_evolve_matches_sequential_exponentials(self):
+        """Each row's angles through the reused single-point workspace."""
         rng = np.random.default_rng(2)
         paulis = [
             PauliString.from_label(label)
             for label in ("XYI", "ZZY", "YXZ", "IIY", "XYZ")
         ]
         angles = rng.normal(0, 0.7, (6, len(paulis)))
-        batch = BatchedStatevector.broadcast(basis_state(3, 1), 6)
-        batch.evolve(paulis, angles)
-        for k in range(6):
-            expected = evolve_pauli_sequence(
-                list(zip(paulis, angles[k])), basis_state(3, 1)
-            )
-            np.testing.assert_allclose(batch.states[k], expected, atol=1e-10)
-
-    def test_evolve_large_angles_hit_tan_guard(self):
-        """Angles near pi/2 must take the exact (non-deferred) update."""
-        paulis = [PauliString.from_label("XY"), PauliString.from_label("ZY")]
-        angles = np.array([[np.pi / 2, 1.5707], [0.1, -np.pi / 2]])
-        batch = BatchedStatevector.broadcast(basis_state(2, 1), 2)
-        batch.evolve(paulis, angles)
-        for k in range(2):
-            expected = evolve_pauli_sequence(
-                list(zip(paulis, angles[k])), basis_state(2, 1)
-            )
-            np.testing.assert_allclose(batch.states[k], expected, atol=1e-10)
-
-    def test_norms_and_reset(self):
-        batch = BatchedStatevector(2, 3)
-        batch.apply_circuit(Circuit(2, [H(0), CNOT(0, 1)]))
-        np.testing.assert_allclose(batch.norms(), 1.0, atol=1e-12)
-        batch.reset(2)
-        assert np.all(batch.states[:, 2] == 1.0)
+        workspace = PauliEvolutionWorkspace((8,))
+        for row in angles:
+            state = workspace.evolve_inplace(paulis, row, basis_state(3, 1))
+            expected = evolve_pauli_sequence(list(zip(paulis, row)), basis_state(3, 1))
+            np.testing.assert_allclose(state, expected, atol=1e-10)
 
     def test_shape_validation(self):
+        program = PauliProgram(2, 2, [IRTerm(PauliString.from_label("XY"), 1.0, 1)])
+        hamiltonian = PauliSum.from_label_dict({"ZZ": 1.0})
+        with pytest.raises(ValueError, match="expected 2 parameters"):
+            sweep_energies(program, hamiltonian, np.zeros((3, 1)))
+        with pytest.raises(ValueError, match="expected 2 parameters"):
+            sweep_energies(program, hamiltonian, np.zeros(2))
         with pytest.raises(ValueError):
-            BatchedStatevector(2, 0)
-        with pytest.raises(ValueError):
-            BatchedStatevector(2, 3, states=np.zeros((3, 5), dtype=complex))
-        with pytest.raises(ValueError):
-            BatchedStatevector(2, 2).evolve(
-                [PauliString.from_label("XY")], np.zeros((3, 1))
+            PauliEvolutionWorkspace((4,)).evolve_inplace(
+                program.paulis(), [0.1, 0.2], basis_state(2)
+            )
+        with pytest.raises(ValueError, match="does not match 2 qubits"):
+            apply_circuit_inplace(
+                Circuit(2, [H(0)]), np.zeros((3, 5), dtype=complex)
             )
 
 
@@ -290,12 +282,8 @@ class TestBatchedSweeps:
         program = build_uccsd_program(problem).program
         return program, problem.hamiltonian
 
-    def test_uccsd_is_real_orthogonal(self, lih):
-        program, _ = lih
-        assert real_evolution_compatible(program.paulis())
-
     def test_batched_matches_sequential_sweep(self, lih):
-        """Real fast path vs. one-at-a-time term-by-term evaluation."""
+        """UCCSD sweep vs. one-at-a-time term-by-term evaluation."""
         program, hamiltonian = lih
         rng = np.random.default_rng(0)
         thetas = rng.normal(0, 0.4, (11, program.num_parameters))  # ragged tail
@@ -306,9 +294,7 @@ class TestBatchedSweeps:
         )
 
     def test_complex_fallback_matches_sequential(self, lih):
-        """Programs with even-#Y strings take the complex batched path."""
-        from repro.core.ir import IRTerm, PauliProgram
-
+        """A program with an even-#Y string (complex amplitudes)."""
         program, hamiltonian = lih
         terms = list(program.terms) + [
             IRTerm(PauliString.from_label("ZZ" + "I" * (program.num_qubits - 2)), 0.5, 0)
@@ -319,7 +305,6 @@ class TestBatchedSweeps:
             terms=terms,
             initial_occupations=list(program.initial_occupations),
         )
-        assert not real_evolution_compatible(mixed.paulis())
         rng = np.random.default_rng(1)
         thetas = rng.normal(0, 0.3, (5, mixed.num_parameters))
         np.testing.assert_allclose(
@@ -344,10 +329,68 @@ class TestBatchedSweeps:
         np.testing.assert_allclose(
             batched, [engine.value(s) for s in states], atol=1e-10
         )
-        real_states = np.abs(states) / np.linalg.norm(np.abs(states), axis=1)[:, None]
-        np.testing.assert_allclose(
-            engine.values_real(real_states),
-            [engine.value(s.astype(complex)) for s in real_states],
-            atol=1e-10,
-        )
 
+
+
+_ANGLES = st.one_of(
+    st.sampled_from([np.pi / 2, -np.pi / 2, 0.0, np.pi]),
+    st.floats(-4.0, 4.0),
+)
+
+
+@st.composite
+def _programs(draw):
+    """Random Pauli programs with a matching Hermitian Hamiltonian.
+
+    1-6 qubits; strings over ``IXYZ`` (so odd- and even-Y strings and
+    identity terms all occur); several terms may share one parameter;
+    unit coefficients let bound angles land exactly on +-pi/2.
+    """
+    n = draw(st.integers(1, 6))
+    labels = st.text("IXYZ", min_size=n, max_size=n)
+    num_parameters = draw(st.integers(1, 4))
+    terms = [
+        IRTerm(
+            PauliString.from_label(draw(labels)),
+            draw(st.one_of(st.sampled_from([1.0, -1.0, 0.5]), st.floats(-2.0, 2.0))),
+            draw(st.integers(0, num_parameters - 1)),
+        )
+        for _ in range(draw(st.integers(0, 10)))
+    ]
+    occupations = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    program = PauliProgram(n, num_parameters, terms, occupations)
+    hamiltonian = PauliSum.from_label_dict(
+        draw(st.dictionaries(labels, st.floats(-2.0, 2.0), min_size=1, max_size=8))
+    )
+    parameter_sets = draw(
+        st.lists(
+            st.lists(_ANGLES, min_size=num_parameters, max_size=num_parameters),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    return program, hamiltonian, np.array(parameter_sets)
+
+
+class TestPauliProgramOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(case=_programs())
+    def test_single_point_path_matches_oracles(self, case):
+        program, hamiltonian, parameter_sets = case
+        energy = StatevectorEnergy(program, hamiltonian)
+        matrix = hamiltonian.to_matrix()
+        reference = basis_state(
+            program.num_qubits, sum(1 << q for q in program.initial_occupations)
+        )
+        values = []
+        for theta in parameter_sets:
+            expected = evolve_pauli_sequence(program.bound_terms(theta), reference)
+            np.testing.assert_allclose(energy.state(theta), expected, atol=1e-10)
+            values.append(energy(theta))
+            assert values[-1] == pytest.approx(
+                np.vdot(expected, matrix @ expected).real, abs=1e-10
+            )
+        sweep = sweep_energies(program, hamiltonian, parameter_sets)
+        assert sweep.dtype == np.float64
+        np.testing.assert_array_equal(sweep, values)
+        assert sweep_energies(program, hamiltonian, []).shape == (0,)

@@ -20,12 +20,12 @@ from repro.core import compress_ansatz
 from repro.core.bits import _popcount_swar, popcount
 from repro.pauli import PauliSum
 from repro.sim import (
-    BatchedStatevector,
     DensityMatrixSimulator,
     DepolarizingNoiseModel,
     ExpectationEngine,
     StatevectorSimulator,
     apply_circuit,
+    apply_gate_inplace,
     trajectory_estimate,
     trajectory_expectations,
 )
@@ -86,16 +86,13 @@ class TrajectorySimulator:
         self.num_qubits = num_qubits
         self.noise = noise or DepolarizingNoiseModel(two_qubit_error=0.0)
         self.trajectories = trajectories
-        self.batch = BatchedStatevector(num_qubits, trajectories)
+        self.states = np.zeros((trajectories, 1 << num_qubits), dtype=complex)
+        self.states[:, 0] = 1.0
         self._rng = rng if rng is not None else np.random.default_rng(seed)
         self.error_events = 0
 
-    @property
-    def states(self):
-        return self.batch.states
-
     def reset(self, state):
-        self.batch.states[...] = state
+        self.states[...] = state
         return self
 
     def run(self, circuit):
@@ -104,11 +101,11 @@ class TrajectorySimulator:
         for gate in circuit.decompose_swaps().gates:
             if gate.name in ("barrier", "measure"):
                 continue
-            self.batch.apply_gate(gate)
+            apply_gate_inplace(self.states, gate, self.num_qubits)
             probability = self.noise.error_for(gate.name, gate.num_qubits)
             if probability > 0.0:
                 self._inject_errors(gate.qubits, probability)
-        return self.batch.states
+        return self.states
 
     def _inject_errors(self, qubits, probability):
         hits = np.nonzero(self._rng.random(self.trajectories) < probability)[0]
@@ -118,7 +115,7 @@ class TrajectorySimulator:
         choices = self._rng.integers(len(paulis), size=hits.size)
         self.error_events += int(hits.size)
         for index in np.unique(choices):
-            _apply_pauli_rows(self.batch.states, paulis[index], hits[choices == index])
+            _apply_pauli_rows(self.states, paulis[index], hits[choices == index])
 
 
 def dense_trajectories(
