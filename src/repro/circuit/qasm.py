@@ -94,8 +94,8 @@ def from_qasm(text: str) -> Circuit:
     Raises :class:`QasmError` (with the 1-based line number and source
     line) on malformed input: missing/duplicate ``qreg``, unknown gate
     mnemonics, wrong operand counts, repeated operands on two-qubit
-    gates, out-of-range qubit indices, and missing/unparseable rotation
-    angles.
+    gates, out-of-range qubit indices, and missing, unparseable or
+    non-finite rotation angles.
     """
     num_qubits: int | None = None
     gates: list[Gate] = []
@@ -183,10 +183,14 @@ def _parse_angle(text: str | None, fail: _Fail) -> float:
     if text is None:
         raise fail("rotation gate missing its angle")
     value = text.strip().replace("pi", repr(math.pi))
-    # Allow simple arithmetic like "pi/2" or "-3*pi/4".
-    if not value or not re.fullmatch(r"[-+*/(). 0-9e]+", value):
+    # Allow simple arithmetic like "pi/2" or "-3*pi/4", but no power:
+    # "9**9**9" would keep eval busy for a very long time.
+    if not value or not re.fullmatch(r"[-+*/(). 0-9e]+", value) or "**" in value:
         raise fail(f"cannot parse angle {text.strip()!r}")
     try:
-        return float(eval(value, {"__builtins__": {}}, {}))  # noqa: S307 - sanitized
-    except (SyntaxError, ZeroDivisionError, TypeError, NameError) as error:
+        angle = float(eval(value, {"__builtins__": {}}, {}))  # noqa: S307 - sanitized
+    except (SyntaxError, ZeroDivisionError, TypeError, NameError, OverflowError) as error:
         raise fail(f"cannot evaluate angle {text.strip()!r}: {error}") from error
+    if not math.isfinite(angle):
+        raise fail(f"non-finite angle {text.strip()!r}")
+    return angle

@@ -22,7 +22,7 @@ This module provides the two halves of the caching subsystem:
   value, such as a sanitizer verdict, that live and die with the entry.
 
 Full content hashes are for ingress artifacts (Hamiltonians, devices,
-ingested circuits).  Pipeline stages key what they derive from those on
+QASM file bytes).  Pipeline stages key what they derive from those on
 the *entry keys* of their inputs (:func:`canonical_hash` over the
 upstream keys plus the config fields the stage reads), so a warm run
 never re-hashes an artifact the cache already produced.

@@ -87,9 +87,9 @@ class PipelineConfig:
     ansatz build, compression, layout, routing, and schedule metrics of
     a run are memoized, so repeated pipelines, ``run_batch`` workers,
     and ``bond_scan`` points sharing structure skip recompilation
-    entirely.  Only the inputs (Hamiltonian, device, ingested circuit)
-    are content-hashed; each stage keys its artifact on the entry keys
-    of its inputs plus the config fields it reads (:func:`entry_key`).
+    entirely.  Only the inputs (Hamiltonian, device, a ``qasm:`` file's
+    bytes) are content-hashed; each stage keys its artifact on the entry
+    keys of its inputs plus the config fields it reads (:func:`entry_key`).
     """
 
     molecule: str = "H2"
@@ -219,9 +219,10 @@ def entry_key(context: PipelineContext, attribute: str) -> str | None:
 
     Artifacts a cached pass produced carry their entry key, derived from
     the keys of their inputs (a Merkle key), so looking it up costs
-    nothing.  Anything else -- the Hamiltonian, the device, an ingested
-    circuit, or an artifact a custom pass staged -- is content-hashed
-    once per run and the key is recorded for the passes downstream.
+    nothing.  Anything else -- the Hamiltonian, the device, an injected
+    circuit problem, or an artifact a custom pass staged -- is
+    content-hashed once per run and the key is recorded for the passes
+    downstream.
     """
     artifact = getattr(context, attribute)
     if artifact is None:
@@ -338,6 +339,11 @@ class BuildProblem(Pass):
     problem (injected by ``Pipeline.run(problem=...)`` or a prior
     pipeline), which is how batch runs share one Hamiltonian across
     configs.
+
+    With ``config.cache`` on, a ``qasm:`` problem is content-addressed
+    on the spec and the file's bytes, read once per run: the file is
+    parsed once per content, and the stages downstream key on the
+    entry instead of hashing the circuit.
     """
 
     name = "build_problem"
@@ -346,24 +352,33 @@ class BuildProblem(Pass):
     def run(self, context: PipelineContext) -> None:
         if context.problem is not None:
             return
-        if context.config.problem is not None:
-            from repro.problems import get_problem
-
-            context.problem = get_problem(context.config.problem)
-        else:
+        spec = context.config.problem
+        if spec is None:
             context.problem = build_molecule_hamiltonian(
                 context.config.molecule, context.config.bond_length
             )
+            return
+        from repro.problems.registry import circuit_problem, get_problem, qasm_file
+
+        store = _compile_store(context)
+        path = qasm_file(spec)
+        if store is None or path is None:
+            context.problem = get_problem(spec)
+            return
+        # Parse the bytes that were keyed, never a second read.
+        data = path.read_bytes()
+        parse = partial(circuit_problem, path, data.decode())
+        _cached(context, store, "problem", ("qasm-problem", spec, data), parse)
 
 
 class BuildAnsatz(Pass):
     """Problem -> ansatz: UCCSD (molecular), QAOA (graph) or raw circuit.
 
     With ``config.cache`` on, the ansatz is content-addressed under the
-    problem's hash (its Hamiltonian, or its circuit for a gate-level
-    problem): every pipeline, batch worker, or scan point over the same
-    instance shares one built ansatz, and the stages downstream key on
-    its entry.
+    problem's key (its Hamiltonian's hash, or the entry key of a
+    ``qasm:`` problem): every pipeline, batch worker, or scan point over
+    the same instance shares one built ansatz, and the stages downstream
+    key on its entry.
     """
 
     name = "build_ansatz"

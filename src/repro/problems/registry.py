@@ -82,13 +82,49 @@ def _parse_graph(instance: str) -> Graph:
     )
 
 
-def get_problem(spec: str) -> GraphProblem | CircuitProblem:
-    """Resolve a problem spec string (see module docstring for grammar)."""
+def _split_spec(spec: str) -> tuple[str, str]:
+    """``"<kind>:<instance>"`` -> (lower-cased kind, instance)."""
     kind, _, instance = spec.partition(":")
-    kind = kind.strip().lower()
     instance = instance.strip()
     if not instance:
         raise ValueError(f"problem spec {spec!r} is missing its instance part")
+    return kind.strip().lower(), instance
+
+
+def qasm_file(spec: str) -> Path | None:
+    """The QASM file a ``qasm:<path>`` spec names (None for other kinds).
+
+    Raises ``FileNotFoundError`` unless the path is an existing regular
+    file (a directory is not one).
+    """
+    kind, instance = _split_spec(spec)
+    if kind != "qasm":
+        return None
+    path = Path(instance)
+    if not path.is_file():
+        raise FileNotFoundError(f"QASM file not found: {path}")
+    return path
+
+
+def circuit_problem(path: Path, text: str) -> CircuitProblem:
+    """The :class:`CircuitProblem` for QASM ``text`` read from ``path``."""
+    from repro.circuit.qasm import from_qasm
+
+    circuit = from_qasm(text)
+    return CircuitProblem(
+        name=path.stem,
+        circuit=circuit,
+        num_qubits=circuit.num_qubits,
+        source=str(path),
+    )
+
+
+def get_problem(spec: str) -> GraphProblem | CircuitProblem:
+    """Resolve a problem spec string (see module docstring for grammar)."""
+    path = qasm_file(spec)
+    if path is not None:
+        return circuit_problem(path, path.read_bytes().decode())
+    kind, instance = _split_spec(spec)
     if kind == "maxcut":
         graph = _parse_graph(instance)
         return GraphProblem(
@@ -116,19 +152,6 @@ def get_problem(spec: str) -> GraphProblem | CircuitProblem:
             name=f"hubbard-{sites}",
             hamiltonian=hamiltonian,
             num_qubits=hamiltonian.num_qubits,
-        )
-    if kind == "qasm":
-        from repro.circuit.qasm import from_qasm
-
-        path = Path(instance)
-        if not path.exists():
-            raise FileNotFoundError(f"QASM file not found: {path}")
-        circuit = from_qasm(path.read_text())
-        return CircuitProblem(
-            name=path.stem,
-            circuit=circuit,
-            num_qubits=circuit.num_qubits,
-            source=str(path),
         )
     raise ValueError(
         f"unknown problem kind {kind!r}; "

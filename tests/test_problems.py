@@ -126,6 +126,10 @@ class TestRegistry:
         with pytest.raises(FileNotFoundError):
             get_problem("qasm:/nonexistent/circuit.qasm")
 
+    def test_qasm_spec_directory_is_not_a_file(self, tmp_path):
+        with pytest.raises(FileNotFoundError, match="QASM file not found"):
+            get_problem(f"qasm:{tmp_path}")
+
     @pytest.mark.parametrize(
         "spec",
         ["", "maxcut", "maxcut:torus-4", "nonsense:er-4-0", "maxcut:er-4"],

@@ -111,6 +111,28 @@ class TestDiagnostics:
         error = self._error(_qasm("rz(1/0) q[0];"))
         assert error.line_number == 4
 
+    @pytest.mark.parametrize("angle", ["1e999", "-1e999", "1e999*0"])
+    def test_non_finite_angle_rejected(self, angle):
+        error = self._error(_qasm(f"rz({angle}) q[0];"))
+        assert error.line_number == 4
+        assert "non-finite angle" in str(error)
+
+    def test_overflowing_angle_is_a_qasm_error(self):
+        # A 401-digit integer has no float: int -> float raises
+        # OverflowError, which must surface as a located QasmError.
+        huge = "1" + "0" * 400
+        for angle in (huge, f"{huge}/1", f"{huge}*1.0"):
+            error = self._error(_qasm(f"rz({angle}) q[0];"))
+            assert error.line_number == 4
+            assert "cannot evaluate angle" in str(error)
+
+    @pytest.mark.parametrize("angle", ["2**3", "10.0**400", "pi**2"])
+    def test_power_operator_rejected(self, angle):
+        # "**" never reaches eval: "9**9**9" would run for a very long time.
+        error = self._error(_qasm(f"rz({angle}) q[0];"))
+        assert error.line_number == 4
+        assert "cannot parse angle" in str(error)
+
     def test_wrong_operand_count_located(self):
         error = self._error(_qasm("cx q[0];"))
         assert error.line_number == 4

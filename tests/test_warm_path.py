@@ -8,13 +8,18 @@ covers each config field its pass reads.
 import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
+import repro.circuit.qasm as qasm_module
 import repro.core.cache as cache_module
 from repro.analysis import AnalysisError
 from repro.analysis.diagnostics import CheckRunner
 from repro.chem import build_molecule_hamiltonian
+from repro.circuit import Circuit
+from repro.circuit.gates import CNOT, RZ, H
+from repro.circuit.qasm import QasmError, to_qasm
 from repro.core import compress_ansatz
 from repro.core.cache import ContentAddressedCache, clear_compile_cache, compile_cache
 from repro.core.passes import (
@@ -31,18 +36,27 @@ from repro.hardware.coupling import CouplingGraph
 STAGED = ("ansatz", "compressed", "initial_layout", "compiled")
 
 
+#: The committed QASM corpus.
+CORPUS = Path(__file__).resolve().parent.parent / "benchmarks" / "corpus"
+
+
 @pytest.fixture
 def counters(monkeypatch):
-    """Count content hashes and sanitizer runs from here on."""
+    """Count content hashes, QASM parses and sanitizer runs from here on."""
     counts = Counter()
-    for name in ("circuit_key", "program_key", "pauli_sum_key"):
-        original = getattr(cache_module, name)
+    for module, name in (
+        (cache_module, "circuit_key"),
+        (cache_module, "program_key"),
+        (cache_module, "pauli_sum_key"),
+        (qasm_module, "from_qasm"),
+    ):
+        original = getattr(module, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             counts[_name] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(cache_module, name, counted)
+        monkeypatch.setattr(module, name, counted)
     run = CheckRunner.run
 
     def counted_run(self, *args, **kwargs):
@@ -80,24 +94,87 @@ def test_warm_rerun_hashes_nothing_and_checks_nothing(counters):
     assert warm.metrics == cold.metrics
 
 
-def test_warm_gate_level_run_hashes_the_circuit_once(counters, tmp_path):
-    from repro.circuit import Circuit
-    from repro.circuit.gates import CNOT, H, RZ
-    from repro.circuit.qasm import to_qasm
+CHAIN = Circuit(4, [H(0), CNOT(0, 1), RZ(0.3, 1), CNOT(1, 2), CNOT(2, 3)])
 
-    path = tmp_path / "chain.qasm"
-    path.write_text(
-        to_qasm(Circuit(4, [H(0), CNOT(0, 1), RZ(0.3, 1), CNOT(1, 2), CNOT(2, 3)]))
-    )
+
+def write_qasm(path, circuit=CHAIN):
+    path.write_text(to_qasm(circuit))
+    return f"qasm:{path}"
+
+
+def test_warm_gate_level_run_hashes_the_circuit_once(counters, tmp_path):
     clear_compile_cache()
-    config = PipelineConfig(problem=f"qasm:{path}", device="xtree5")
+    config = PipelineConfig(problem=write_qasm(tmp_path / "chain.qasm"), device="xtree5")
     cold = Pipeline(config).run()
+    assert counters["from_qasm"] == 1
     counters.clear()
     warm = Pipeline(config).run()
-    assert counters["circuit_key"] == 1  # the freshly parsed problem
+    # The problem comes from its entry, keyed on the file's bytes: the
+    # warm run neither parses the file nor hashes the circuit.
+    assert counters["from_qasm"] == 0
+    assert counters["circuit_key"] == 0
     assert counters["program_key"] == 0
     assert counters["checks"] == 0
     assert warm.metrics == cold.metrics
+
+
+def test_one_parse_per_file_across_configs(counters, tmp_path):
+    clear_compile_cache()
+    spec = write_qasm(tmp_path / "chain.qasm")
+    for compiler in ("mtr", "sabre"):
+        for commute in (False, True):
+            config = PipelineConfig(
+                problem=spec, device="xtree5", compiler=compiler, commute=commute
+            )
+            Pipeline(config).run()
+    assert counters["from_qasm"] == 1
+    assert counters["circuit_key"] == 0
+
+
+def test_rewritten_qasm_file_is_parsed_again(counters, tmp_path):
+    clear_compile_cache()
+    path = tmp_path / "chain.qasm"
+    config = PipelineConfig(problem=write_qasm(path), device="xtree5")
+    first = Pipeline(config).run()
+    longer = Circuit(4, [*CHAIN.gates, CNOT(3, 0), CNOT(0, 2)])
+    write_qasm(path, longer)
+    second = Pipeline(config).run()
+    assert counters["from_qasm"] == 2
+    fresh = Pipeline(config.replace(cache=False)).run()
+    assert second.metrics == fresh.metrics
+    assert second.metrics["original_cnots"] == first.metrics["original_cnots"] + 2
+
+
+def test_same_bytes_at_two_paths_are_two_problems(tmp_path):
+    # The spec is in the key: it fixes the problem's name and source.
+    clear_compile_cache()
+    first = PipelineConfig(problem=write_qasm(tmp_path / "a.qasm"), device="xtree5")
+    second = first.replace(problem=write_qasm(tmp_path / "b.qasm"))
+    assert Pipeline(first).run().problem.name == "a"
+    assert Pipeline(second).run().problem.name == "b"
+
+
+def test_uncached_qasm_run_parses_every_run(counters, tmp_path):
+    clear_compile_cache()
+    config = PipelineConfig(
+        problem=write_qasm(tmp_path / "chain.qasm"), device="xtree5", cache=False
+    )
+    for _ in range(3):
+        Pipeline(config).run()
+    assert counters["from_qasm"] == 3
+    assert len(compile_cache()) == 0
+
+
+def test_malformed_qasm_file_raises_on_every_run(counters, tmp_path):
+    clear_compile_cache()
+    path = tmp_path / "bad.qasm"
+    path.write_text(to_qasm(CHAIN) + "rz(1e999) q[0];\n")
+    config = PipelineConfig(problem=f"qasm:{path}", device="xtree5")
+    for _ in range(3):
+        with pytest.raises(QasmError, match="non-finite angle"):
+            Pipeline(config).run()
+    assert counters["from_qasm"] == 3
+    assert len(compile_cache()) == 0
 
 
 def test_side_slot_metrics_survive_the_warm_run():
@@ -268,6 +345,7 @@ class TestSideSlot:
 # ----------------------------------------------------------------------
 BASE = PipelineConfig(molecule="H2", ratio=0.5, layout="hierarchical")
 QAOA = PipelineConfig(problem="maxcut:reg3-6-2", device="grid17")
+GHZ = PipelineConfig(problem=f"qasm:{CORPUS / 'ghz_n06.qasm'}", device="grid17")
 
 
 @pytest.mark.parametrize(
@@ -281,6 +359,7 @@ QAOA = PipelineConfig(problem="maxcut:reg3-6-2", device="grid17")
         (BASE.replace(compiler="sabre"), "seed", 5, "compiled"),
         (BASE, "commute", True, "compiled"),
         (QAOA, "qaoa_layers", 2, "ansatz"),
+        (GHZ, "problem", f"qasm:{CORPUS / 'ghz_n10.qasm'}", "ansatz"),
     ],
 )
 def test_entry_key_covers_config_field(base, field, value, changed):
