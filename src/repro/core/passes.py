@@ -514,6 +514,19 @@ def _chain_cnot_metrics(program: "PauliProgram") -> dict[str, int]:
     }
 
 
+def _require_connected(device: CouplingGraph) -> None:
+    """Reject a device that neither compiler can route on.
+
+    Runs inside the layout and route builders, so only on a compile-cache
+    miss: a warm pass never re-walks the graph.
+    """
+    if not device.is_connected():
+        raise ValueError(
+            f"device {device.name!r} has a disconnected coupling graph; "
+            "the compilers route only on connected devices"
+        )
+
+
 class InitialLayout(Pass):
     """Resolve the device and compute the initial mapping (Algorithm 2)."""
 
@@ -543,6 +556,7 @@ class InitialLayout(Pass):
             )
 
         def build_layout() -> dict[int, int]:
+            _require_connected(device)
             if isinstance(compressed, CircuitAnsatz):
                 from repro.compiler.layout import hierarchical_circuit_layout
 
@@ -613,6 +627,7 @@ class Route(Pass):
         compiler = get_compiler(context.config.compiler)
 
         def compile_program() -> Any:
+            _require_connected(device)
             if isinstance(compressed, CircuitAnsatz):
                 return compiler.compile_circuit(
                     compressed.circuit,
@@ -690,6 +705,7 @@ class Energy(Pass):
 
     def run(self, context: PipelineContext) -> None:
         from repro.vqe.runner import VQE
+        from repro.vqe.scan import exact_energy
 
         problem = context.require("problem", self.name)
         if not isinstance(problem, MolecularProblem):
@@ -722,25 +738,9 @@ class Energy(Pass):
         context.metrics["iterations"] = int(result.iterations)
         context.metrics["hf_energy"] = float(problem.hf_energy)
         if self.compute_exact:
-            exact = _exact_ground_state_energy(problem)
+            exact = exact_energy(problem)
             context.metrics["exact_energy"] = exact
             context.metrics["energy_error"] = float(result.energy - exact)
-
-
-#: Exact ground-state energies keyed per molecular instance, so sweeps
-#: that revisit one Hamiltonian (ratio scans, decay-base ablations) pay
-#: for the diagonalization once.  Safe because the chem layer memoizes
-#: the Hamiltonian itself on the same key.
-_EXACT_ENERGY_CACHE: dict[tuple[str, float], float] = {}
-
-
-def _exact_ground_state_energy(problem: MolecularProblem) -> float:
-    from repro.sim.exact import ground_state_energy
-
-    key = (problem.molecule.name, float(problem.molecule.bond_length))
-    if key not in _EXACT_ENERGY_CACHE:
-        _EXACT_ENERGY_CACHE[key] = float(ground_state_energy(problem.hamiltonian))
-    return _EXACT_ENERGY_CACHE[key]
 
 
 class Metrics(Pass):

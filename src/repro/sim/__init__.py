@@ -16,8 +16,10 @@
   unbiased estimate of the density-matrix result, evolved as one clean
   row plus the d rows that draw an error, O(T*(1+d)*2^n) plus the event
   draw (the path past 12 qubits for noisy studies).
-* :mod:`repro.sim.exact` -- sparse exact ground-state solver ("Ground
-  State" reference curves in Figure 9).
+* :mod:`repro.sim.exact` -- exact ground-state solver ("Ground State"
+  reference curves in Figure 9): in a particle-number sector built
+  from the Pauli keys when the caller names one (molecules), else
+  matrix-free Lanczos over all ``2**n`` states.
 
 The input's type picks the path (``docs/performance.md``): a Pauli
 program evolves term by term, one parameter set at a time

@@ -20,7 +20,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.ansatz.uccsd import build_uccsd_program
-from repro.chem.hamiltonian import build_molecule_hamiltonian
+from repro.chem.hamiltonian import MolecularProblem, build_molecule_hamiltonian
 from repro.core.compression import compress_ansatz, random_ansatz
 from repro.core.ir import PauliProgram
 from repro.pauli import PauliSum
@@ -90,11 +90,28 @@ def sweep_energies(
     return np.array([energy(parameters) for parameters in parameter_sets], dtype=float)
 
 
-#: Per-process memo of exact ground-state energies keyed by
-#: (molecule, bond length): one scan evaluates each bond point under
-#: several configurations, and the exact diagonalization is shared
-#: (process-pool workers each warm their own copy as tasks arrive).
-_EXACT_CACHE: dict[tuple[str, float | None], float] = {}
+#: Per-process memo of exact ground-state energies keyed by (molecule,
+#: bond length), shared by :func:`bond_scan` and the pipeline's
+#: ``Energy`` pass: a scan revisits each bond point under several
+#: configurations and a ratio sweep revisits one Hamiltonian, so each
+#: pays for the diagonalization once (process-pool workers each warm
+#: their own copy as tasks arrive).  The chem layer memoizes the
+#: Hamiltonian on the same key, with the bond length rounded to 1e-4 A.
+_EXACT_ENERGIES: dict[tuple[str, float], float] = {}
+
+
+def exact_energy(problem: MolecularProblem) -> float:
+    """Exact ground-state energy of a molecular problem, memoized.
+
+    Solved in the particle-number sector of the Hartree-Fock state,
+    which UCCSD conserves (:func:`repro.sim.exact.ground_state_energy`).
+    """
+    key = (problem.molecule.name, float(problem.molecule.bond_length))
+    if key not in _EXACT_ENERGIES:
+        sector = (problem.num_spatial_orbitals, problem.num_alpha, problem.num_beta)
+        # lint: ignore[RR101] - idempotent memo: racing writers store equal values
+        _EXACT_ENERGIES[key] = ground_state_energy(problem.hamiltonian, sector=sector)
+    return _EXACT_ENERGIES[key]
 
 
 def _scan_point_task(task: tuple[str, float, str, dict[str, Any]]) -> ScanPoint:
@@ -108,11 +125,7 @@ def _scan_point_task(task: tuple[str, float, str, dict[str, Any]]) -> ScanPoint:
     molecule, bond_length, configuration, options = task
     problem = build_molecule_hamiltonian(molecule, bond_length)
     full_program = build_uccsd_program(problem).program
-    key = (molecule, bond_length)
-    if key not in _EXACT_CACHE:
-        # lint: ignore[RR101] - idempotent memo: racing writers store equal values
-        _EXACT_CACHE[key] = ground_state_energy(problem.hamiltonian)
-    exact = _EXACT_CACHE[key]
+    exact = exact_energy(problem)
     program, label = _configure_program(
         full_program, problem.hamiltonian, configuration, options["seed"]
     )

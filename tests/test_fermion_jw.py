@@ -142,12 +142,12 @@ class TestHubbard:
         assert self._half_filled_ground_energy(h) == pytest.approx(expected, abs=1e-8)
 
     def test_interaction_free_limit(self):
-        from repro.sim.exact import spectrum
+        from exact_oracle import spectrum
 
         h = hubbard_hamiltonian(2, tunneling=1.0, interaction=0.0)
         # Free fermions on 2 sites: single-particle energies -t, +t;
         # the global many-body ground state fills both spins of -t.
-        assert spectrum(h, k=4)[0] == pytest.approx(-2.0, abs=1e-8)
+        assert spectrum(h)[0] == pytest.approx(-2.0, abs=1e-8)
 
     def test_invalid_size_rejected(self):
         with pytest.raises(ValueError):

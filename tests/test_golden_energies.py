@@ -27,7 +27,7 @@ from repro.sim.noise import DepolarizingNoiseModel
 from repro.bench.fig9 import default_bond_lengths
 from repro.vqe import VQE
 from repro.vqe.energy import DensityMatrixEnergy, StatevectorEnergy, TrajectoryEnergy
-from repro.vqe.scan import bond_scan, sweep_energies
+from repro.vqe.scan import bond_scan, exact_energy, sweep_energies
 
 RTOL = 1e-12
 
@@ -56,6 +56,9 @@ DENSITY_MATRIX = {
 }
 VQE_ATOL = 1e-9
 FIG9_H2O_10PCT = (-74.98643798026482, 8)  # (energy, SLSQP iterations)
+#: Recorded from the full-space Lanczos solve, before the solver moved
+#: to the Hartree-Fock particle-number sector.
+H2O_EXACT = -75.01257399462139
 LIH_FULL_UCCSD = (-7.863077440833648, 6)
 # (energy, SLSQP iterations, error events of the last call)
 FIG10_LIH_TRAJECTORY = (-7.8521728097613135, 3, 5)
@@ -144,6 +147,12 @@ def test_fig9_h2o_bond_scan_point():
     energy, iterations = FIG9_H2O_10PCT
     assert point.energy == pytest.approx(energy, rel=0, abs=VQE_ATOL)
     assert point.iterations == iterations
+
+
+def test_h2o_exact_energy():
+    """The Fig. 9 "Ground State" reference of H2O at equilibrium."""
+    problem = build_molecule_hamiltonian("H2O")
+    assert exact_energy(problem) == pytest.approx(H2O_EXACT, rel=RTOL, abs=0)
 
 
 def test_lih_full_uccsd_vqe(lih):

@@ -219,6 +219,31 @@ class TestDeviceRegistry:
             register_device("test-line3", lambda: None)
 
 
+#: Two 6-qubit paths with no edge between them.
+SPLIT12_EDGES = [(i, i + 1) for i in range(5)] + [(i, i + 1) for i in range(6, 11)]
+ADDER = Path(__file__).resolve().parents[1] / "benchmarks" / "corpus" / "adder_cuccaro_3bit.qasm"
+
+
+class TestDisconnectedDevice:
+    @pytest.fixture(scope="class", autouse=True)
+    def split12(self):
+        register_device(
+            "test-split12",
+            lambda: CouplingGraph(12, SPLIT12_EDGES, name="split12"),
+            overwrite=True,
+        )
+
+    @pytest.mark.parametrize("compiler", ["mtr", "sabre"])
+    @pytest.mark.parametrize("cache", [True, False])
+    def test_raises_value_error_naming_device(self, compiler, cache):
+        config = PipelineConfig(
+            problem=f"qasm:{ADDER}", device="test-split12", compiler=compiler, cache=cache
+        )
+        for _ in range(2):  # a failed build caches nothing
+            with pytest.raises(ValueError, match="'split12'.*disconnected"):
+                Pipeline(config).run()
+
+
 class TestCompilerRegistry:
     def test_names_and_aliases(self):
         assert isinstance(get_compiler("mtr"), CompilerAdapter)
