@@ -67,7 +67,7 @@ def test_table2_mapping_overhead(benchmark):
 
 
 def test_table2_dag_columns(benchmark):
-    """The DAG-IR columns of Table II: ASAP-scheduled depth and the
+    """The extra columns of Table II: ASAP-scheduled depth and the
     adjacency-vs-commutation cancellation totals per molecule.
 
     Shape targets: MtR's scheduled depth stays below SABRE-on-XTree's
@@ -79,7 +79,7 @@ def test_table2_dag_columns(benchmark):
     rows = benchmark.pedantic(
         table2_rows,
         args=(molecules, (0.5,)),
-        kwargs={"include_grid": False, "dag": True, "commute": True},
+        kwargs={"include_grid": False, "commute": True},
         iterations=1,
         rounds=1,
     )

@@ -11,11 +11,12 @@ in milliseconds.  One entry point covers all artifact families:
 >>> report.ok
 True
 >>> sorted(report.checks_run)[:3]
-['coupling-legality', 'dag-circuit-consistency', 'dag-invariants']
+['coupling-legality', 'gate-parameters', 'gate-set']
 
 ``check`` dispatches on the artifact: circuits and DAGs get bounds /
 gate-set / parameter checks (plus coupling legality when a device is
-given), compiled results add layout-permutation and SWAP-accounting
+given), a :class:`~repro.circuit.dag.CircuitDAG` adds its structural
+invariants, compiled results add layout-permutation and SWAP-accounting
 checks, and Pauli programs get IR sanity checks.  :func:`assert_clean`
 is the raising form the pipeline's ``validate=`` knob uses.  Custom
 invariants plug in through
@@ -48,7 +49,6 @@ from repro.analysis.diagnostics import (
 from repro.analysis.circuit_checks import (
     KNOWN_GATES,
     CouplingLegalityCheck,
-    DagCircuitConsistencyCheck,
     DagInvariantCheck,
     GateParameterCheck,
     GateSetCheck,
@@ -115,7 +115,6 @@ __all__ = [
     "CouplingLegalityCheck",
     "LayoutPermutationCheck",
     "DagInvariantCheck",
-    "DagCircuitConsistencyCheck",
     "PauliProgramCheck",
     "ProjectModel",
     "ConcurrencySafetyCheck",

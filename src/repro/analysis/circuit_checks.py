@@ -14,11 +14,12 @@ skipped on big circuits.  The checks walk three artifact families:
   compiled-result protocol): everything above on the physical circuit,
   plus layout permutation consistency -- injectivity, bounds, and that
   replaying the circuit's SWAPs transforms ``initial_layout`` into
-  exactly ``final_layout`` -- plus SWAP accounting and DAG/circuit
-  agreement;
-* **DAG invariants**: predecessor/successor symmetry, forward-pointing
-  (topologically ordered) edges, per-wire consistency, and commute-edge
-  soundness via canonical reconstruction;
+  exactly ``final_layout`` -- plus SWAP accounting;
+* **DAG invariants** of a standalone :class:`~repro.circuit.dag.CircuitDAG`
+  (the routers emit plain circuits, so compiled results carry none):
+  predecessor/successor symmetry, forward-pointing (topologically
+  ordered) edges, per-wire consistency, and commute-edge soundness via
+  canonical reconstruction;
 * **Pauli programs** (:class:`~repro.core.ir.PauliProgram`): support
   bounds, parameter wiring, finite coefficients, occupation sanity.
 
@@ -333,14 +334,9 @@ class DagInvariantCheck(Check):
     name = "dag-invariants"
 
     def applies_to(self, obj: Any) -> bool:
-        if isinstance(obj, CircuitDAG):
-            return True
-        return is_compiled_result(obj) and isinstance(
-            getattr(obj, "dag", None), CircuitDAG
-        )
+        return isinstance(obj, CircuitDAG)
 
-    def run(self, obj: Any, device: Any = None) -> Iterator[Diagnostic]:
-        dag: CircuitDAG = obj if isinstance(obj, CircuitDAG) else obj.dag
+    def run(self, dag: CircuitDAG, device: Any = None) -> Iterator[Diagnostic]:
         sound = True
         for node in dag.nodes:
             for predecessor in node.predecessors:
@@ -407,47 +403,6 @@ class DagInvariantCheck(Check):
             )
 
 
-class DagCircuitConsistencyCheck(Check):
-    """A compiled result's DAG and circuit describe the same gates."""
-
-    name = "dag-circuit-consistency"
-
-    def applies_to(self, obj: Any) -> bool:
-        return is_compiled_result(obj) and isinstance(
-            getattr(obj, "dag", None), CircuitDAG
-        )
-
-    def run(self, obj: Any, device: Any = None) -> Iterator[Diagnostic]:
-        dag: CircuitDAG = obj.dag
-        circuit: Circuit = obj.circuit
-        if dag.num_qubits != circuit.num_qubits:
-            yield self.error(
-                f"DAG spans {dag.num_qubits} qubits, circuit "
-                f"{circuit.num_qubits}",
-                location="dag",
-                fix_hint="both views must describe the same register",
-            )
-            return
-        dag_gates = dag.topological_gates()
-        if dag_gates != circuit.gates:
-            first = next(
-                (
-                    i
-                    for i, (a, b) in enumerate(zip(dag_gates, circuit.gates))
-                    if a != b
-                ),
-                min(len(dag_gates), len(circuit.gates)),
-            )
-            yield self.error(
-                f"DAG and circuit diverge (DAG has {len(dag_gates)} gates, "
-                f"circuit {len(circuit.gates)}; first difference at "
-                f"position {first})",
-                location=f"gate {first}",
-                fix_hint="scheduling metrics read the DAG while simulation "
-                "reads the circuit; they must agree gate-for-gate",
-            )
-
-
 class PauliProgramCheck(Check):
     """Structural sanity of the Pauli-string IR feeding the compilers."""
 
@@ -505,7 +460,6 @@ def _register_builtin_checks() -> None:
         CouplingLegalityCheck(),
         LayoutPermutationCheck(),
         DagInvariantCheck(),
-        DagCircuitConsistencyCheck(),
         PauliProgramCheck(),
     ):
         register_check(check)

@@ -68,13 +68,13 @@ class Table2Row:
     mtr_xtree_overhead: int
     sabre_xtree_overhead: int
     sabre_grid_overhead: int | None
-    # Optional DAG-IR columns (filled when ``dag=`` / ``commute=`` are on):
     # ASAP-scheduled depth / critical-path duration of the MtR circuit,
-    # and total MtR CNOTs after the adjacency-only vs. commutation-aware
-    # peephole cancellation.
-    mtr_scheduled_depth: int | None = None
-    mtr_duration_ns: float | None = None
-    sabre_xtree_scheduled_depth: int | None = None
+    # and SABRE's scheduled depth on the tree.
+    mtr_scheduled_depth: int
+    mtr_duration_ns: float
+    sabre_xtree_scheduled_depth: int
+    # Filled when ``commute=`` is on: total MtR CNOTs after the
+    # adjacency-only vs. commutation-aware peephole cancellation.
     mtr_cnots_adjacency: int | None = None
     mtr_cnots_commute: int | None = None
 
@@ -93,13 +93,12 @@ def table2_row(
     sabre_seed: int = 11,
     tree_device: str = "xtree17",
     grid_device: str = "grid17",
-    dag: bool = False,
     commute: bool = False,
 ) -> Table2Row:
-    """One Table II row; ``dag`` fills the scheduled-depth columns and
-    ``commute`` routes SABRE over the commutation-aware frontier while
-    filling the adjacency-vs-commutation cancellation columns (the same
-    semantics as the ``PipelineConfig`` knobs)."""
+    """One Table II row, scheduled-depth columns included; ``commute``
+    routes SABRE over the commutation-aware frontier while filling the
+    adjacency-vs-commutation cancellation columns (the same semantics as
+    the ``PipelineConfig`` knob)."""
     problem = build_molecule_hamiltonian(molecule)
     program = build_uccsd_program(problem).program
     compressed = compress_ansatz(program, problem.hamiltonian, ratio)
@@ -108,7 +107,6 @@ def table2_row(
         get_device(tree_device),
         get_device(grid_device) if include_grid else None,
         sabre_seed=sabre_seed,
-        schedule=dag,
         commute=commute,
         keep_circuits=commute,
     )
@@ -122,11 +120,10 @@ def table2_row(
         mtr_xtree_overhead=reports["mtr_xtree"].overhead_cnots,
         sabre_xtree_overhead=reports["sabre_xtree"].overhead_cnots,
         sabre_grid_overhead=grid_overhead,
+        mtr_scheduled_depth=reports["mtr_xtree"].schedule.scheduled_depth,
+        mtr_duration_ns=reports["mtr_xtree"].schedule.duration_ns,
+        sabre_xtree_scheduled_depth=reports["sabre_xtree"].schedule.scheduled_depth,
     )
-    if dag:
-        row.mtr_scheduled_depth = reports["mtr_xtree"].schedule.scheduled_depth
-        row.mtr_duration_ns = reports["mtr_xtree"].schedule.duration_ns
-        row.sabre_xtree_scheduled_depth = reports["sabre_xtree"].schedule.scheduled_depth
     if commute:
         from repro.compiler.cancellation import cancel_gates
 
@@ -141,11 +138,10 @@ def table2_rows(
     ratios: tuple[float, ...] = PAPER_RATIOS,
     *,
     include_grid: bool = True,
-    dag: bool = False,
     commute: bool = False,
 ) -> list[Table2Row]:
     return [
-        table2_row(molecule, ratio, include_grid=include_grid, dag=dag, commute=commute)
+        table2_row(molecule, ratio, include_grid=include_grid, commute=commute)
         for molecule in molecules
         for ratio in ratios
     ]

@@ -1,12 +1,14 @@
 """Shared circuit DAG IR: per-qubit wires with commutation-aware edges.
 
-Every compiler stage operates on the same dependency structure instead of
-re-deriving private ones: SABRE's front layer and lookahead window, the
-peephole cancellation pass, Merge-to-Root's emission, and the static
-checks on a routed artifact all consume a :class:`CircuitDAG`.  The
-scheduling metrics do not: :meth:`repro.circuit.Circuit.asap_schedule`
-keeps per-wire running maxima over the gate list, which is the wire DAG's
-critical path without building it.
+The compiler stages that need gate dependencies share this one structure
+instead of re-deriving private ones: SABRE's front layer and lookahead
+window over its *input* circuit, and the peephole cancellation pass.
+Both routers emit a plain :class:`~repro.circuit.Circuit`, never a DAG
+of their output, and the scheduling metrics need none either:
+:meth:`repro.circuit.Circuit.asap_schedule` keeps per-wire running maxima
+over the gate list, which is the wire DAG's critical path without
+building it.  The ``dag-invariants`` check (:mod:`repro.analysis`)
+validates a standalone DAG.
 
 The DAG is built by O(1) appends.  Each gate node records, per qubit it
 touches, how it acts on that wire:

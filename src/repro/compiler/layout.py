@@ -29,6 +29,7 @@ def _cooccurrence_layout(
         raise ValueError(
             f"program needs {num_logical} qubits, device has {graph.num_qubits}"
         )
+    graph.require_connected()
     occurrence = cooccurrence.sum(axis=1)
     # Sort logical qubits by decreasing connectivity requirement; ties in
     # qubit order for determinism (stable sort on negated counts).

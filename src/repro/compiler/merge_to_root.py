@@ -18,6 +18,9 @@ pre-synthesized chain:
    the CNOT phase, the mirror is exactly valid and every CNOT lies on a
    physical connection.
 
+Both entry points append each gate straight to the physical
+:class:`~repro.circuit.Circuit` as it is decided.
+
 The mapping mutates across strings (swaps are never undone), which is
 what the importance-ordered ansatz exploits: early, important strings
 drag their qubits toward the root once and later strings reuse the
@@ -46,11 +49,10 @@ can swap in SABRE by name.)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from repro.circuit import Circuit
-from repro.circuit.dag import CircuitDAG
 from repro.circuit.gates import CNOT, Gate, H, RX, RZ, SWAP, X
 from repro.core.ir import PauliProgram
 from repro.pauli import PauliString
@@ -69,7 +71,6 @@ class CompiledProgram:
     num_swaps: int
     device: str
     synthesized_cnots: int = 0        # CNOTs from the Pauli trees themselves
-    dag: CircuitDAG | None = field(default=None, repr=False)
 
     @property
     def overhead_cnots(self) -> int:
@@ -94,11 +95,7 @@ class MergeToRootCompiler:
     """
 
     def __init__(self, graph: CouplingGraph) -> None:
-        if not graph.is_connected():
-            raise ValueError(
-                "Merge-to-Root needs a connected coupling graph; "
-                f"{graph.name} is not connected"
-            )
+        graph.require_connected()
         self.graph = graph
         self._levels = graph.levels()
         self._parents = [graph.parent(q) for q in range(graph.num_qubits)]
@@ -131,13 +128,10 @@ class MergeToRootCompiler:
         if len(occupant) != len(position):
             raise ValueError("initial layout maps two logical qubits together")
 
-        # Emit through the shared DAG builder: the compiled artifact then
-        # carries its wire-dependency structure for scheduling metrics,
-        # and the emission order is preserved by ``to_circuit``.
-        builder = CircuitDAG(self.graph.num_qubits)
+        circuit = Circuit(self.graph.num_qubits)
         if include_initial_state:
             for logical in program.initial_occupations:
-                builder.append(X(position[logical]))
+                circuit.append(X(position[logical]))
 
         # Suffix occurrence counts for the lookahead swap rule.
         future = self._future_counts(program)
@@ -151,21 +145,20 @@ class MergeToRootCompiler:
                 continue
             swaps = self._route(support, position, occupant, future, index)
             for a, b in swaps:
-                builder.append(SWAP(a, b))
+                circuit.append(SWAP(a, b))
             num_swaps += len(swaps)
             synthesized += self._synthesize_string(
-                builder, pauli, angle, position
+                circuit, pauli, angle, position
             )
 
         final_layout = dict(position)
         return CompiledProgram(
-            circuit=builder.to_circuit(),
+            circuit=circuit,
             initial_layout=initial_layout,
             final_layout=final_layout,
             num_swaps=num_swaps,
             device=self.graph.name,
             synthesized_cnots=synthesized,
-            dag=builder,
         )
 
     def compile_circuit(
@@ -199,12 +192,12 @@ class MergeToRootCompiler:
             raise ValueError("initial layout maps two logical qubits together")
 
         distances = self.graph.distance_matrix()
-        builder = CircuitDAG(self.graph.num_qubits)
+        routed = Circuit(self.graph.num_qubits)
         num_swaps = 0
         synthesized = 0
         for gate in circuit.gates:
             if len(gate.qubits) != 2 or gate.name == "barrier":
-                builder.append(
+                routed.append(
                     Gate(
                         gate.name,
                         tuple(position[q] for q in gate.qubits),
@@ -220,10 +213,10 @@ class MergeToRootCompiler:
                     for node in self.graph.neighbors(here)
                     if distances[node, there] == distances[here, there] - 1
                 )
-                builder.append(SWAP(here, step))
+                routed.append(SWAP(here, step))
                 self._apply_swap(here, step, position, occupant)
                 num_swaps += 1
-            builder.append(
+            routed.append(
                 Gate(gate.name, (position[a], position[b]), gate.params)
             )
             if gate.name == "cx":
@@ -231,13 +224,12 @@ class MergeToRootCompiler:
             elif gate.name == "swap":
                 synthesized += 3
         return CompiledProgram(
-            circuit=builder.to_circuit(),
+            circuit=routed,
             initial_layout=initial_layout,
             final_layout=dict(position),
             num_swaps=num_swaps,
             device=self.graph.name,
             synthesized_cnots=synthesized,
-            dag=builder,
         )
 
     # ------------------------------------------------------------------
@@ -352,7 +344,7 @@ class MergeToRootCompiler:
     # ------------------------------------------------------------------
     def _synthesize_string(
         self,
-        builder: CircuitDAG,
+        circuit: Circuit,
         pauli: PauliString,
         angle: float,
         position: dict[int, int],
@@ -370,7 +362,7 @@ class MergeToRootCompiler:
             elif op == "Y":
                 basis_pre.append(RX(_HALF_PI, physical))
                 basis_post.append(RX(-_HALF_PI, physical))
-        builder.extend(basis_pre)
+        circuit.extend(basis_pre)
 
         nodes = sorted(
             (position[logical] for logical in support),
@@ -383,10 +375,10 @@ class MergeToRootCompiler:
             if parent is None or not self._in_nodes(parent, nodes):
                 raise RuntimeError("support subtree not connected after routing")
             cnots.append(CNOT(node, parent))
-        builder.extend(cnots)
-        builder.append(RZ(-2.0 * angle, root))
-        builder.extend(reversed(cnots))
-        builder.extend(basis_post)
+        circuit.extend(cnots)
+        circuit.append(RZ(-2.0 * angle, root))
+        circuit.extend(reversed(cnots))
+        circuit.extend(basis_post)
         return 2 * len(cnots)
 
     @staticmethod

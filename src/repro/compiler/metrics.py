@@ -54,7 +54,7 @@ class OverheadReport:
     original_cnots: int
     overhead_cnots: int
     num_swaps: int
-    schedule: ScheduleReport | None = None
+    schedule: ScheduleReport
     circuit: Circuit | None = None
 
     @property
@@ -75,16 +75,15 @@ def mapping_overhead(
     *,
     parameters: Sequence[float] | None = None,
     sabre_seed: int = 11,
-    schedule: bool = False,
     commute: bool = False,
     keep_circuits: bool = False,
 ) -> dict[str, OverheadReport]:
     """Compare MtR-on-XTree, SABRE-on-XTree and SABRE-on-Grid.
 
     Returns a dict keyed "mtr_xtree", "sabre_xtree" and (when a grid is
-    given) "sabre_grid" -- the three columns of Table II.  With
-    ``schedule=True`` each report also carries the ASAP schedule metrics
-    of its physical circuit; ``commute=True`` lets SABRE route over the
+    given) "sabre_grid" -- the three columns of Table II.  Each
+    report also carries the ASAP schedule metrics of its physical
+    circuit; ``commute=True`` lets SABRE route over the
     commutation-aware DAG frontier; ``keep_circuits=True`` attaches each
     flow's physical circuit (for downstream peephole studies).
     """
@@ -100,7 +99,7 @@ def mapping_overhead(
         original_cnots=original,
         overhead_cnots=compiled.overhead_cnots,
         num_swaps=compiled.num_swaps,
-        schedule=schedule_report(compiled.circuit) if schedule else None,
+        schedule=schedule_report(compiled.circuit),
         circuit=compiled.circuit if keep_circuits else None,
     )
 
@@ -115,7 +114,7 @@ def mapping_overhead(
             original_cnots=original,
             overhead_cnots=routed.overhead_cnots,
             num_swaps=routed.num_swaps,
-            schedule=schedule_report(routed.circuit) if schedule else None,
+            schedule=schedule_report(routed.circuit),
             circuit=routed.circuit if keep_circuits else None,
         )
     return reports

@@ -17,7 +17,9 @@ The dependency structure comes from the shared circuit DAG IR
 extended set are frontier queries over that DAG.  With ``commute=True``
 the DAG drops edges between commuting gates (CNOTs sharing a control,
 rotations sliding through controls, ...), so the frontier is larger and
-the router may satisfy gates in any commutation-valid order.
+the router may satisfy gates in any commutation-valid order.  The DAG
+is of the *input* only: routed gates and SWAPs are appended straight to
+the output :class:`~repro.circuit.Circuit`.
 
 Each piece of work is done once: :meth:`SabreRouter.run` builds two DAGs,
 the circuit's and its reverse, that every traversal pass walks with its
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.circuit import Circuit
 from repro.circuit.dag import CircuitDAG, DAGNode
@@ -57,7 +59,6 @@ class SabreResult:
     final_layout: dict[int, int]
     num_swaps: int
     device: str
-    dag: CircuitDAG | None = field(default=None, repr=False)
 
     @property
     def overhead_cnots(self) -> int:
@@ -77,6 +78,7 @@ class SabreRouter:
     """
 
     def __init__(self, graph: CouplingGraph, *, seed: int = 11, commute: bool = False) -> None:
+        graph.require_connected()
         self.graph = graph
         #: Integer all-pairs hop counts, ``hops[p][q]``.
         self.hops: list[list[int]] = graph.distance_matrix().tolist()
@@ -108,14 +110,13 @@ class SabreRouter:
             layout = self._route_once(forward, layout, emit=False)[1]
             layout = self._route_once(backward, layout, emit=False)[1]
         del backward  # free it before the emitting pass builds its output
-        routed_dag, final_layout, swaps = self._route_once(forward, layout, emit=True)
+        routed, final_layout, swaps = self._route_once(forward, layout, emit=True)
         return SabreResult(
-            circuit=routed_dag.to_circuit(),
+            circuit=routed,
             initial_layout=layout,
             final_layout=final_layout,
             num_swaps=swaps,
             device=self.graph.name,
-            dag=routed_dag,
         )
 
     # ------------------------------------------------------------------
@@ -127,15 +128,13 @@ class SabreRouter:
         initial_layout: dict[int, int],
         *,
         emit: bool,
-    ) -> tuple[CircuitDAG | None, dict[int, int], int]:
+    ) -> tuple[Circuit | None, dict[int, int], int]:
         position = dict(initial_layout)
         occupant = {p: l for l, p in position.items()}
 
         remaining = [node.num_predecessors for node in dag.nodes]
         front = [node for node in dag.nodes if remaining[node.index] == 0]
-        # Emit through a DAG builder so the routed artifact carries its
-        # own wire-dependency structure for the Metrics pass's DAG checks.
-        output = CircuitDAG(self.graph.num_qubits) if emit else None
+        output = Circuit(self.graph.num_qubits) if emit else None
         num_swaps = 0
         decay = [1.0] * self.graph.num_qubits
         extended: list[DAGNode] | None = None  # of the current front
@@ -291,13 +290,16 @@ class SabreRouter:
     def _escape_swap(
         self, gate: Gate, position: dict[int, int]
     ) -> tuple[int, int]:
-        """First hop of the shortest path between a blocked gate's qubits."""
+        """First hop of the shortest path between a blocked gate's qubits
+        (one exists: the constructor rejects a disconnected graph)."""
         source = position[gate.qubits[0]]
         target = position[gate.qubits[1]]
-        for neighbor in sorted(self.graph.neighbors(source)):
-            if self.hops[neighbor][target] < self.hops[source][target]:
-                return (min(source, neighbor), max(source, neighbor))
-        raise RuntimeError("disconnected coupling graph")
+        neighbor = next(
+            node
+            for node in sorted(self.graph.neighbors(source))
+            if self.hops[node][target] < self.hops[source][target]
+        )
+        return (min(source, neighbor), max(source, neighbor))
 
     @staticmethod
     def _swap_positions(

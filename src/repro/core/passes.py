@@ -63,21 +63,17 @@ class PipelineConfig:
     has no simulation knob: a Pauli program always evolves term by term
     (``docs/performance.md``).
 
-    ``dag`` and ``commute`` control the shared circuit DAG IR
-    (:class:`repro.circuit.dag.CircuitDAG`): with ``dag`` on, the
-    :class:`Metrics` stage checks the compiled circuit's DAG and reports
-    its ASAP-scheduled depth and critical-path duration; with ``commute`` on,
-    the :class:`Route` stage hands the commutation-aware frontier to the
-    compiler and the :class:`Compress` stage reports how many CNOTs the
-    adjacency vs. commutation-aware peephole passes remove from the
-    compressed circuit.
+    ``commute`` turns on the commutation-aware edges of the circuit DAG
+    IR (:class:`repro.circuit.dag.CircuitDAG`): the :class:`Route` stage
+    hands the commutation-aware frontier to the compiler and the
+    :class:`Compress` stage reports how many CNOTs the adjacency vs.
+    commutation-aware peephole passes remove from the compressed circuit.
 
     ``validate`` (on by default) runs the static verification layer
     (:mod:`repro.analysis`) over the artifacts the stages produce: the
     :class:`Compress` stage sanitizes the compressed Pauli program, the
     :class:`Route` stage sanitizes the routed circuit and its layouts
-    against the device, and the :class:`Metrics` stage sanitizes the
-    routed artifact's DAG.  Checks are linear-time, and a cached
+    against the device.  Checks are linear-time, and a cached
     artifact is checked once per cache entry: a warm rerun finds the
     recorded verdict and runs no check (with ``cache`` off, every run
     checks).
@@ -109,7 +105,6 @@ class PipelineConfig:
     cache: bool = True
     validate: bool = True
     trajectories: int = 256
-    dag: bool = True
     commute: bool = False
     decay_base: float = 2.0
     seed: int = 11
@@ -135,7 +130,8 @@ class PipelineConfig:
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "PipelineConfig":
         # Unknown keys are dropped, so payloads that still carry retired
-        # fields (``engine``, ``fusion``, ``array_backend``) keep loading.
+        # fields (``engine``, ``fusion``, ``array_backend``, ``dag``) keep
+        # loading.
         known = {f.name for f in fields(cls)}
         return cls(**{k: v for k, v in data.items() if k in known})
 
@@ -514,19 +510,6 @@ def _chain_cnot_metrics(program: "PauliProgram") -> dict[str, int]:
     }
 
 
-def _require_connected(device: CouplingGraph) -> None:
-    """Reject a device that neither compiler can route on.
-
-    Runs inside the layout and route builders, so only on a compile-cache
-    miss: a warm pass never re-walks the graph.
-    """
-    if not device.is_connected():
-        raise ValueError(
-            f"device {device.name!r} has a disconnected coupling graph; "
-            "the compilers route only on connected devices"
-        )
-
-
 class InitialLayout(Pass):
     """Resolve the device and compute the initial mapping (Algorithm 2)."""
 
@@ -556,7 +539,6 @@ class InitialLayout(Pass):
             )
 
         def build_layout() -> dict[int, int]:
-            _require_connected(device)
             if isinstance(compressed, CircuitAnsatz):
                 from repro.compiler.layout import hierarchical_circuit_layout
 
@@ -605,8 +587,7 @@ class Route(Pass):
     requires = ("compressed",)
     produces = ("device", "compiled")
 
-    #: Checks applied to the routed result; the DAG checks are left to
-    #: the :class:`Metrics` stage.
+    #: Checks applied to the routed result.
     VALIDATION_CHECKS = (
         "qubit-bounds",
         "gate-set",
@@ -627,7 +608,6 @@ class Route(Pass):
         compiler = get_compiler(context.config.compiler)
 
         def compile_program() -> Any:
-            _require_connected(device)
             if isinstance(compressed, CircuitAnsatz):
                 return compiler.compile_circuit(
                     compressed.circuit,
@@ -746,28 +726,15 @@ class Energy(Pass):
 class Metrics(Pass):
     """Summarize the run into JSON-safe scalars (Table II conventions).
 
-    With ``config.dag`` and ``config.validate`` on, the compiled
-    artifact's DAG is checked for structural soundness (edge symmetry,
-    topological order, commute-edge validity, DAG/circuit agreement).
-    The schedule metrics do not read that DAG: they are one per-wire
-    pass over the gate list (:meth:`repro.circuit.Circuit.asap_schedule`).
+    A routed artifact's CNOT accounting comes with its ASAP schedule
+    (``depth``, ``scheduled_depth``, ``duration_ns``): one per-wire pass
+    over the gate list (:meth:`repro.circuit.Circuit.asap_schedule`),
+    computed once per cache entry.
     """
 
     name = "metrics"
 
-    #: DAG checks applied to the routed artifact.
-    VALIDATION_CHECKS = ("dag-invariants", "dag-circuit-consistency")
-
     def run(self, context: PipelineContext) -> None:
-        if context.config.dag and getattr(context.compiled, "dag", None) is not None:
-            _sanitize(
-                context,
-                "compiled",
-                self.name,
-                context.compiled,
-                checks=self.VALIDATION_CHECKS,
-                device=context.device,
-            )
         context.metrics.update(collect_metrics(context))
 
 
@@ -805,9 +772,10 @@ def collect_metrics(context: PipelineContext) -> dict[str, Any]:
     else:
         metrics["device"] = config.device
     if context.compiled is not None:
-        summary = partial(_routing_metrics, context.compiled, config.dag)
-        tag = "routing-metrics" + ("+schedule" if config.dag else "")
-        metrics.update(_once_per_entry(context, "compiled", tag, summary))
+        summary = partial(_routing_metrics, context.compiled)
+        metrics.update(
+            _once_per_entry(context, "compiled", "routing-metrics", summary)
+        )
     return metrics
 
 
@@ -826,18 +794,16 @@ def _staged_metrics(compressed: "CompressedAnsatz | CircuitAnsatz") -> dict[str,
     }
 
 
-def _routing_metrics(compiled: Any, dag: bool) -> dict[str, Any]:
-    """CNOT accounting of a routed artifact, plus its schedule with ``dag``."""
-    metrics: dict[str, Any] = {
+def _routing_metrics(compiled: Any) -> dict[str, Any]:
+    """CNOT accounting and ASAP schedule of a routed artifact."""
+    from repro.compiler.metrics import schedule_report
+
+    schedule = schedule_report(compiled.circuit)
+    return {
         "overhead_cnots": int(compiled.overhead_cnots),
         "num_swaps": int(compiled.num_swaps),
         "total_cnots": int(compiled.total_cnots),
+        "depth": int(schedule.depth),
+        "scheduled_depth": int(schedule.scheduled_depth),
+        "duration_ns": float(schedule.duration_ns),
     }
-    if dag:
-        from repro.compiler.metrics import schedule_report
-
-        schedule = schedule_report(compiled.circuit)
-        metrics["depth"] = int(schedule.depth)
-        metrics["scheduled_depth"] = int(schedule.scheduled_depth)
-        metrics["duration_ns"] = float(schedule.duration_ns)
-    return metrics

@@ -84,6 +84,18 @@ class CouplingGraph:
                     queue.append(neighbor)
         return len(seen) == self.num_qubits
 
+    def require_connected(self) -> None:
+        """Raise ValueError naming the device unless the graph is connected.
+
+        Both compilers and the hierarchical layouts route only on a
+        connected graph; they call this before any placement or routing.
+        """
+        if not self.is_connected():
+            raise ValueError(
+                f"device {self.name!r} has a disconnected coupling graph; "
+                "the compilers route only on connected devices"
+            )
+
     def _graph_center(self) -> int:
         """A qubit minimizing eccentricity (the root for level purposes)."""
         if self.num_qubits == 0:

@@ -35,7 +35,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.fixture(scope="module")
 def routed():
-    """One MtR-routed H2 instance (result carries circuit+layouts+DAG)."""
+    """One MtR-routed H2 instance (result carries circuit+layouts)."""
     return Pipeline(PipelineConfig(molecule="H2", ratio=1.0)).run()
 
 
@@ -47,13 +47,8 @@ def routed_sabre():
 
 
 def mutate(result, **changes):
-    """A compiled result with ``changes`` applied and the stale DAG dropped.
-
-    Mutations edit the circuit or layouts; keeping the original DAG would
-    add a (correct but noisy) dag-circuit-consistency finding on top of
-    the one diagnostic the test wants to isolate.
-    """
-    return dataclasses.replace(result.compiled, dag=None, **changes)
+    """A copy of the compiled result with ``changes`` applied."""
+    return dataclasses.replace(result.compiled, **changes)
 
 
 def sole_error_check(report: CheckReport) -> str:
@@ -314,7 +309,6 @@ def test_route_validation_catches_corrupted_compiler(routed):
             # Corrupt after the fact, then re-validate as Route would.
             context.compiled = dataclasses.replace(
                 context.compiled,
-                dag=None,
                 num_swaps=context.compiled.num_swaps + 7,
             )
             self._validate(context)

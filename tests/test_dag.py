@@ -160,29 +160,6 @@ class TestScheduleReport:
         assert report.scheduled_depth == 3
         assert report.duration_ns == pytest.approx(3 * DEFAULT_LATENCY.cx_ns)
 
-    def test_mtr_compiled_program_carries_dag(self):
-        from repro.compiler import MergeToRootCompiler
-        from repro.core.ir import IRTerm, PauliProgram
-        from repro.hardware import xtree
-        from repro.pauli import PauliString
-
-        terms = [
-            IRTerm(PauliString.from_label("XXI"), 1.0, 0),
-            IRTerm(PauliString.from_label("IZZ"), 1.0, 1),
-        ]
-        program = PauliProgram(3, 2, terms, [0])
-        compiled = MergeToRootCompiler(xtree(8)).compile(program)
-        assert compiled.dag is not None
-        assert compiled.dag.to_circuit().gates == compiled.circuit.gates
-
-    def test_sabre_result_carries_dag(self):
-        from repro.compiler import SabreRouter
-        from repro.hardware import xtree
-
-        result = SabreRouter(xtree(8)).run(Circuit(8, [CNOT(2, 6), H(3)]))
-        assert result.dag is not None
-        assert result.dag.to_circuit().gates == result.circuit.gates
-
 
 _CUSTOM_LATENCY = GateLatencyModel(single_qubit_ns=17.3, cx_ns=211.7, cz_ns=123.4, measure_ns=41.9)
 

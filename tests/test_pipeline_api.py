@@ -10,7 +10,10 @@ import pytest
 
 from repro.ansatz.uccsd import build_uccsd_program
 from repro.chem.hamiltonian import build_molecule_hamiltonian
-from repro.compiler.layout import hierarchical_initial_layout
+from repro.compiler.layout import (
+    hierarchical_circuit_layout,
+    hierarchical_initial_layout,
+)
 from repro.compiler.merge_to_root import MergeToRootCompiler
 from repro.compiler.registry import (
     CompilerAdapter,
@@ -243,6 +246,33 @@ class TestDisconnectedDevice:
             with pytest.raises(ValueError, match="'split12'.*disconnected"):
                 Pipeline(config).run()
 
+    @pytest.mark.parametrize(
+        "layout", [hierarchical_initial_layout, hierarchical_circuit_layout]
+    )
+    def test_hierarchical_layout_raises_value_error(self, layout):
+        kind = "circuit" if layout is hierarchical_circuit_layout else "program"
+        with pytest.raises(ValueError, match="'split12'.*disconnected"):
+            layout(_split12_workload(kind), get_device("test-split12"))
+
+    @pytest.mark.parametrize("method", ["compile", "compile_circuit"])
+    @pytest.mark.parametrize("compiler", ["mtr", "sabre"])
+    @pytest.mark.parametrize("with_layout", [False, True])
+    def test_direct_call_raises_value_error(self, method, compiler, with_layout):
+        workload = _split12_workload("circuit" if method == "compile_circuit" else "program")
+        layout = {q: q for q in range(workload.num_qubits)} if with_layout else None
+        call = getattr(get_compiler(compiler), method)
+        with pytest.raises(ValueError, match="'split12'.*disconnected"):
+            call(workload, get_device("test-split12"), initial_layout=layout)
+
+
+def _split12_workload(kind):
+    """The corpus adder circuit, or the H2 UCCSD program; both fit split12."""
+    if kind == "circuit":
+        from repro.circuit.qasm import from_qasm
+
+        return from_qasm(ADDER.read_text())
+    return build_uccsd_program(build_molecule_hamiltonian("H2")).program
+
 
 class TestCompilerRegistry:
     def test_names_and_aliases(self):
@@ -459,12 +489,11 @@ class TestVQEBackendRegistry:
 
 
 class TestDagCommuteKnobs:
-    """The shared-DAG pipeline knobs: ``dag`` (scheduled metrics) and
-    ``commute`` (commutation-aware frontier + cancellation reporting)."""
+    """The shared-DAG pipeline knob ``commute`` (commutation-aware
+    frontier + cancellation reporting) and the always-on schedule metrics."""
 
     def test_defaults(self):
         config = PipelineConfig()
-        assert config.dag is True
         assert config.commute is False
 
     def test_dag_metrics_reported(self):
@@ -473,12 +502,13 @@ class TestDagCommuteKnobs:
         assert result.metrics["duration_ns"] > 0.0
         assert result.metrics["depth"] <= result.metrics["scheduled_depth"]
 
-    def test_dag_off_skips_schedule_metrics(self):
-        result = Pipeline(
-            PipelineConfig(molecule="H2", ratio=0.5, dag=False)
-        ).run()
-        assert "scheduled_depth" not in result.metrics
-        assert "duration_ns" not in result.metrics
+    def test_saved_record_with_retired_dag_key_reports_schedule(self):
+        saved = {**PipelineConfig(molecule="H2", ratio=0.5).to_dict(), "dag": False}
+        config = PipelineConfig.from_dict(saved)
+        assert "dag" not in config.to_dict()
+        metrics = Pipeline(config).run().metrics
+        assert metrics["scheduled_depth"] >= metrics["depth"] > 0
+        assert metrics["duration_ns"] > 0.0
 
     def test_commute_records_cancellation_columns(self):
         result = Pipeline(
@@ -498,6 +528,6 @@ class TestDagCommuteKnobs:
             assert result.metrics["total_cnots"] >= result.original_cnots
 
     def test_knobs_round_trip_config(self):
-        config = PipelineConfig(dag=False, commute=True)
+        config = PipelineConfig(commute=True)
         restored = PipelineConfig.from_dict(config.to_dict())
         assert restored == config

@@ -186,10 +186,6 @@ def test_side_slot_metrics_survive_the_warm_run():
     assert "chain_cnots_commute" in warm.metrics and "duration_ns" in warm.metrics
     assert warm.metrics == cold.metrics
     assert len(compile_cache()) == entries
-    # The same routed entry read without and then with the schedule.
-    flat = Pipeline(config.replace(dag=False)).run()
-    assert "duration_ns" not in flat.metrics
-    assert Pipeline(config).run().metrics == cold.metrics
 
 
 def test_unvalidated_run_leaves_the_next_validated_run_checking(counters):

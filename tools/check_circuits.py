@@ -4,11 +4,11 @@
 Compiles each of the paper's nine benchmark molecules with both
 registered flows (Merge-to-Root and SABRE) and runs the full check
 registry over every produced artifact: the routed result (bounds,
-gate set, parameters, coupling legality, layout permutation, DAG
-invariants) plus the compressed Pauli program.  The committed QASM
-corpus (``benchmarks/corpus/``) is sanitized the same way -- every
-corpus circuit routed by both flows on its exact-fit XTree device --
-unless ``--no-corpus`` is given.  Exit status is 1 when any artifact
+gate set, parameters, coupling legality, layout permutation) plus the
+compressed Pauli program.  The committed QASM corpus
+(``benchmarks/corpus/``) is sanitized the same way -- every corpus
+circuit routed by both flows on its exact-fit XTree device -- unless
+``--no-corpus`` is given.  Exit status is 1 when any artifact
 yields an ERROR diagnostic; ``--report`` writes the per-artifact
 findings as JSON (the CI diagnostics artifact).
 
