@@ -10,7 +10,8 @@ determinism rules need --
 * which *calls* each function makes (symbolic, resolved against import
   tables by :mod:`.callgraph`),
 * which module-level names each function mutates and how,
-* which callables each function submits to thread / process executors,
+* which callables each function submits to thread / process executors
+  (``submit``/``map`` targets and ``initializer=`` callables alike),
 * the raw AST of each function body, for the rules that walk deeper
   (slab lifecycle, seed provenance).
 
@@ -83,7 +84,8 @@ class GlobalWrite:
 
 @dataclass(frozen=True)
 class Submission:
-    """A callable handed to an executor's ``submit``/``map``."""
+    """A callable handed to an executor's ``submit``/``map``, or passed as
+    its constructor's ``initializer=`` (worker code all the same)."""
 
     executor: str  # "thread" | "process"
     target: str | None  # symbolic callee (resolved later); None if opaque
@@ -372,6 +374,15 @@ class _FunctionExtractor(ast.NodeVisitor):
 
     def visit_Call(self, node: ast.Call) -> None:
         self._record_call(node)
+        # ProcessPoolExecutor(initializer=f): f runs in every worker.
+        pool_kind = _executor_kind_of_call(node)
+        if pool_kind is not None:
+            for keyword in node.keywords:
+                if keyword.arg == "initializer":
+                    target, target_kind = self._classify_target(keyword.value)
+                    self.info.submissions.append(
+                        Submission(pool_kind, target, target_kind, keyword.value.lineno)
+                    )
         # GLOBAL.method(...) mutation
         if isinstance(node.func, ast.Attribute):
             receiver = node.func.value

@@ -6,7 +6,8 @@ reachability matters) returning :class:`RuleFinding` records.  The rules
 encode the two conventions the scale-out layer rests on:
 
 RR101  module-level state mutated by code transitively reachable from a
-       task submitted to a thread/process executor.  Shared memos are
+       task submitted to a thread/process executor (or from the pool's
+       ``initializer=``).  Shared memos are
        racy under threads and silently divergent under processes; every
        surviving site must either be made task-local or carry a pragma
        stating why the shared write is safe (idempotent memo, per-

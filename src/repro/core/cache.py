@@ -316,14 +316,3 @@ def compile_cache() -> ContentAddressedCache:
 def clear_compile_cache() -> None:
     """Drop all globally cached compile artifacts and reset counters."""
     _COMPILE_CACHE.clear()
-
-
-def resolve_cache(
-    cache: "ContentAddressedCache | bool | None",
-) -> "ContentAddressedCache | None":
-    """Normalize a ``cache=`` knob: True -> global, False/None -> off."""
-    if cache is True:
-        return _COMPILE_CACHE
-    if cache is False or cache is None:
-        return None
-    return cache

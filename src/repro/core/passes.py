@@ -31,7 +31,6 @@ if TYPE_CHECKING:  # imported lazily at runtime to avoid package cycles
     from repro.ansatz.circuit_ansatz import CircuitAnsatz
     from repro.ansatz.qaoa import QAOAAnsatz
     from repro.ansatz.uccsd import UCCSDAnsatz
-    from repro.core.cache import ContentAddressedCache
     from repro.core.ir import PauliProgram
     from repro.problems.registry import CircuitProblem, GraphProblem
     from repro.vqe.runner import VQEResult
@@ -75,17 +74,17 @@ class PipelineConfig:
     :class:`Route` stage sanitizes the routed circuit and its layouts
     against the device.  Checks are linear-time, and a cached
     artifact is checked once per cache entry: a warm rerun finds the
-    recorded verdict and runs no check (with ``cache`` off, every run
-    checks).
+    recorded verdict and runs no check.
 
-    ``cache`` turns the content-addressed compile cache
-    (:mod:`repro.core.cache`) on or off: with it on (the default), the
-    ansatz build, compression, layout, routing, and schedule metrics of
-    a run are memoized, so repeated pipelines, ``run_batch`` workers,
-    and ``bond_scan`` points sharing structure skip recompilation
-    entirely.  Only the inputs (Hamiltonian, device, a ``qasm:`` file's
-    bytes) are content-hashed; each stage keys its artifact on the entry
-    keys of its inputs plus the config fields it reads (:func:`entry_key`).
+    Every run goes through the content-addressed compile cache
+    (:mod:`repro.core.cache`): the ansatz build, compression, layout,
+    routing, and schedule metrics are memoized, so repeated pipelines,
+    ``run_batch`` workers, and ``bond_scan`` points sharing structure
+    skip recompilation entirely (:func:`repro.core.cache.clear_compile_cache`
+    gives a fresh run).  Only the inputs (Hamiltonian, device, a
+    ``qasm:`` file's bytes) are content-hashed; each stage keys its
+    artifact on the entry keys of its inputs plus the config fields it
+    reads (:func:`entry_key`).
     """
 
     molecule: str = "H2"
@@ -102,7 +101,6 @@ class PipelineConfig:
     device: str = "xtree17"
     compiler: str = "mtr"
     layout: str = "auto"
-    cache: bool = True
     validate: bool = True
     trajectories: int = 256
     commute: bool = False
@@ -130,8 +128,8 @@ class PipelineConfig:
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "PipelineConfig":
         # Unknown keys are dropped, so payloads that still carry retired
-        # fields (``engine``, ``fusion``, ``array_backend``, ``dag``) keep
-        # loading.
+        # fields (``engine``, ``fusion``, ``array_backend``, ``dag``,
+        # ``cache``) keep loading.
         known = {f.name for f in fields(cls)}
         return cls(**{k: v for k, v in data.items() if k in known})
 
@@ -159,13 +157,6 @@ class PipelineContext:
                 "run the stage that produces it first"
             )
         return value
-
-
-def _compile_store(context: PipelineContext) -> "ContentAddressedCache | None":
-    """The compile cache selected by ``config.cache`` (None when off)."""
-    from repro.core.cache import resolve_cache
-
-    return resolve_cache(context.config.cache)
 
 
 def _content_key(attribute: str, artifact: Any) -> str:
@@ -232,16 +223,15 @@ def entry_key(context: PipelineContext, attribute: str) -> str | None:
 
 def _cached(
     context: PipelineContext,
-    store: "ContentAddressedCache",
     attribute: str,
     key_parts: tuple[Any, ...],
     compute: Callable[[], Any],
 ) -> None:
-    """Stage ``context.<attribute>`` from ``store`` under a derived key."""
-    from repro.core.cache import canonical_hash
+    """Stage ``context.<attribute>`` from the compile cache under a derived key."""
+    from repro.core.cache import canonical_hash, compile_cache
 
     key = canonical_hash(*key_parts)
-    setattr(context, attribute, store.get_or_compute(key, compute))
+    setattr(context, attribute, compile_cache().get_or_compute(key, compute))
     _record_key(context, attribute, key)
 
 
@@ -255,14 +245,16 @@ def _once_per_entry(
 
     The result is attached under ``tag`` to the cache entry holding the
     artifact, and later runs that get the same artifact from the cache
-    read it back.  An artifact with no entry (``cache=False``, or staged
-    by a custom pass) is computed for every run, and so is one whose
-    ``compute`` raises, since a raise attaches nothing.
+    read it back.  An artifact with no entry (staged by a custom pass,
+    or swapped after its pass ran) is computed for every run, and so is
+    one whose ``compute`` raises, since a raise attaches nothing.
     """
+    from repro.core.cache import compile_cache
+
     artifact = getattr(context, attribute)
-    store = _compile_store(context)
+    store = compile_cache()
     key = _recorded_key(context, attribute)
-    if store is None or key is None:
+    if key is None:
         return compute()
     data = store.attached(key, artifact, tag)
     if data is None:
@@ -336,10 +328,10 @@ class BuildProblem(Pass):
     pipeline), which is how batch runs share one Hamiltonian across
     configs.
 
-    With ``config.cache`` on, a ``qasm:`` problem is content-addressed
-    on the spec and the file's bytes, read once per run: the file is
-    parsed once per content, and the stages downstream key on the
-    entry instead of hashing the circuit.
+    A ``qasm:`` problem is content-addressed on the spec and the file's
+    bytes, read once per run: the file is parsed once per content, and
+    the stages downstream key on the entry instead of hashing the
+    circuit.
     """
 
     name = "build_problem"
@@ -356,25 +348,23 @@ class BuildProblem(Pass):
             return
         from repro.problems.registry import circuit_problem, get_problem, qasm_file
 
-        store = _compile_store(context)
         path = qasm_file(spec)
-        if store is None or path is None:
+        if path is None:
             context.problem = get_problem(spec)
             return
         # Parse the bytes that were keyed, never a second read.
         data = path.read_bytes()
         parse = partial(circuit_problem, path, data.decode())
-        _cached(context, store, "problem", ("qasm-problem", spec, data), parse)
+        _cached(context, "problem", ("qasm-problem", spec, data), parse)
 
 
 class BuildAnsatz(Pass):
     """Problem -> ansatz: UCCSD (molecular), QAOA (graph) or raw circuit.
 
-    With ``config.cache`` on, the ansatz is content-addressed under the
-    problem's key (its Hamiltonian's hash, or the entry key of a
-    ``qasm:`` problem): every pipeline, batch worker, or scan point over
-    the same instance shares one built ansatz, and the stages downstream
-    key on its entry.
+    The ansatz is content-addressed under the problem's key (its
+    Hamiltonian's hash, or the entry key of a ``qasm:`` problem): every
+    pipeline, batch worker, or scan point over the same instance shares
+    one built ansatz, and the stages downstream key on its entry.
     """
 
     name = "build_ansatz"
@@ -404,13 +394,7 @@ class BuildAnsatz(Pass):
 
             kind = ("uccsd-ansatz",)
             build = partial(build_uccsd_program, problem)
-        store = _compile_store(context)
-        if store is None:
-            context.ansatz = build()
-            return
-        _cached(
-            context, store, "ansatz", (*kind, entry_key(context, "problem")), build
-        )
+        _cached(context, "ansatz", (*kind, entry_key(context, "problem")), build)
 
 
 class Compress(Pass):
@@ -464,17 +448,9 @@ class Compress(Pass):
                 context.config.ratio,
                 decay_base=context.config.decay_base,
             )
-        store = _compile_store(context)
-        if store is None:
-            context.compressed = compress()
-        else:
-            _cached(
-                context,
-                store,
-                "compressed",
-                (*kind, entry_key(context, "ansatz")),
-                compress,
-            )
+        _cached(
+            context, "compressed", (*kind, entry_key(context, "ansatz")), compress
+        )
         self._commute_metrics(context)
         self._validate(context)
 
@@ -556,17 +532,13 @@ class InitialLayout(Pass):
                 return trivial_layout(compressed.program, device)
             return hierarchical_initial_layout(compressed.program, device)
 
-        store = _compile_store(context)
-        if store is None:
-            context.initial_layout = build_layout()
-            return
         key_parts = (
             "initial-layout",
             scheme,
             entry_key(context, "compressed"),
             entry_key(context, "device"),
         )
-        _cached(context, store, "initial_layout", key_parts, build_layout)
+        _cached(context, "initial_layout", key_parts, build_layout)
 
 
 class Route(Pass):
@@ -624,20 +596,16 @@ class Route(Pass):
                 commute=context.config.commute,
             )
 
-        store = _compile_store(context)
-        if store is None:
-            context.compiled = compile_program()
-        else:
-            key_parts = (
-                "route",
-                context.config.compiler,
-                entry_key(context, "device"),
-                entry_key(context, "compressed"),
-                entry_key(context, "initial_layout"),
-                context.config.seed,
-                context.config.commute,
-            )
-            _cached(context, store, "compiled", key_parts, compile_program)
+        key_parts = (
+            "route",
+            context.config.compiler,
+            entry_key(context, "device"),
+            entry_key(context, "compressed"),
+            entry_key(context, "initial_layout"),
+            context.config.seed,
+            context.config.commute,
+        )
+        _cached(context, "compiled", key_parts, compile_program)
         self._validate(context)
 
     def _validate(self, context: PipelineContext) -> None:

@@ -12,8 +12,8 @@ The flow is a :class:`Pipeline` of named, swappable passes (see
 
 ``co_optimize`` remains as a thin compatibility wrapper that builds the
 default pipeline; :func:`run_batch` runs a list of configs in a serial
-loop or fans them out over a process pool that ships Hamiltonian tables
-through shared memory (``executor="serial" | "process"``), aggregating
+loop or fans them out over a process pool that receives each built
+Hamiltonian once per worker (``executor="serial" | "process"``), aggregating
 per-item failures as :class:`BatchItemError` records, and results
 serialize through ``to_dict``/``from_dict`` for persistence and diffing.
 
@@ -43,14 +43,11 @@ Pauli program term by term (see ``docs/performance.md``).
 from __future__ import annotations
 
 import copy
-import dataclasses
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
-
-import numpy as np
 
 from repro.chem.hamiltonian import MolecularProblem, build_molecule_hamiltonian
 from repro.core.compression import CompressedAnsatz
@@ -469,60 +466,22 @@ class BatchItemError:
         return f"batch item {self.index} ({label}): {self.error_type}: {self.error}"
 
 
-def _hamiltonian_tables(hamiltonian: Any) -> dict[str, np.ndarray] | None:
-    """Pauli-term coefficient tables of one Hamiltonian, as flat arrays.
-
-    Returns ``None`` past 64 qubits (masks no longer fit ``uint64``;
-    such problems fall back to pickling the Hamiltonian itself).
-    """
-    if hamiltonian.num_qubits > 64:
-        return None
-    keys = []
-    coefficients = []
-    for (x_mask, z_mask), coefficient in hamiltonian.items():
-        keys.append((x_mask, z_mask))
-        coefficients.append(coefficient)
-    return {
-        "x": np.array([k[0] for k in keys], dtype=np.uint64),
-        "z": np.array([k[1] for k in keys], dtype=np.uint64),
-        "coeff": np.array(coefficients, dtype=np.complex128),
-    }
+#: Molecular problems the parent built for one process-mode batch, keyed
+#: by (molecule, bond length).  Empty in the parent; each pool worker
+#: fills its own copy once, through :func:`_init_batch_worker`.
+_WORKER_PROBLEMS: dict[tuple[str, float | None], MolecularProblem] = {}
 
 
-#: Per-process memo of problems restored from shared-memory tables,
-#: keyed by (segment name, slot): a worker rebuilds each unique
-#: Hamiltonian once and every later task for the same problem reuses it.
-_RESTORED_PROBLEMS: dict[tuple[str, int], MolecularProblem] = {}
-
-
-def _restore_problem(handle: Any, slot: int, skeleton: MolecularProblem) -> MolecularProblem:
-    """Rebuild a molecular problem from its shared-memory Pauli tables."""
-    from repro.core.shm import SharedSlabs
-    from repro.pauli import PauliSum
-
-    key = (handle.segment, slot)
-    if key not in _RESTORED_PROBLEMS:
-        slabs = SharedSlabs.attach(handle)
-        try:
-            x_masks = slabs[f"{slot}:x"]
-            z_masks = slabs[f"{slot}:z"]
-            coefficients = slabs[f"{slot}:coeff"]
-            terms = {
-                (int(x_masks[i]), int(z_masks[i])): complex(coefficients[i])
-                for i in range(len(coefficients))
-            }
-        finally:
-            slabs.close()
-        hamiltonian = PauliSum(skeleton.num_qubits, terms)
-        # lint: ignore[RR101] - per-process memo by design; workers never share it
-        _RESTORED_PROBLEMS[key] = dataclasses.replace(
-            skeleton, hamiltonian=hamiltonian
-        )
-    return _RESTORED_PROBLEMS[key]
+def _init_batch_worker(
+    problems: dict[tuple[str, float | None], MolecularProblem],
+) -> None:
+    """Pool initializer: keep the parent's built problems for every task."""
+    # lint: ignore[RR101] - per-process by design: each worker fills its own copy once
+    _WORKER_PROBLEMS.update(problems)
 
 
 def _batch_item_task(
-    payload: tuple[int, PipelineConfig, Callable[..., Any], Any, int | None, Any],
+    payload: tuple[int, PipelineConfig, Callable[..., Any]],
 ) -> dict[str, Any] | BatchItemError:
     """Run one batch config in a pool worker (module-level: picklable).
 
@@ -530,11 +489,11 @@ def _batch_item_task(
     the live object so only a small dict crosses the process boundary,
     or a :class:`BatchItemError` when the pipeline raises.
     """
-    index, config, factory, handle, slot, skeleton = payload
+    index, config, factory = payload
     try:
         problem = None
-        if handle is not None and slot is not None and skeleton is not None:
-            problem = _restore_problem(handle, slot, skeleton)
+        if config.problem is None:
+            problem = _WORKER_PROBLEMS.get((config.molecule, config.bond_length))
         result = factory(config).run(problem=problem)
         return result.to_dict()
     except Exception as exc:  # noqa: BLE001 - aggregated, not swallowed
@@ -568,65 +527,30 @@ def _run_batch_process(
     factory: Callable[[PipelineConfig], Pipeline],
     count: int,
 ) -> list[CoOptimizationResult | BatchItemError]:
-    """Process-pool fan-out with Hamiltonian tables in shared memory.
+    """Process-pool fan-out over problems the parent built once.
 
-    The parent builds each unique (molecule, bond length) Hamiltonian
-    once, places its Pauli coefficient tables in one shared-memory
-    segment (:class:`repro.core.shm.SharedSlabs`), and ships workers a
-    *skeleton* problem (everything but the Hamiltonian) plus the slab
-    handle; workers map the tables zero-copy and rebuild the problem
-    through a per-process memo, so the heavyweight chemistry runs once
-    total instead of once per worker.
+    The parent builds each unique (molecule, bond length) problem once
+    and hands the lot to every worker once, as the pool's initializer
+    arguments, so the heavyweight chemistry runs once in total and a
+    task carries only its index, config and factory.
     """
-    from repro.core.shm import SharedSlabs
-    from repro.pauli import PauliSum
-
-    unique: dict[tuple[str, float | None], MolecularProblem] = {}
+    problems: dict[tuple[str, float | None], MolecularProblem] = {}
     for config in configs:
         if config.problem is not None:
             continue  # non-molecular workloads rebuild in the worker
         key = (config.molecule, config.bond_length)
-        if key not in unique:
+        if key not in problems:
             try:
-                unique[key] = build_molecule_hamiltonian(
+                problems[key] = build_molecule_hamiltonian(
                     config.molecule, config.bond_length
                 )
             except Exception:  # noqa: BLE001 - recorded by the item's own run
                 continue
-
-    tables: dict[str, np.ndarray] = {}
-    slots: dict[tuple[str, float | None], int] = {}
-    skeletons: dict[tuple[str, float | None], MolecularProblem] = {}
-    for slot, (key, problem) in enumerate(unique.items()):
-        exported = _hamiltonian_tables(problem.hamiltonian)
-        if exported is None:
-            continue
-        slots[key] = slot
-        tables[f"{slot}:x"] = exported["x"]
-        tables[f"{slot}:z"] = exported["z"]
-        tables[f"{slot}:coeff"] = exported["coeff"]
-        # The skeleton pickles per task but is tiny next to the tables.
-        skeletons[key] = dataclasses.replace(
-            problem, hamiltonian=PauliSum(problem.num_qubits)
-        )
-
-    slabs = SharedSlabs.create(tables) if tables else None
-    try:
-        handle = slabs.handle if slabs is not None else None
-        payloads = []
-        for index, config in enumerate(configs):
-            key = (config.molecule, config.bond_length)
-            if config.problem is None and key in slots:
-                payloads.append(
-                    (index, config, factory, handle, slots[key], skeletons[key])
-                )
-            else:
-                payloads.append((index, config, factory, None, None, None))
-        with ProcessPoolExecutor(max_workers=count) as pool:
-            raw = list(pool.map(_batch_item_task, payloads))
-    finally:
-        if slabs is not None:
-            slabs.unlink()
+    payloads = [(index, config, factory) for index, config in enumerate(configs)]
+    with ProcessPoolExecutor(
+        max_workers=count, initializer=_init_batch_worker, initargs=(problems,)
+    ) as pool:
+        raw = list(pool.map(_batch_item_task, payloads))
     return [
         item
         if isinstance(item, BatchItemError)
@@ -645,13 +569,13 @@ def run_batch(
     """Run many pipeline configs (bond scans, yield studies).
 
     ``executor`` picks the fan-out strategy (``"serial"`` / ``"process"``);
-    ``workers`` the pool width (``None``/``"auto"`` means the CPU count,
-    capped at the task count).  The serial loop (default) shares the
-    in-process Hamiltonian and compile caches across items; the process
-    pool sidesteps the GIL for compile-heavy sweeps by shipping each
-    unique Hamiltonian's Pauli coefficient tables through shared memory
-    (:mod:`repro.core.shm`) -- workers map the tables zero-copy instead
-    of unpickling per task.  Every config is an independent,
+    ``workers`` the pool width (``None``/``"auto"`` means the CPUs this
+    process may run on, capped at the task count).  The serial loop
+    (default) shares the in-process Hamiltonian and compile caches
+    across items; the process pool sidesteps the GIL for compile-heavy
+    sweeps: the parent builds each unique molecular problem once and
+    hands them to every worker once, through the pool's initializer,
+    so no task carries a Hamiltonian.  Every config is an independent,
     deterministic task, so both executors produce identical results
     item for item (process-mode results are metrics-only snapshots, the
     :meth:`CoOptimizationResult.from_dict` flavor, since results cross a
@@ -669,7 +593,7 @@ def run_batch(
         configs: pipeline configurations to run.
         executor: ``"serial"`` (default) or ``"process"`` (which needs a
             picklable ``pipeline_factory``).
-        workers: pool width; ``None``/``"auto"`` = CPU count.
+        workers: pool width; ``None``/``"auto"`` = usable CPU count.
         pipeline_factory: builds the pipeline for one config; defaults to
             the standard ``Pipeline(config)`` (pass a custom factory to
             append stages, e.g. ``Energy`` for VQE sweeps).

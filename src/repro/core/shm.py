@@ -1,13 +1,14 @@
-"""Shared-memory array slabs for process-pool scale-out.
+"""Shared-memory array slabs for the trajectory engine's process pool.
 
-The process-pool executors (:func:`repro.core.pipeline.run_batch`,
-:func:`repro.sim.trajectory.trajectory_estimate`) move large numeric
-tables between workers -- Hamiltonian coefficient tables, grouped
-expectation diagonals, per-trajectory output values.  Pickling them
-through the pool's pipes copies every byte per task; this module places
-them in one POSIX shared-memory segment instead, so workers *map* the
-arrays (zero-copy views) and only a tiny :class:`SlabHandle` (segment
-name + array specs) travels through the pickle channel.
+``executor="process"`` in :mod:`repro.sim.trajectory` hands every chunk
+worker the observable's grouped expectation diagonals (``(G, 2**n)``
+complex128, 65 MB for BH3) and the optional initial state.  Pickling
+them through the pool's pipes copies every byte per task; this module
+places them in one POSIX shared-memory segment instead, so workers
+*map* the arrays (zero-copy views) and only a tiny :class:`SlabHandle`
+(segment name + array specs) travels through the pickle channel.  The
+trajectory engine is the only owner of a segment: ``run_batch`` and
+``bond_scan`` ship their small inputs by plain pickling.
 
 Usage -- parent creates, workers attach::
 

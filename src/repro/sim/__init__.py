@@ -30,6 +30,10 @@ axis of a ``(K, 2**n)`` stack of states.
 Every path runs on NumPy arrays in one process unless the
 ``executor=``/``workers=`` knobs (:data:`repro.sim.trajectory.EXECUTORS`:
 ``"serial"`` or ``"process"``) fan the work out over a process pool.
+The trajectory engine's pool is the one that maps its big constant --
+the observable's grouped diagonals -- from a shared-memory segment
+(:class:`repro.core.shm.SharedSlabs`) instead of pickling it per chunk;
+``workers=None``/``"auto"`` means the CPUs this process may run on.
 """
 
 from repro.sim.statevector import (

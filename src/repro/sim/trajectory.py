@@ -61,12 +61,18 @@ def check_executor(executor: str) -> str:
 
 
 def resolve_workers(workers: "int | str | None", tasks: int) -> int:
-    """Resolve the ``workers=`` knob: ``"auto"``/``None`` -> CPU count.
+    """Resolve the ``workers=`` knob: ``"auto"``/``None`` -> usable CPUs.
 
-    Never more workers than tasks; always at least 1.
+    The usable CPUs are this process's affinity set where the platform
+    has one (a container or ``taskset`` may allow fewer than the
+    machine has), else ``os.cpu_count()``.  Never more workers than
+    tasks; always at least 1.
     """
     if workers in (None, "auto"):
-        count = os.cpu_count() or 1
+        if hasattr(os, "sched_getaffinity"):
+            count = len(os.sched_getaffinity(0))
+        else:
+            count = os.cpu_count() or 1
     else:
         count = int(workers)  # type: ignore[arg-type]
         if count < 1:

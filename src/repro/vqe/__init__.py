@@ -28,7 +28,7 @@ from repro.vqe.energy import (
 from repro.vqe.gradient import AdjointGradient
 from repro.vqe.measurement import group_commuting_terms, MeasurementGroup
 from repro.vqe.optimizer import minimize_energy, OptimizationOutcome
-from repro.vqe.runner import VQE, VQEResult, available_backends, register_backend
+from repro.vqe.runner import VQE, VQEResult
 from repro.vqe.scan import bond_scan, ScanPoint, sweep_energies
 
 __all__ = [
@@ -43,8 +43,6 @@ __all__ = [
     "OptimizationOutcome",
     "VQE",
     "VQEResult",
-    "available_backends",
-    "register_backend",
     "bond_scan",
     "ScanPoint",
     "sweep_energies",

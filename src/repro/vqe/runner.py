@@ -11,9 +11,8 @@ finite differences.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -46,63 +45,8 @@ def _reject_noise(backend: str, noise: DepolarizingNoiseModel | None) -> None:
         )
 
 
-def _statevector_backend(program, hamiltonian, *, noise, shots_per_group, seed):
-    _reject_noise("statevector", noise)
-    return StatevectorEnergy(program, hamiltonian)
-
-
-def _density_matrix_backend(program, hamiltonian, *, noise, shots_per_group, seed):
-    return DensityMatrixEnergy(program, hamiltonian, noise)
-
-
-def _trajectory_backend(
-    program, hamiltonian, *, noise, shots_per_group, seed, trajectories,
-    executor="serial", workers=None,
-):
-    return TrajectoryEnergy(
-        program, hamiltonian, noise, trajectories=trajectories, seed=seed,
-        executor=executor, workers=workers,
-    )
-
-
-def _sampling_backend(program, hamiltonian, *, noise, shots_per_group, seed):
-    _reject_noise("sampling", noise)
-    return SamplingEnergy(
-        program, hamiltonian, shots_per_group=shots_per_group, seed=seed
-    )
-
-
-#: Registry of energy-backend factories; keys are the valid ``backend``
-#: names for :class:`VQE`.  Extend with :func:`register_backend`.
-ENERGY_BACKENDS: dict[str, Callable[..., Any]] = {
-    "statevector": _statevector_backend,
-    "density_matrix": _density_matrix_backend,
-    "trajectory": _trajectory_backend,
-    "sampling": _sampling_backend,
-}
-
-
-def available_backends() -> list[str]:
-    return sorted(ENERGY_BACKENDS)
-
-
-def register_backend(
-    name: str, factory: Callable[..., Any], *, overwrite: bool = False
-) -> None:
-    """Register an energy-backend factory under ``name``.
-
-    The factory is called as ``factory(program, hamiltonian, noise=...,
-    shots_per_group=..., seed=...)`` and must return a callable mapping
-    a parameter vector to a float energy.  Factories that declare a
-    ``trajectories``, ``executor``, or ``workers`` keyword (or
-    ``**kwargs``) additionally receive the trajectory count and/or the
-    scale-out executor knobs; backends that don't use them may simply
-    not declare them.  A factory that cannot honor a
-    non-trivial ``noise`` model must raise rather than drop it silently.
-    """
-    if name in ENERGY_BACKENDS and not overwrite:
-        raise ValueError(f"backend {name!r} already registered")
-    ENERGY_BACKENDS[name] = factory
+#: Valid ``backend`` names for :class:`VQE`.
+BACKENDS = ("statevector", "density_matrix", "trajectory", "sampling")
 
 
 @dataclass
@@ -172,39 +116,29 @@ class VQE:
         from repro.sim.trajectory import check_executor
 
         check_executor(executor)
-        try:
-            factory = ENERGY_BACKENDS[backend]
-        except KeyError:
+        if backend not in BACKENDS:
             raise ValueError(
                 f"unknown VQE backend {backend!r}; valid backends: "
-                f"{', '.join(available_backends())}"
-            ) from None
-        factory_kwargs: dict[str, Any] = {
-            "noise": noise,
-            "shots_per_group": shots_per_group,
-            "seed": seed,
-        }
-        # Only hand optional knobs to factories that take them, so
-        # backends registered against older signatures keep working.
-        factory_params = inspect.signature(factory).parameters
-        accepts_kwargs = any(
-            p.kind is inspect.Parameter.VAR_KEYWORD for p in factory_params.values()
-        )
-        for knob, value in (
-            ("trajectories", trajectories),
-            ("executor", executor),
-            ("workers", workers),
-        ):
-            if knob in factory_params or accepts_kwargs:
-                factory_kwargs[knob] = value
-        self.energy = factory(program, hamiltonian, **factory_kwargs)
-        # Decided from the evaluator, not the backend name, so a factory
-        # re-registered under any name still gets (or skips) the adjoint.
-        self.gradient = (
-            AdjointGradient(program, hamiltonian, energy=self.energy)
-            if isinstance(self.energy, StatevectorEnergy)
-            else None
-        )
+                f"{', '.join(BACKENDS)}"
+            )
+        self.energy: Any
+        self.gradient: AdjointGradient | None = None
+        if backend == "statevector":
+            _reject_noise(backend, noise)
+            self.energy = StatevectorEnergy(program, hamiltonian)
+            self.gradient = AdjointGradient(program, hamiltonian, energy=self.energy)
+        elif backend == "density_matrix":
+            self.energy = DensityMatrixEnergy(program, hamiltonian, noise)
+        elif backend == "trajectory":
+            self.energy = TrajectoryEnergy(
+                program, hamiltonian, noise, trajectories=trajectories, seed=seed,
+                executor=executor, workers=workers,
+            )
+        else:
+            _reject_noise(backend, noise)
+            self.energy = SamplingEnergy(
+                program, hamiltonian, shots_per_group=shots_per_group, seed=seed
+            )
         self.backend = backend
         self.executor = executor
         self.workers = workers

@@ -314,7 +314,7 @@ def test_route_validation_catches_corrupted_compiler(routed):
             self._validate(context)
 
     pipeline = Pipeline(
-        PipelineConfig(molecule="H2", ratio=1.0, cache=False)
+        PipelineConfig(molecule="H2", ratio=1.0)
     ).replacing("route", BrokenRoute())
     with pytest.raises(AnalysisError, match="layout-permutation"):
         pipeline.run()

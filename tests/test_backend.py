@@ -4,8 +4,15 @@ Covers :mod:`repro.core.shm` slab round-trips, the executor knobs, and
 the determinism guarantee -- seeded ``bond_scan`` /
 ``trajectory_estimate`` runs are bit-identical across
 ``executor="serial" | "process"`` and any worker count; every surface
-that takes ``executor=`` rejects an unknown name with a ``ValueError``.
+that takes ``executor=`` rejects an unknown name with a ``ValueError``;
+a trajectory chunk worker that dies breaks the pool without leaking
+its shared-memory segment.
 """
+
+import multiprocessing
+import os
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +22,7 @@ from repro.circuit.gates import CNOT, H, RX, RZ
 from repro.core.shm import SharedSlabs
 from repro.pauli import PauliSum
 from repro.sim.noise import DepolarizingNoiseModel
+import repro.sim.trajectory as trajectory
 from repro.sim.trajectory import (
     check_executor,
     resolve_workers,
@@ -147,6 +155,15 @@ class TestExecutorPlumbing:
         with pytest.raises(ValueError, match="at least 1"):
             resolve_workers(0, 5)
 
+    def test_auto_workers_count_only_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert resolve_workers(None, 10) == 2
+        assert resolve_workers("auto", 10) == 2
+        # Platforms without an affinity set fall back to the CPU count.
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert resolve_workers(None, 10) == 8
+
 
 # ----------------------------------------------------------------------
 # Determinism across executors
@@ -222,3 +239,33 @@ class TestExecutorDeterminism:
         reference = run("serial", None)
         assert run("process", 4) == reference
         assert run("process", 1) == reference
+
+    @pytest.mark.skipif(
+        not Path("/dev/shm").is_dir()
+        or multiprocessing.get_start_method() != "fork",
+        reason="needs a /dev/shm listing and forked workers that see the patch",
+    )
+    def test_crashed_chunk_worker_breaks_pool_and_leaks_no_segment(
+        self, monkeypatch
+    ):
+        circuit, observable, _ = self.trajectory_setup()
+        noise = DepolarizingNoiseModel(one_qubit_error=0.3, two_qubit_error=0.5)
+        options = {"trajectories": 64, "seed": 3, "block_size": 8}
+        _, signature = trajectory._noisy_gates(circuit, noise)
+        events = trajectory._draw_events(
+            signature, circuit.num_qubits, options["trajectories"],
+            options["seed"], options["block_size"],
+        )
+        assert len(events.chunks) >= 2  # one chunk would run serially
+        monkeypatch.setattr(trajectory, "_evolve_chunk", _crash_chunk)
+        before = set(os.listdir("/dev/shm"))
+        with pytest.raises(BrokenProcessPool):
+            trajectory_estimate(
+                circuit, observable, noise, executor="process", workers=2, **options
+            )
+        assert set(os.listdir("/dev/shm")) - before == set()
+
+
+def _crash_chunk(*args):
+    """Kill the chunk worker outright (no exception)."""
+    os._exit(3)

@@ -174,23 +174,15 @@ class TestPipelineCaching:
         assert compile_cache().stats.hits > 0
         assert cold.metrics == warm.metrics
 
-    def test_cache_off_still_runs(self):
-        from repro.core import Pipeline, PipelineConfig
-
-        clear_compile_cache()
-        config = PipelineConfig(molecule="H2", ratio=0.5, cache=False)
-        result = Pipeline(config).run()
-        assert compile_cache().stats.lookups == 0
-        assert "total_cnots" in result.metrics
-
     def test_config_from_dict_accepts_new_knobs(self):
         from repro.core import PipelineConfig
 
-        # ``fusion`` is a retired field: the key is dropped on load.
+        # ``fusion`` and ``cache`` are retired fields: the keys are
+        # dropped on load.
         config = PipelineConfig.from_dict(
             {"molecule": "H2", "fusion": "1q", "cache": False}
         )
-        assert config == PipelineConfig(molecule="H2", cache=False)
+        assert config == PipelineConfig(molecule="H2")
 
 
 class TestImportanceMemo:

@@ -27,6 +27,7 @@ from repro.core import (
     Pipeline,
     PipelineConfig,
     PipelineError,
+    clear_compile_cache,
     co_optimize,
     compress_ansatz,
     load_batch,
@@ -37,7 +38,7 @@ from repro.core.passes import BuildAnsatz, BuildProblem, Compress
 from repro.hardware.coupling import CouplingGraph
 from repro.hardware.registry import get_device, list_devices, register_device
 from repro.hardware.xtree import xtree
-from repro.vqe.runner import VQE, VQEResult, available_backends
+from repro.vqe.runner import VQE, VQEResult
 
 
 def _legacy_flow(molecule: str, ratio: float):
@@ -237,11 +238,14 @@ class TestDisconnectedDevice:
         )
 
     @pytest.mark.parametrize("compiler", ["mtr", "sabre"])
-    @pytest.mark.parametrize("cache", [True, False])
-    def test_raises_value_error_naming_device(self, compiler, cache):
+    @pytest.mark.parametrize("warm", [True, False])
+    def test_raises_value_error_naming_device(self, compiler, warm):
         config = PipelineConfig(
-            problem=f"qasm:{ADDER}", device="test-split12", compiler=compiler, cache=cache
+            problem=f"qasm:{ADDER}", device="test-split12", compiler=compiler
         )
+        clear_compile_cache()
+        if warm:  # problem, ansatz and compression come from the cache
+            Pipeline(config.replace(device="xtree17")).run()
         for _ in range(2):  # a failed build caches nothing
             with pytest.raises(ValueError, match="'split12'.*disconnected"):
                 Pipeline(config).run()
@@ -332,12 +336,45 @@ class TestRunBatch:
         assert run_batch([]) == []
 
     def test_executors_agree_item_for_item(self):
+        # Repeated molecules share one problem the workers get through the
+        # pool initializer; spec items and failing items build in the task.
         configs = [
             PipelineConfig(molecule="H2", bond_length=b) for b in (0.7, 0.735)
         ]
+        configs += [
+            PipelineConfig(molecule="H2", ratio=ratio, compiler=compiler)
+            for ratio in (0.5, 1.0)
+            for compiler in ("mtr", "sabre")
+        ]
+        configs += [
+            PipelineConfig(problem="maxcut:er-8-5"),
+            PipelineConfig(molecule="NOT_A_MOLECULE"),
+        ]
+
+        def snapshot(item):
+            return item if isinstance(item, BatchItemError) else item.to_dict()
+
         serial = run_batch(configs, executor="serial")
         process = run_batch(configs, executor="process", workers=2)
-        assert [r.to_dict() for r in serial] == [r.to_dict() for r in process]
+        assert [snapshot(r) for r in process] == [snapshot(r) for r in serial]
+        assert isinstance(process[-1], BatchItemError) and process[-1].index == 7
+        assert not any(isinstance(r, BatchItemError) for r in process[:-1])
+
+    def test_worker_runs_on_the_initializer_problem(self, monkeypatch):
+        import repro.core.passes as passes
+        import repro.core.pipeline as pipeline
+
+        problem = build_molecule_hamiltonian("H2")
+        monkeypatch.setattr(pipeline, "_WORKER_PROBLEMS", {})
+        pipeline._init_batch_worker({("H2", None): problem})
+
+        def no_chemistry(*args):
+            raise AssertionError("the worker rebuilt the problem")
+
+        monkeypatch.setattr(passes, "build_molecule_hamiltonian", no_chemistry)
+        config = PipelineConfig(molecule="H2", ratio=0.5)
+        record = pipeline._batch_item_task((0, config, Pipeline))
+        assert record["metrics"]["num_qubits"] == problem.num_qubits
 
     def test_unknown_executor_rejected(self):
         with pytest.raises(ValueError, match="serial"):
@@ -433,10 +470,12 @@ class TestResultSerialization:
         )
 
     def test_retired_array_backend_key_still_loads(self, tmp_path):
-        # Payloads written while PipelineConfig had array_backend, engine
-        # and fusion fields keep loading: the keys are ignored and the
+        # Payloads written while PipelineConfig had array_backend, engine,
+        # fusion and cache fields keep loading: the keys are ignored and the
         # record is kept verbatim.
-        retired = {"array_backend": "numpy", "engine": "legacy", "fusion": "1q"}
+        retired = {
+            "array_backend": "numpy", "engine": "legacy", "fusion": "1q", "cache": False,
+        }
         config = PipelineConfig(molecule="H2", ratio=0.5)
         for key, value in retired.items():
             assert PipelineConfig.from_dict({**config.to_dict(), key: value}) == config
@@ -461,7 +500,7 @@ class TestVQEBackendRegistry:
             VQE(program, problem.hamiltonian, backend="statevectr")
         message = str(excinfo.value)
         assert "statevectr" in message
-        for name in available_backends():
+        for name in ("statevector", "density_matrix", "trajectory", "sampling"):
             assert name in message
 
     def test_hartree_fock_energy_empty_history(self):

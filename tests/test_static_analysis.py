@@ -171,6 +171,47 @@ def test_rr102_unpicklable_process_submissions():
     assert findings[1].message == "a lambda" + tail
 
 
+def test_pool_initializer_is_worker_code():
+    # initializer= runs in every worker, so RR101/RR102 treat it like a
+    # submitted task.
+    project = build_project_model({
+        "src/repro/core/fake_init.py": (
+            "from concurrent.futures import ProcessPoolExecutor\n"   # 1
+            "\n"                                                      # 2
+            "_SHARED = {}\n"                                          # 3
+            "\n"                                                      # 4
+            "def _init(items):\n"                                     # 5
+            "    _SHARED.update(items)\n"                             # 6
+            "\n"                                                      # 7
+            "def _task(key):\n"                                       # 8
+            "    return key\n"                                        # 9
+            "\n"                                                      # 10
+            "def run(items):\n"                                       # 11
+            "    with ProcessPoolExecutor(\n"                         # 12
+            "        initializer=_init, initargs=(items,)\n"          # 13
+            "    ) as pool:\n"                                        # 14
+            "        return list(pool.map(_task, items))\n"           # 15
+            "\n"                                                      # 16
+            "def run_lambda(items):\n"                                # 17
+            "    with ProcessPoolExecutor(initializer=lambda: None) as pool:\n"  # 18
+            "        return list(pool.map(_task, items))\n"           # 19
+        ),
+    })
+    graph = CallGraph(project)
+    finding = _one_finding(rr101_executor_reachable_writes(project, graph), "RR101")
+    assert (finding.rel, finding.line) == ("src/repro/core/fake_init.py", 6)
+    assert finding.message == (
+        "module-level state '_SHARED' is mutated here and reachable from "
+        "the process-pool task '_init' submitted at "
+        "src/repro/core/fake_init.py:13; make the task self-contained or "
+        "document why the shared write is safe with "
+        "'# lint: ignore[RR101] - <reason>'"
+    )
+    unpicklable = rr102_unpicklable_submissions(project, graph)
+    assert [(f.code, f.line) for f in unpicklable] == [("RR102", 18)]
+    assert unpicklable[0].message.startswith("a lambda is submitted to a process pool")
+
+
 def test_rr103_owner_leak_and_worker_unlink():
     project = build_project_model({
         "src/repro/core/fake_shm.py": (

@@ -35,7 +35,7 @@ from repro.sim.trajectory import (
     _noisy_gates,
     channel_paulis,
 )
-from repro.vqe import VQE, TrajectoryEnergy, available_backends
+from repro.vqe import VQE, TrajectoryEnergy
 from repro.vqe.energy import DensityMatrixEnergy, SamplingEnergy
 
 
@@ -418,7 +418,6 @@ class TestTrajectoryEnergy:
 
     def test_vqe_backend_registered(self, lih):
         problem, program = lih
-        assert "trajectory" in available_backends()
         vqe = VQE(
             program,
             problem.hamiltonian,

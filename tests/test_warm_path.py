@@ -140,7 +140,8 @@ def test_rewritten_qasm_file_is_parsed_again(counters, tmp_path):
     write_qasm(path, longer)
     second = Pipeline(config).run()
     assert counters["from_qasm"] == 2
-    fresh = Pipeline(config.replace(cache=False)).run()
+    clear_compile_cache()
+    fresh = Pipeline(config).run()
     assert second.metrics == fresh.metrics
     assert second.metrics["original_cnots"] == first.metrics["original_cnots"] + 2
 
@@ -155,14 +156,13 @@ def test_same_bytes_at_two_paths_are_two_problems(tmp_path):
 
 
 def test_uncached_qasm_run_parses_every_run(counters, tmp_path):
-    clear_compile_cache()
     config = PipelineConfig(
-        problem=write_qasm(tmp_path / "chain.qasm"), device="xtree5", cache=False
+        problem=write_qasm(tmp_path / "chain.qasm"), device="xtree5"
     )
     for _ in range(3):
+        clear_compile_cache()
         Pipeline(config).run()
     assert counters["from_qasm"] == 3
-    assert len(compile_cache()) == 0
 
 
 def test_malformed_qasm_file_raises_on_every_run(counters, tmp_path):
@@ -201,10 +201,12 @@ def test_unvalidated_run_leaves_the_next_validated_run_checking(counters):
 
 
 def test_uncached_pipeline_checks_every_run(counters):
-    config = PipelineConfig(molecule="H2", ratio=0.5, cache=False)
+    config = PipelineConfig(molecule="H2", ratio=0.5)
+    clear_compile_cache()
     Pipeline(config).run()
     first = counters["checks"]
     assert first > 0
+    clear_compile_cache()
     Pipeline(config).run()
     assert counters["checks"] == 2 * first
 
