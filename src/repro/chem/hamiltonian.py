@@ -7,12 +7,14 @@ reduction, second quantization, Jordan-Wigner -- and returns a
 together with the metadata the ansatz and compiler layers need.
 
 Results are memoized per (molecule, bond length) because the evaluation
-harness revisits the same configurations across experiment stages.
+harness revisits the same configurations across experiment stages.  A
+memoized problem carries that key as its ``spec``, which the compile
+cache keys on instead of hashing the Hamiltonian.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -40,6 +42,11 @@ class MolecularProblem:
     core_energy: float
     active_integrals: ActiveSpaceIntegrals
     rhf: RHFResult
+    #: ``(name, bond length in 1e-4 A)`` when built by
+    #: :func:`build_molecule_hamiltonian`, which fixes the content; None
+    #: for a hand-built problem or a :func:`dataclasses.replace` copy,
+    #: whose content must be hashed.
+    spec: tuple[str, int] | None = field(default=None, init=False, compare=False)
 
     @property
     def num_electrons(self) -> int:
@@ -102,7 +109,7 @@ def _build_cached(name: str, bond_length_key: int) -> MolecularProblem:
     qubit_hamiltonian = jordan_wigner(fermion_terms(h1, h2, active.core_energy), num_qubits)
     num_alpha = active.num_electrons // 2
     num_beta = active.num_electrons - num_alpha
-    return MolecularProblem(
+    problem = MolecularProblem(
         molecule=molecule,
         hamiltonian=qubit_hamiltonian,
         num_qubits=num_qubits,
@@ -114,6 +121,8 @@ def _build_cached(name: str, bond_length_key: int) -> MolecularProblem:
         active_integrals=active,
         rhf=rhf,
     )
+    problem.spec = (name, bond_length_key)
+    return problem
 
 
 def build_molecule_hamiltonian(

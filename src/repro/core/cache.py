@@ -21,11 +21,15 @@ This module provides the two halves of the caching subsystem:
   (:meth:`~ContentAddressedCache.attach`) for facts about the cached
   value, such as a sanitizer verdict, that live and die with the entry.
 
-Full content hashes are for ingress artifacts (Hamiltonians, devices,
-QASM file bytes).  Pipeline stages key what they derive from those on
-the *entry keys* of their inputs (:func:`canonical_hash` over the
-upstream keys plus the config fields the stage reads), so a warm run
-never re-hashes an artifact the cache already produced.
+Full content hashes are for ingress artifacts that no name fixes: a
+hand-built or replaced problem's Hamiltonian, a device (once per
+immutable instance, which keeps the key), ``qasm:`` file bytes.  A
+molecule built by name is keyed on its spec (name, bond length), and a
+registry device is one shared instance per name, so a warm run hashes
+neither.  Pipeline stages key what they derive from their inputs on the
+*entry keys* of those inputs (:func:`canonical_hash` over the upstream
+keys plus the config fields the stage reads), so a warm run never
+re-hashes an artifact the cache already produced.
 """
 
 from __future__ import annotations
@@ -152,7 +156,9 @@ def coupling_key(device: "CouplingGraph") -> str:
 
     Covers everything compiled artifacts and their checks read off a
     device: name, size, edge set, the layout root (``center``) and the
-    declared gate set.
+    declared gate set.  A graph is immutable and keeps this digest as
+    :attr:`~repro.hardware.coupling.CouplingGraph.content_key`, the key
+    the pipeline reads, so it is computed once per instance.
     """
     return canonical_hash(
         "coupling",

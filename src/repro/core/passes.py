@@ -81,10 +81,14 @@ class PipelineConfig:
     routing, and schedule metrics are memoized, so repeated pipelines,
     ``run_batch`` workers, and ``bond_scan`` points sharing structure
     skip recompilation entirely (:func:`repro.core.cache.clear_compile_cache`
-    gives a fresh run).  Only the inputs (Hamiltonian, device, a
-    ``qasm:`` file's bytes) are content-hashed; each stage keys its
-    artifact on the entry keys of its inputs plus the config fields it
-    reads (:func:`entry_key`).
+    gives a fresh run).  Each stage keys its artifact on the entry keys
+    of its inputs plus the config fields it reads (:func:`entry_key`).
+    The inputs are keyed on what names them where a name fixes the
+    content: a molecule built by name on its ``spec`` (name, bond
+    length), a registry device on the key its shared instance computed
+    once.  Only the rest is content-hashed: an injected graph (once per
+    instance), a hand-built or replaced problem's Hamiltonian, and a
+    ``qasm:`` file's bytes.
     """
 
     molecule: str = "H2"
@@ -160,11 +164,15 @@ class PipelineContext:
 
 
 def _content_key(attribute: str, artifact: Any) -> str:
-    """Full content hash of a staged artifact that no cached pass keyed."""
+    """Key of a staged artifact that no cached pass keyed.
+
+    A molecular problem built by name is keyed on its ``spec`` and a
+    device on its memoized content key; anything else is content-hashed.
+    """
     from repro.core import cache
 
     if attribute == "device":
-        return cache.coupling_key(artifact)
+        return artifact.content_key
     if attribute == "initial_layout":
         return cache.canonical_hash("layout", tuple(sorted(artifact.items())))
     circuit = getattr(artifact, "circuit", None)
@@ -177,6 +185,9 @@ def _content_key(attribute: str, artifact: Any) -> str:
                 "content-addressing needs a problem with a Hamiltonian; "
                 f"got {type(artifact).__name__}"
             )
+        spec = getattr(artifact, "spec", None)
+        if spec is not None:  # a memoized molecule: its name fixes its content
+            return cache.canonical_hash("molecule", *spec)
         return cache.pauli_sum_key(hamiltonian)
     return cache.program_key(artifact.program)
 
@@ -206,10 +217,12 @@ def entry_key(context: PipelineContext, attribute: str) -> str | None:
 
     Artifacts a cached pass produced carry their entry key, derived from
     the keys of their inputs (a Merkle key), so looking it up costs
-    nothing.  Anything else -- the Hamiltonian, the device, an injected
-    circuit problem, or an artifact a custom pass staged -- is
-    content-hashed once per run and the key is recorded for the passes
-    downstream.
+    nothing.  Ingress artifacts are keyed once per run and the key is
+    recorded for the passes downstream: a molecule built by name hashes
+    its ``spec`` (name, bond length), a device returns the key it
+    computed once per instance.  Only a hand-built or replaced problem,
+    an injected circuit problem, or an artifact a custom pass staged is
+    content-hashed.
     """
     artifact = getattr(context, attribute)
     if artifact is None:
@@ -361,8 +374,8 @@ class BuildProblem(Pass):
 class BuildAnsatz(Pass):
     """Problem -> ansatz: UCCSD (molecular), QAOA (graph) or raw circuit.
 
-    The ansatz is content-addressed under the problem's key (its
-    Hamiltonian's hash, or the entry key of a ``qasm:`` problem): every
+    The ansatz is content-addressed under the problem's key (its spec
+    or Hamiltonian's hash, or the entry key of a ``qasm:`` problem): every
     pipeline, batch worker, or scan point over the same instance shares
     one built ansatz, and the stages downstream key on its entry.
     """

@@ -5,6 +5,10 @@ the derived structure the rest of the stack queries constantly: adjacency
 sets, all-pairs shortest-path distances (SABRE's heuristic), BFS levels
 from a designated center (the hierarchical initial layout), and parent
 pointers when the graph is a tree (Merge-to-Root).
+
+A graph is immutable: the registry hands one shared instance per device
+name to every caller (:func:`repro.hardware.get_device`), so the derived
+tables and the content key are computed once per instance and kept.
 """
 
 from __future__ import annotations
@@ -15,21 +19,35 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-@dataclass
+@dataclass(frozen=True)
 class CouplingGraph:
-    """An undirected physical coupling graph."""
+    """An undirected physical coupling graph (frozen).
+
+    ``edges`` may be given as any iterable of pairs; it is stored as a
+    tuple of normalized ``(low, high)`` pairs.  Derive a variant with
+    :func:`dataclasses.replace`.
+    """
 
     num_qubits: int
-    edges: list[tuple[int, int]]
+    edges: tuple[tuple[int, int], ...]
     name: str = "device"
     center: int | None = None
     #: Optional declared native basis (lowercase gate mnemonics).  When
     #: set, the static ``gate-set`` check (repro.analysis) flags compiled
     #: circuits using gates outside it; None means "any known gate".
     gate_set: frozenset[str] | None = None
-    _adjacency: list[set[int]] = field(init=False, repr=False)
-    _levels: list[int] | None = field(default=None, init=False, repr=False)
-    _distances: np.ndarray | None = field(default=None, init=False, repr=False)
+    # Derived tables, filled in on first use; they take no part in
+    # equality, hashing or the repr.
+    _adjacency: list[set[int]] = field(init=False, repr=False, compare=False)
+    _levels: list[int] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _distances: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _content_key: str | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         normalized = []
@@ -47,10 +65,24 @@ class CouplingGraph:
             normalized.append(key)
             adjacency[a].add(b)
             adjacency[b].add(a)
-        self.edges = normalized
-        self._adjacency = adjacency
+        object.__setattr__(self, "edges", tuple(normalized))
+        object.__setattr__(self, "_adjacency", adjacency)
         if self.center is None:
-            self.center = self._graph_center()
+            object.__setattr__(self, "center", self._graph_center())
+
+    @property
+    def content_key(self) -> str:
+        """The graph's content hash (:func:`repro.core.cache.coupling_key`).
+
+        Computed on first use and kept: the graph is immutable, so the
+        compile cache keys a shared registry device without hashing it
+        again.
+        """
+        if self._content_key is None:
+            from repro.core import cache
+
+            object.__setattr__(self, "_content_key", cache.coupling_key(self))
+        return self._content_key
 
     # ------------------------------------------------------------------
     # Basic structure
@@ -124,7 +156,8 @@ class CouplingGraph:
                     if distances[source, neighbor] > distances[source, node] + 1:
                         distances[source, neighbor] = distances[source, node] + 1
                         queue.append(neighbor)
-        self._distances = distances
+        distances.setflags(write=False)  # shared by every caller
+        object.__setattr__(self, "_distances", distances)
         return distances
 
     def levels(self) -> list[int]:
@@ -135,7 +168,8 @@ class CouplingGraph:
         """
         if self._levels is None:
             distances = self.distance_matrix()
-            self._levels = [int(d) for d in distances[self.center]]
+            levels = [int(d) for d in distances[self.center]]
+            object.__setattr__(self, "_levels", levels)
         return self._levels
 
     def parent(self, qubit: int) -> int | None:

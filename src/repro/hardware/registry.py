@@ -10,11 +10,18 @@ tree shapes).
 Names are normalized case-insensitively with ``-``/``_`` and a trailing
 ``q`` stripped, so ``"XTree17Q"``, ``"xtree-17"`` and ``"xtree17"`` all
 resolve to the same device.
+
+Each normalized name resolves to one shared, immutable graph per process:
+the first lookup builds it, later lookups return the same instance with
+its distance tables and content key already computed.
+:func:`register_device` drops the built instances, so a name it
+overwrites builds afresh.
 """
 
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import Callable
 
 from repro.hardware.coupling import CouplingGraph
@@ -46,6 +53,7 @@ def register_device(
     if key in _DEVICES and not overwrite:
         raise ValueError(f"device {name!r} already registered")
     _DEVICES[key] = factory
+    _build_device.cache_clear()
 
 
 def list_devices() -> list[str]:
@@ -54,16 +62,29 @@ def list_devices() -> list[str]:
 
 
 def get_device(name: str | CouplingGraph) -> CouplingGraph:
-    """Resolve a device name to a freshly built :class:`CouplingGraph`.
+    """Resolve a device name to its shared :class:`CouplingGraph`.
 
-    A :class:`CouplingGraph` instance passes through unchanged so call
+    Every spelling of one name (``"xtree17"``, ``"XTree17Q"``) returns
+    the same immutable instance, built on first use.  A
+    :class:`CouplingGraph` instance passes through unchanged so call
     sites can accept either form.  Besides the registered names, two
     parameterized families are understood: ``"xtree<N>"`` (arbitrary-size
     X-Tree) and ``"grid<R>x<C>"`` (plain R x C lattice).
     """
     if isinstance(name, CouplingGraph):
         return name
-    key = _normalize(str(name))
+    device = _build_device(_normalize(str(name)))
+    if device is None:
+        raise ValueError(
+            f"unknown device {name!r}; registered devices: {', '.join(list_devices())} "
+            "(parameterized: 'xtree<N>', 'grid<R>x<C>')"
+        )
+    return device
+
+
+@lru_cache(maxsize=128)
+def _build_device(key: str) -> CouplingGraph | None:
+    """Build the device of normalized name ``key``; None if it names none."""
     if key in _DEVICES:
         return _DEVICES[key]()
     match = _XTREE_PATTERN.fullmatch(key)
@@ -72,10 +93,7 @@ def get_device(name: str | CouplingGraph) -> CouplingGraph:
     match = _GRID_PATTERN.fullmatch(key)
     if match:
         return grid(int(match.group(1)), int(match.group(2)))
-    raise ValueError(
-        f"unknown device {name!r}; registered devices: {', '.join(list_devices())} "
-        "(parameterized: 'xtree<N>', 'grid<R>x<C>')"
-    )
+    return None
 
 
 def _register_builtin_devices() -> None:

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import numpy as np
@@ -14,9 +15,11 @@ from repro.hardware import (
     allocate_frequencies,
     estimate_yield,
     grid,
+    get_device,
     grid17q,
     xtree,
 )
+from repro.core.cache import coupling_key
 from repro.hardware.frequency import chip_functions
 from repro.hardware.yield_model import yield_sweep
 
@@ -70,6 +73,40 @@ class TestCouplingGraph:
         assert xtree(17).is_tree()
         assert not grid17q().is_tree()
         assert not grid(2, 3).is_tree()
+
+
+class TestSharedDevice:
+    """The registry hands out one immutable graph per device name."""
+
+    @pytest.mark.parametrize(
+        "attribute, value",
+        [("edges", ()), ("center", 3), ("gate_set", frozenset({"cx"}))],
+    )
+    def test_registry_device_is_frozen(self, attribute, value):
+        device = get_device("xtree17")
+        with pytest.raises(FrozenInstanceError):
+            setattr(device, attribute, value)
+
+    def test_one_instance_per_normalized_name(self):
+        assert get_device("xtree17") is get_device("XTree17Q")
+        assert get_device("grid2x4") is get_device("Grid_2x4")
+
+    def test_distance_matrix_is_read_only(self):
+        with pytest.raises(ValueError):
+            get_device("xtree17").distance_matrix()[0, 1] = 5
+
+    def test_content_key_is_the_coupling_digest(self):
+        device = get_device("xtree17")
+        assert device.content_key == coupling_key(xtree(17))
+        # The digest of this graph before the key was memoized.
+        assert device.content_key == (
+            "ee43edbbfc0fda3ce5176b45cd309f336a4f6d7698f3aa09f328db6a0a98348c"
+        )
+
+    def test_edges_are_a_normalized_tuple(self):
+        g = CouplingGraph(3, [(1, 0), (2, 1)])
+        assert g.edges == ((0, 1), (1, 2))
+        assert g == CouplingGraph(3, ((0, 1), (1, 2)))
 
 
 class TestXTree:

@@ -5,6 +5,8 @@ compile cache already produced and checked, while every entry key still
 covers each config field its pass reads.
 """
 
+import dataclasses
+import pickle
 import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -14,22 +16,29 @@ import pytest
 
 import repro.circuit.qasm as qasm_module
 import repro.core.cache as cache_module
-from repro.analysis import AnalysisError
+from repro.analysis import AnalysisError, check
 from repro.analysis.diagnostics import CheckRunner
 from repro.chem import build_molecule_hamiltonian
+from repro.chem.hamiltonian import MolecularProblem
 from repro.circuit import Circuit
 from repro.circuit.gates import CNOT, RZ, H
 from repro.circuit.qasm import QasmError, to_qasm
 from repro.core import compress_ansatz
-from repro.core.cache import ContentAddressedCache, clear_compile_cache, compile_cache
+from repro.core.cache import (
+    ContentAddressedCache,
+    canonical_hash,
+    clear_compile_cache,
+    compile_cache,
+    pauli_sum_key,
+)
 from repro.core.passes import (
     Pass,
     PipelineConfig,
     PipelineContext,
     entry_key,
 )
-from repro.core.pipeline import Pipeline, default_passes
-from repro.hardware import get_device
+from repro.core.pipeline import Pipeline, default_passes, run_batch
+from repro.hardware import get_device, register_device
 from repro.hardware.coupling import CouplingGraph
 
 #: Context attributes that cached passes stage, in pipeline order.
@@ -42,12 +51,13 @@ CORPUS = Path(__file__).resolve().parent.parent / "benchmarks" / "corpus"
 
 @pytest.fixture
 def counters(monkeypatch):
-    """Count content hashes, QASM parses and sanitizer runs from here on."""
+    """Count content hashes, graph builds, QASM parses and sanitizer runs."""
     counts = Counter()
     for module, name in (
         (cache_module, "circuit_key"),
         (cache_module, "program_key"),
         (cache_module, "pauli_sum_key"),
+        (cache_module, "coupling_key"),
         (qasm_module, "from_qasm"),
     ):
         original = getattr(module, name)
@@ -64,6 +74,13 @@ def counters(monkeypatch):
         return run(self, *args, **kwargs)
 
     monkeypatch.setattr(CheckRunner, "run", counted_run)
+    build = CouplingGraph.__post_init__
+
+    def counted_build(self):
+        counts["graphs"] += 1
+        build(self)
+
+    monkeypatch.setattr(CouplingGraph, "__post_init__", counted_build)
     return counts
 
 
@@ -89,7 +106,10 @@ def test_warm_rerun_hashes_nothing_and_checks_nothing(counters):
     warm = Pipeline(config).run()
     assert counters["circuit_key"] == counters["program_key"] == 0
     assert counters["checks"] == 0
-    assert counters["pauli_sum_key"] == 1  # ingress: once per run
+    # The molecule is keyed on its spec, the device is the registry's
+    # shared instance with its key already computed.
+    assert counters["pauli_sum_key"] == counters["coupling_key"] == 0
+    assert counters["graphs"] == 0
     assert len(compile_cache()) == cold_entries
     assert warm.metrics == cold.metrics
 
@@ -116,6 +136,23 @@ def test_warm_gate_level_run_hashes_the_circuit_once(counters, tmp_path):
     assert counters["program_key"] == 0
     assert counters["checks"] == 0
     assert warm.metrics == cold.metrics
+
+
+def test_warm_qasm_batch_builds_no_graph_and_hashes_no_device(counters, tmp_path):
+    clear_compile_cache()
+    spec = write_qasm(tmp_path / "chain.qasm")
+    configs = [
+        PipelineConfig(problem=spec, device=device, compiler=compiler)
+        for device in ("xtree5", "grid2x4")
+        for compiler in ("mtr", "sabre")
+    ]
+    cold = run_batch(configs)
+    counters.clear()
+    warm = run_batch(configs)
+    assert counters["graphs"] == counters["coupling_key"] == 0
+    assert counters["from_qasm"] == counters["circuit_key"] == 0
+    assert counters["checks"] == 0
+    assert [r.metrics for r in warm] == [r.metrics for r in cold]
 
 
 def test_one_parse_per_file_across_configs(counters, tmp_path):
@@ -213,13 +250,16 @@ def test_uncached_pipeline_checks_every_run(counters):
 
 def restricted(device: CouplingGraph) -> CouplingGraph:
     """The same coupling graph declaring only CNOT as native."""
-    return CouplingGraph(
-        device.num_qubits,
-        list(device.edges),
-        name=device.name,
-        center=device.center,
-        gate_set=frozenset({"cx"}),
-    )
+    return dataclasses.replace(device, gate_set=frozenset({"cx"}))
+
+
+def test_restricted_copy_leaves_the_shared_device_alone():
+    shared = get_device("xtree17")
+    copy = restricted(shared)
+    assert copy is not shared and copy.gate_set == {"cx"}
+    assert (copy.edges, copy.center) == (shared.edges, shared.center)
+    assert shared.gate_set is None
+    assert copy.content_key != shared.content_key
 
 
 def test_failing_cached_artifact_raises_on_every_run():
@@ -380,3 +420,86 @@ def test_same_config_on_another_hamiltonian_misses():
     assert compile_cache().stats.hits == hits
     for attribute in STAGED:
         assert first[attribute] != second[attribute], attribute
+
+
+# ----------------------------------------------------------------------
+# Named inputs: spec-keyed molecules, one shared device per name
+# ----------------------------------------------------------------------
+LINE5 = [(0, 1), (1, 2), (2, 3), (3, 4)]
+STAR5 = [(0, 1), (0, 2), (0, 3), (0, 4)]
+
+
+def register_five(edges):
+    register_device(
+        "test-five", lambda: CouplingGraph(5, edges, name="five"), overwrite=True
+    )
+
+
+def routes_legally(result, edges):
+    device = CouplingGraph(5, edges, name="five")
+    return check(result.compiled, device=device, checks=["coupling-legality"]).ok
+
+
+def test_overwritten_device_misses_and_routes_on_the_new_edges():
+    clear_compile_cache()
+    config = PipelineConfig(molecule="H2", ratio=0.5, device="test-five")
+    register_five(LINE5)
+    line = Pipeline(config).run()
+    stats = compile_cache().stats
+    misses = stats.misses
+    register_five(STAR5)
+    star = Pipeline(config).run()
+    assert stats.misses > misses
+    assert star.device.edges == tuple(STAR5)
+    assert routes_legally(star, STAR5)
+    assert not routes_legally(line, STAR5)  # the check can tell the two apart
+
+
+def test_reregistered_same_device_hits():
+    clear_compile_cache()
+    config = PipelineConfig(molecule="H2", ratio=0.5, device="test-five")
+    register_five(STAR5)
+    first = Pipeline(config).run()
+    register_five(STAR5)
+    misses = compile_cache().stats.misses
+    second = Pipeline(config).run()
+    assert second.device is not first.device  # rebuilt, same content key
+    assert compile_cache().stats.misses == misses
+    assert second.compiled is first.compiled
+
+
+def problem_key(problem):
+    return entry_key(PipelineContext(config=BASE, problem=problem), "problem")
+
+
+def test_unnamed_problems_are_content_keyed(counters):
+    named = build_molecule_hamiltonian("H2")
+    other = build_molecule_hamiltonian("H2", 0.9).hamiltonian
+    replaced = dataclasses.replace(named, hamiltonian=other)
+    hand_built = MolecularProblem(
+        **{f.name: getattr(named, f.name) for f in dataclasses.fields(named) if f.init}
+    )
+    assert named.spec is not None
+    assert replaced.spec is None and hand_built.spec is None
+    assert problem_key(named) == canonical_hash("molecule", *named.spec)
+    assert counters["pauli_sum_key"] == 0
+    assert problem_key(replaced) == pauli_sum_key(other)
+    assert problem_key(hand_built) == pauli_sum_key(named.hamiltonian)
+    assert len({problem_key(named), problem_key(replaced), problem_key(hand_built)}) == 3
+
+
+def test_spec_survives_pickling():
+    named = build_molecule_hamiltonian("H2")
+    assert pickle.loads(pickle.dumps(named)).spec == named.spec
+
+
+def test_process_batch_over_molecules_equals_serial():
+    configs = [
+        PipelineConfig(molecule="H2", ratio=ratio, bond_length=bond, compiler=compiler)
+        for bond in (0.735, 0.9)
+        for ratio, compiler in ((0.5, "mtr"), (1.0, "sabre"))
+    ]
+    clear_compile_cache()
+    serial = run_batch(configs)
+    process = run_batch(configs, executor="process", workers=2)
+    assert [r.to_dict() for r in process] == [r.to_dict() for r in serial]
