@@ -59,8 +59,8 @@ class PipelineConfig:
     Pauli-trajectory noise engine when the :class:`Energy` stage runs
     with ``backend="trajectory"`` (the noisy path past the
     density-matrix simulator's 12-qubit cap).  The :class:`Energy` stage
-    has no simulation knob: a Pauli program always evolves term by term
-    (``docs/performance.md``).
+    has no simulation knob: a Pauli program always evolves one fused
+    rotation per same-X-mask run (``docs/performance.md``).
 
     ``commute`` turns on the commutation-aware edges of the circuit DAG
     IR (:class:`repro.circuit.dag.CircuitDAG`): the :class:`Route` stage

@@ -37,7 +37,8 @@ Usage -- run one instance, swap a stage, batch a sweep:
 
 Appending the optional :class:`~repro.core.passes.Energy` stage turns the
 compile pipeline into the VQE accuracy workload; it evolves the staged
-Pauli program term by term (see ``docs/performance.md``).
+Pauli program one fused rotation per same-X-mask run (see
+``docs/performance.md``).
 """
 
 from __future__ import annotations

@@ -37,9 +37,12 @@ class CouplingGraph:
     #: circuits using gates outside it; None means "any known gate".
     gate_set: frozenset[str] | None = None
     # Derived tables, filled in on first use; they take no part in
-    # equality, hashing or the repr.
-    _adjacency: list[set[int]] = field(init=False, repr=False, compare=False)
-    _levels: list[int] | None = field(
+    # equality, hashing or the repr.  They are immutable types too
+    # (frozensets, tuples, a read-only array): every caller shares them.
+    _adjacency: tuple[frozenset[int], ...] = field(
+        init=False, repr=False, compare=False
+    )
+    _levels: tuple[int, ...] | None = field(
         default=None, init=False, repr=False, compare=False
     )
     _distances: np.ndarray | None = field(
@@ -66,7 +69,9 @@ class CouplingGraph:
             adjacency[a].add(b)
             adjacency[b].add(a)
         object.__setattr__(self, "edges", tuple(normalized))
-        object.__setattr__(self, "_adjacency", adjacency)
+        object.__setattr__(
+            self, "_adjacency", tuple(frozenset(nodes) for nodes in adjacency)
+        )
         if self.center is None:
             object.__setattr__(self, "center", self._graph_center())
 
@@ -87,7 +92,7 @@ class CouplingGraph:
     # ------------------------------------------------------------------
     # Basic structure
     # ------------------------------------------------------------------
-    def neighbors(self, qubit: int) -> set[int]:
+    def neighbors(self, qubit: int) -> frozenset[int]:
         return self._adjacency[qubit]
 
     def degree(self, qubit: int) -> int:
@@ -160,7 +165,7 @@ class CouplingGraph:
         object.__setattr__(self, "_distances", distances)
         return distances
 
-    def levels(self) -> list[int]:
+    def levels(self) -> tuple[int, ...]:
         """BFS depth of every qubit from the center.
 
         For X-Tree devices this is the paper's level structure (root =
@@ -168,7 +173,7 @@ class CouplingGraph:
         """
         if self._levels is None:
             distances = self.distance_matrix()
-            levels = [int(d) for d in distances[self.center]]
+            levels = tuple(int(d) for d in distances[self.center])
             object.__setattr__(self, "_levels", levels)
         return self._levels
 

@@ -4,8 +4,9 @@
   in-place index-slice kernels (the stand-in for Qiskit Aer's
   statevector simulator).
 * :mod:`repro.sim.pauli_evolution` -- fast application of ``exp(i theta P)``
-  directly to statevectors (the workhorse of the VQE energy loop),
-  including the allocation-free workspace of the single-point path.
+  directly to statevectors (the workhorse of the VQE energy loop): the
+  fused evolution that turns each run of adjacent same-X-mask strings
+  into one rotation, and the out-of-place per-term oracle.
 * :mod:`repro.sim.expectation` -- grouped Pauli-sum expectation values
   (single states, ``(K, 2**n)`` stacks and density matrices).
 * :mod:`repro.sim.density_matrix` -- exact density-matrix simulator with
@@ -22,10 +23,10 @@
   matrix-free Lanczos over all ``2**n`` states.
 
 The input's type picks the path (``docs/performance.md``): a Pauli
-program evolves term by term, one parameter set at a time
-(:class:`repro.vqe.energy.StatevectorEnergy`); a circuit runs gate by
-gate through the in-place kernels, which broadcast over the leading
-axis of a ``(K, 2**n)`` stack of states.
+program evolves one fused rotation per same-X-mask run, one parameter
+set at a time (:class:`repro.vqe.energy.StatevectorEnergy`); a circuit
+runs gate by gate through the in-place kernels, which broadcast over
+the leading axis of a ``(K, 2**n)`` stack of states.
 
 Every path runs on NumPy arrays in one process unless the
 ``executor=``/``workers=`` knobs (:data:`repro.sim.trajectory.EXECUTORS`:
@@ -54,7 +55,6 @@ from repro.sim.trajectory import (
     trajectory_expectations,
 )
 from repro.sim.pauli_evolution import (
-    PauliEvolutionWorkspace,
     apply_pauli,
     apply_pauli_exponential,
 )
@@ -69,7 +69,6 @@ __all__ = [
     "DensityMatrixSimulator",
     "DepolarizingNoiseModel",
     "ExpectationEngine",
-    "PauliEvolutionWorkspace",
     "TrajectoryEstimate",
     "trajectory_estimate",
     "trajectory_expectations",

@@ -6,15 +6,21 @@ basis, ``P |psi>`` can be evaluated in O(2^n) with bit arithmetic, and
     exp(i theta P) |psi> = cos(theta) |psi> + i sin(theta) P |psi>
 
 (P is an involution).  The VQE energy loop evolves the ansatz directly at
-the Pauli level through this identity, which is dramatically faster than
-gate-by-gate simulation of the synthesized circuit while being exactly
-equivalent (the synthesized circuits are verified against this in tests).
+the Pauli level, which is dramatically faster than gate-by-gate
+simulation of the synthesized circuit while being exactly equivalent
+(the synthesized circuits are verified against this in tests).
+
+:class:`FusedPauliEvolution` is that loop's kernel: it applies each run
+of adjacent commuting strings with one X mask as a single rotation.
+:func:`evolve_pauli_sequence` applies the identity term by term, out of
+place; it is the oracle the fused kernel is tested against, and the
+path of compiler verification and :class:`repro.vqe.energy.SamplingEnergy`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -78,117 +84,327 @@ def evolve_pauli_sequence(
 
 
 # ----------------------------------------------------------------------
-# In-place single-point fast path
+# Memoized sign, index and code vectors
 # ----------------------------------------------------------------------
-#: Byte budget for cached parity-sign vectors (keyed by (n, z)); molecular
-#: programs revisit the same Z masks every sweep point and optimizer
-#: iteration, so the cache turns the per-term popcount pass into a lookup.
+#: Byte budget of each memo below (all keyed by ``(n, mask)``): molecular
+#: programs revisit the same masks at every optimizer iteration, so the
+#: memos turn the per-run popcount and index passes into lookups.
+_CACHE_BYTE_LIMIT = 64 << 20
 _SIGNS_CACHE: dict[tuple[int, int], np.ndarray] = {}
-_SIGNS_CACHE_BYTE_LIMIT = 64 << 20
+_XOR_INDEX_CACHE: dict[tuple[int, int], np.ndarray] = {}
+_CODE_CACHE: dict[tuple[int, int], np.ndarray] = {}
+
+
+def _memoized(cache: dict, key: tuple[int, int], build: Callable[[], np.ndarray]) -> np.ndarray:
+    """``cache[key]``, built on a miss and kept while the cache fits its budget."""
+    value = cache.get(key)
+    if value is None:
+        value = build()
+        if sum(v.nbytes for v in cache.values()) + value.nbytes <= _CACHE_BYTE_LIMIT:
+            # lint: ignore[RR101] - idempotent memo: racing writers store equal values
+            cache[key] = value
+    return value
 
 
 def cached_parity_signs(num_qubits: int, z_mask: int) -> np.ndarray:
-    """Memoized :func:`parity_signs`.
-
-    The returned array is shared -- callers must not mutate it.
-    """
-    key = (num_qubits, z_mask)
-    signs = _SIGNS_CACHE.get(key)
-    if signs is None:
-        signs = parity_signs(num_qubits, z_mask)
-        cached_bytes = sum(v.nbytes for v in _SIGNS_CACHE.values())
-        if cached_bytes + signs.nbytes <= _SIGNS_CACHE_BYTE_LIMIT:
-            # lint: ignore[RR101] - idempotent memo: racing writers store equal values
-            _SIGNS_CACHE[key] = signs
-    return signs
-
-
-_XOR_INDEX_CACHE: dict[tuple[int, int], np.ndarray] = {}
+    """Memoized :func:`parity_signs` (shared; do not mutate)."""
+    return _memoized(
+        _SIGNS_CACHE, (num_qubits, z_mask), lambda: parity_signs(num_qubits, z_mask)
+    )
 
 
 def cached_xor_indices(num_qubits: int, x_mask: int) -> np.ndarray:
     """Memoized gather indices ``b -> b ^ x`` (shared; do not mutate)."""
-    key = (num_qubits, x_mask)
-    indices = _XOR_INDEX_CACHE.get(key)
-    if indices is None:
-        indices = _all_indices(num_qubits) ^ np.uint64(x_mask)
-        cached_bytes = sum(v.nbytes for v in _XOR_INDEX_CACHE.values())
-        if cached_bytes + indices.nbytes <= _SIGNS_CACHE_BYTE_LIMIT:
-            # lint: ignore[RR101] - idempotent memo: racing writers store equal values
-            _XOR_INDEX_CACHE[key] = indices
-    return indices
+    return _memoized(
+        _XOR_INDEX_CACHE,
+        (num_qubits, x_mask),
+        lambda: _all_indices(num_qubits) ^ np.uint64(x_mask),
+    )
 
 
-def pauli_sign_factor(pauli: PauliString) -> complex:
-    """The scalar ``(-i)**#Y`` making ``P = factor * signs(z) . perm_x``.
-
-    Follows from ``signs_z[b ^ x] = signs_z[b] * (-1)**popcount(x & z)``
-    and ``popcount(x & z) = #Y``: the permuted parity vector is the
-    unpermuted one times a global sign, so the whole Pauli action needs
-    only the cached Z-parity vector, the XOR view, and this scalar.
-    """
-    return (-1j) ** (pauli.y_count() % 4)
+def _mask_bits(mask: int) -> list[int]:
+    return [q for q in range(mask.bit_length()) if mask >> q & 1]
 
 
-class PauliEvolutionWorkspace:
-    """Preallocated scratch for allocation-free exponential application.
+def _pack_bits(value: int, mask: int) -> int:
+    """The bits of ``value`` under ``mask``, packed low in mask order."""
+    return sum(((value >> q) & 1) << j for j, q in enumerate(_mask_bits(mask)))
 
-    The scratch buffer matches the statevector's ``shape``.  One
-    workspace is reused across every term of an evolution and across
-    evaluations, which is what eliminates the per-term allocations of
-    :func:`evolve_pauli_sequence`.
+
+def cached_bit_codes(num_qubits: int, mask: int) -> np.ndarray:
+    """Memoized ``b -> _pack_bits(b, mask)`` over all basis states b.
+
+    Stored in the narrowest unsigned dtype holding ``2**popcount(mask)``
+    codes (shared; do not mutate).
     """
 
-    def __init__(self, shape: tuple[int, ...]) -> None:
-        self.shape = tuple(shape)
-        self._a = np.empty(self.shape, dtype=complex)
+    def build() -> np.ndarray:
+        bits = _mask_bits(mask)
+        dtype = np.min_scalar_type((1 << len(bits)) - 1)
+        indices = _all_indices(num_qubits)
+        codes = np.zeros(indices.shape, dtype=dtype)
+        for j, q in enumerate(bits):
+            codes |= ((indices >> np.uint64(q) & np.uint64(1)) << np.uint64(j)).astype(dtype)
+        return codes
 
-    def apply_pauli_into(self, pauli: PauliString, state: np.ndarray) -> np.ndarray:
-        """Compute ``P |state>`` into scratch and return that buffer.
+    return _memoized(_CODE_CACHE, (num_qubits, mask), build)
 
-        The result aliases workspace scratch -- consume it before the
-        next call.
+
+# ----------------------------------------------------------------------
+# Fused evolution of same-X-mask runs
+# ----------------------------------------------------------------------
+class _Run(NamedTuple):
+    """One maximal run of commuting same-X-mask strings (see below)."""
+
+    start: int  # first term of the run
+    stop: int  # one past its last term
+    x: int  # the shared X mask
+    z: int  # the first string's Z mask
+    mask: int  # OR of z_k ^ z over the run: the bits sigma_k reads
+    table: slice  # the run's 2**popcount(mask) slots in the tables
+    even_y: bool  # whether the first string (so every one) has even #Y
+    phase: float  # (-i)**#Y_1 is phase, or phase * -i when odd
+
+
+class FusedPauliEvolution:
+    """``prod_k exp(i a_k P_k)`` (first term first), one rotation per run.
+
+    A *run* is a maximal stretch of adjacent strings that share one X
+    mask and the parity of their Y count; any other string starts a new
+    run.  Strings of a run commute, and on each pair ``(b, b ^ x)`` the
+    string ``P_k`` acts as ``sigma_k(b) P_1``, with ``P_1`` the run's
+    first string and ``sigma_k = +-1`` a function of the bits of ``b``
+    under ``mask = OR_k (z_k ^ z_1)`` alone.  The run is therefore
+
+        cos Theta(b) |psi> + i sin Theta(b) P_1 |psi>,
+        Theta(b) = sum_k a_k sigma_k(b),
+
+    where Theta takes ``2**m`` values (``m = popcount(mask)``) read
+    through the memoized code array of ``mask``
+    (:func:`cached_bit_codes`).  The table of a run is the Walsh-Hadamard
+    transform of its angles scattered onto their sign patterns, so cos
+    and sin are evaluated on the tables alone, and a UCCSD excitation
+    (8 strings, ``m = 4``) costs one rotation instead of eight.
+
+    The plan holds one slot index and one sign per term, ``2**m`` table
+    slots per run and four ``2**n`` scratch vectors; the code arrays,
+    parity signs and gather indices live in the bounded memos above.
+
+    >>> from repro.pauli import PauliString
+    >>> from repro.sim.statevector import basis_state
+    >>> paulis = [PauliString.from_label(s) for s in ("XY", "YX", "ZI")]
+    >>> evolution = FusedPauliEvolution(2, paulis)
+    >>> evolution.run_bounds  # XY and YX share X mask 0b11 and an odd #Y
+    [(0, 2), (2, 3)]
+    >>> angles = [0.3, -0.2, 0.5]
+    >>> state = evolution.evolve(angles, basis_state(2, 1))
+    >>> expected = evolve_pauli_sequence(list(zip(paulis, angles)), basis_state(2, 1))
+    >>> bool(np.allclose(state, expected, atol=1e-12))
+    True
+    """
+
+    def __init__(self, num_qubits: int, paulis: Sequence[PauliString]) -> None:
+        self.num_qubits = num_qubits
+        self.num_terms = len(paulis)
+        if any(pauli.num_qubits != num_qubits for pauli in paulis):
+            raise ValueError(f"every string must act on {num_qubits} qubits")
+        bounds: list[list[int]] = []
+        for k, pauli in enumerate(paulis):
+            first = paulis[bounds[-1][0]] if bounds else None
+            if (
+                first is not None
+                and pauli.x == first.x
+                and (pauli.y_count() - first.y_count()) % 2 == 0
+            ):
+                bounds[-1][1] = k + 1
+            else:
+                bounds.append([k, k + 1])
+        masks = []
+        for start, stop in bounds:
+            mask = 0
+            for pauli in paulis[start:stop]:
+                mask |= pauli.z ^ paulis[start].z
+            masks.append(mask)
+
+        # Tables of equal size sit side by side, so that one batched
+        # transform per size serves every run (see _walsh_hadamard).
+        order = sorted(range(len(bounds)), key=lambda r: masks[r].bit_count())
+        offsets = [0] * len(bounds)
+        self._blocks: list[tuple[int, int, int]] = []
+        slot = 0
+        for r in order:
+            size = 1 << masks[r].bit_count()
+            if self._blocks and self._blocks[-1][2] == size:
+                self._blocks[-1] = (self._blocks[-1][0], slot + size, size)
+            else:
+                self._blocks.append((slot, slot + size, size))
+            offsets[r] = slot
+            slot += size
+        self.num_slots = slot
+
+        self._runs: list[_Run] = []
+        slots = np.zeros(self.num_terms, dtype=np.intp)
+        signs = np.zeros(self.num_terms)
+        alphas = np.zeros(self.num_slots)
+        for (start, stop), mask, offset in zip(bounds, masks, offsets):
+            first = paulis[start]
+            y_count = first.y_count()
+            table = slice(offset, offset + (1 << mask.bit_count()))
+            # Over #Y_1 mod 4, i (-i)**#Y_1 cycles through i, 1, -i, -1
+            # and (-i)**#Y_1 through 1, -i, -1, i.
+            alphas[table] = 1.0 if y_count % 4 < 2 else -1.0
+            self._runs.append(
+                _Run(
+                    start, stop, first.x, first.z, mask, table,
+                    even_y=y_count % 2 == 0,
+                    phase=1.0 if y_count % 4 in (0, 3) else -1.0,
+                )
+            )
+            for k in range(start, stop):
+                pauli = paulis[k]
+                # P_k = (-1)**((#Y_k - #Y_1) / 2) * signs(z_k ^ z_1) * P_1.
+                slots[k] = offset + _pack_bits(pauli.z ^ first.z, mask)
+                signs[k] = -1.0 if (pauli.y_count() - y_count) // 2 % 2 else 1.0
+        self._slots = slots
+        self._signs = signs
+        self._alphas = alphas
+        self._scratch: tuple[np.ndarray, ...] | None = None
+
+    @property
+    def run_bounds(self) -> list[tuple[int, int]]:
+        """``(start, stop)`` term ranges of the fused runs, in order."""
+        return [(run.start, run.stop) for run in self._runs]
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the arrays the plan holds (not the shared memos)."""
+        arrays = [self._slots, self._signs, self._alphas, *(self._scratch or ())]
+        return sum(array.nbytes for array in arrays)
+
+    def _walsh_hadamard(self, values: np.ndarray) -> np.ndarray:
+        """Unnormalized Walsh-Hadamard transform of every run's table, in place.
+
+        ``out[c] = sum_u (-1)**popcount(c & u) * values[u]`` within each
+        run's slots: the butterflies run once per block of equal-size
+        tables, whatever the number of runs.
         """
-        n = pauli.num_qubits
-        if pauli.x:
-            np.take(state, cached_xor_indices(n, pauli.x), axis=-1, out=self._a)
-        else:
-            np.copyto(self._a, state)
-        self._a *= cached_parity_signs(n, pauli.z)
-        factor = pauli_sign_factor(pauli)
-        if factor != 1.0:
-            self._a *= factor
-        return self._a
+        for start, stop, size in self._blocks:
+            rows = values[start:stop].reshape(-1, size)
+            half = 1
+            while half < size:
+                pairs = rows.reshape(rows.shape[0], -1, 2, half)
+                low = pairs[:, :, 0, :].copy()
+                high = pairs[:, :, 1, :]
+                pairs[:, :, 0, :] += high
+                np.subtract(low, high, out=high)
+                half *= 2
+        return values
 
-    def apply_exponential_inplace(
-        self, pauli: PauliString, theta: float, state: np.ndarray
-    ) -> np.ndarray:
-        """Mutate ``state`` to ``exp(i theta P) |state>``; returns it."""
-        if pauli.is_identity():
-            state *= np.exp(1j * theta)
-            return state
-        n = pauli.num_qubits
-        rotated = self._a
-        if pauli.x:
-            np.take(state, cached_xor_indices(n, pauli.x), axis=-1, out=rotated)
+    def rotation_tables(self, angles: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+        """``(cos Theta, alpha sin Theta)`` over every run's table slots.
+
+        ``alpha`` is the real sign of ``i (-i)**#Y_1`` (of its imaginary
+        part for even-Y runs).  Raises ValueError unless there is one
+        angle per term.
+        """
+        angles = np.asarray(angles, dtype=float)
+        if angles.shape != (self.num_terms,):
+            raise ValueError(
+                f"expected {self.num_terms} angles, got shape {angles.shape}"
+            )
+        theta = np.bincount(
+            self._slots, weights=angles * self._signs, minlength=self.num_slots
+        )
+        self._walsh_hadamard(theta)
+        return np.cos(theta), self._alphas * np.sin(theta)
+
+    def _buffers(self) -> tuple[np.ndarray, ...]:
+        if self._scratch is None:
+            dim = 1 << self.num_qubits
+            self._scratch = (
+                np.empty(dim), np.empty(dim),
+                np.empty(dim, dtype=complex), np.empty(dim, dtype=complex),
+            )
+        return self._scratch
+
+    # Every index below is in range by construction: mode="wrap" only
+    # skips the bounds check that np.take's default mode makes.
+    def _flip(self, run: _Run, vector: np.ndarray, out: np.ndarray) -> None:
+        """``out[b] = vector[b ^ x]``."""
+        if run.x:
+            indices = cached_xor_indices(self.num_qubits, run.x)
+            np.take(vector, indices, out=out, mode="wrap")
         else:
-            np.copyto(rotated, state)
-        rotated *= cached_parity_signs(n, pauli.z)
-        # i * sin(theta) * (-i)**#Y folds the permuted-parity sign and the
-        # Y phase into one scalar (see pauli_sign_factor): the gathered
-        # signs vector equals the unpermuted one times (-1)**#Y.
-        state *= math.cos(theta)
-        rotated *= 1j * pauli_sign_factor(pauli) * math.sin(theta)
-        state += rotated
+            np.copyto(out, vector)
+
+    def _expand(self, run: _Run, tables, cos_b: np.ndarray, sin_b: np.ndarray) -> None:
+        """``cos Theta(b)`` and ``alpha sin Theta(b) (-1)**popcount(b & z_1)``."""
+        codes = cached_bit_codes(self.num_qubits, run.mask)
+        np.take(tables[0][run.table], codes, out=cos_b, mode="wrap")
+        np.take(tables[1][run.table], codes, out=sin_b, mode="wrap")
+        sin_b *= cached_parity_signs(self.num_qubits, run.z)
+
+    @staticmethod
+    def _rotate(run: _Run, vector, flipped, cos_b, sin_b, inverse: bool) -> None:
+        """``vector <- cos vector (+/-) i sin P_1 vector``, given ``flipped``."""
+        flipped *= sin_b
+        if run.even_y:
+            flipped *= 1j
+        vector *= cos_b
+        if inverse:
+            vector -= flipped
+        else:
+            vector += flipped
+
+    def apply(self, tables: tuple[np.ndarray, np.ndarray], state: np.ndarray) -> np.ndarray:
+        """Evolve ``state`` in place under :meth:`rotation_tables`' angles; returns it."""
+        cos_b, sin_b, flipped, _ = self._buffers()
+        for run in self._runs:
+            self._flip(run, state, flipped)
+            self._expand(run, tables, cos_b, sin_b)
+            self._rotate(run, state, flipped, cos_b, sin_b, inverse=False)
         return state
 
-    def evolve_inplace(
+    def evolve(self, angles: Sequence[float], state: np.ndarray) -> np.ndarray:
+        """Apply ``prod_k exp(i angles[k] P_k)`` to ``state`` in place; returns it."""
+        if state.shape != (1 << self.num_qubits,):
+            raise ValueError(
+                f"state shape {state.shape} does not match {self.num_qubits} qubits"
+            )
+        return self.apply(self.rotation_tables(angles), state)
+
+    def adjoint(
         self,
-        paulis: Sequence[PauliString],
-        angles: Sequence[float],
-        state: np.ndarray,
+        tables: tuple[np.ndarray, np.ndarray],
+        phi: np.ndarray,
+        lam: np.ndarray,
     ) -> np.ndarray:
-        """Apply ``prod_k exp(i angles[k] P_k)`` in place (first term first)."""
-        for pauli, theta in zip(paulis, angles, strict=True):
-            self.apply_exponential_inplace(pauli, float(theta), state)
-        return state
+        """``dE/da_k = 2 Re <lambda_k| i P_k |phi_k>`` for every term k.
+
+        ``phi`` is the state :meth:`apply` made with ``tables`` and
+        ``lam = H phi``; both are undone run by run, last run first, and
+        end at the reference state and ``U^dag H U`` applied to it.  A
+        run's strings commute, so one ``phi`` and one ``lambda`` serve
+        all of its brackets: ``Im(conj(lambda) P_1 phi)`` binned by table
+        code is, after one Walsh-Hadamard transform, the sum of
+        ``sigma_k Im(conj(lambda) P_1 phi)`` at every term's slot.
+        """
+        cos_b, sin_b, flipped, product = self._buffers()
+        signs = cos_b  # scratch until the run is expanded
+        binned = np.zeros(self.num_slots)
+        for run in reversed(self._runs):
+            self._flip(run, phi, flipped)
+            np.conjugate(lam, out=product)
+            product *= flipped
+            # Im((-i)**#Y_1 u) is the phase's sign times Re(u) or Im(u).
+            part = product.imag if run.even_y else product.real
+            np.multiply(part, cached_parity_signs(self.num_qubits, run.z), out=signs)
+            codes = cached_bit_codes(self.num_qubits, run.mask)
+            binned[run.table] = run.phase * np.bincount(
+                codes, weights=signs, minlength=run.table.stop - run.table.start
+            )
+            self._expand(run, tables, cos_b, sin_b)
+            self._rotate(run, phi, flipped, cos_b, sin_b, inverse=True)
+            self._flip(run, lam, flipped)
+            self._rotate(run, lam, flipped, cos_b, sin_b, inverse=True)
+        return -2.0 * self._signs * self._walsh_hadamard(binned)[self._slots]

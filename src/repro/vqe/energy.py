@@ -31,7 +31,7 @@ from repro.pauli import PauliString, PauliSum
 from repro.sim.density_matrix import DensityMatrixSimulator
 from repro.sim.expectation import ExpectationEngine
 from repro.sim.noise import DepolarizingNoiseModel
-from repro.sim.pauli_evolution import PauliEvolutionWorkspace, evolve_pauli_sequence
+from repro.sim.pauli_evolution import FusedPauliEvolution, evolve_pauli_sequence
 from repro.sim.statevector import basis_state, checked_probabilities
 from repro.vqe.measurement import MeasurementGroup, group_commuting_terms
 
@@ -46,10 +46,9 @@ def _initial_state(program: PauliProgram) -> np.ndarray:
 class StatevectorEnergy:
     """Exact noise-free energy of a Pauli program.
 
-    The program evolves term by term at the Pauli level (see
-    ``docs/performance.md``): :meth:`__call__` and :meth:`state` run the
-    allocation-free single-point workspace kernels on a preallocated
-    buffer.
+    The program evolves at the Pauli level, one fused rotation per run
+    of adjacent same-X-mask strings (:class:`FusedPauliEvolution`, see
+    ``docs/performance.md``), on a preallocated buffer.
     """
 
     def __init__(self, program: PauliProgram, hamiltonian: PauliSum):
@@ -58,11 +57,34 @@ class StatevectorEnergy:
         self.program = program
         self.hamiltonian = hamiltonian
         self.engine = ExpectationEngine(hamiltonian)
-        self._reference = _initial_state(program)
-        self._paulis = program.paulis()
-        self._workspace: PauliEvolutionWorkspace | None = None
+        #: The initial basis state the ansatz evolves.
+        self.reference = _initial_state(program)
+        self.evolution = FusedPauliEvolution(program.num_qubits, program.paulis())
+        self._coefficients = np.array([term.coefficient for term in program], dtype=float)
+        self._parameter_indices = np.array(
+            [term.parameter_index for term in program], dtype=np.intp
+        )
         self._buffer: np.ndarray | None = None
         self.evaluations = 0
+
+    def angles(self, parameters: Sequence[float]) -> np.ndarray:
+        """The bound angle ``theta[k_j] * c_j`` of every program term."""
+        values = np.asarray(parameters, dtype=float)
+        if values.shape != (self.program.num_parameters,):
+            raise ValueError(
+                f"expected {self.program.num_parameters} parameters, got {values.shape}"
+            )
+        return values[self._parameter_indices] * self._coefficients
+
+    def parameter_gradient(self, angle_gradient: np.ndarray) -> np.ndarray:
+        """``dE/dtheta`` from ``dE/da`` of every term (the transpose of :meth:`angles`)."""
+        gradient = np.bincount(
+            self._parameter_indices,
+            weights=self._coefficients * angle_gradient,
+            minlength=self.program.num_parameters,
+        )
+        # bincount returns integers when there are no terms at all.
+        return gradient.astype(float, copy=False)
 
     def state(self, parameters: Sequence[float]) -> np.ndarray:
         """The ansatz state ``|psi(theta)>``.
@@ -70,12 +92,11 @@ class StatevectorEnergy:
         Returns a view of an internal buffer that is overwritten by the
         next evaluation; copy it to keep it.
         """
+        angles = self.angles(parameters)
         if self._buffer is None:
-            self._buffer = np.empty_like(self._reference)
-            self._workspace = PauliEvolutionWorkspace(self._reference.shape)
-        np.copyto(self._buffer, self._reference)
-        angles = [angle for _, angle in self.program.bound_terms(parameters)]
-        return self._workspace.evolve_inplace(self._paulis, angles, self._buffer)
+            self._buffer = np.empty_like(self.reference)
+        np.copyto(self._buffer, self.reference)
+        return self.evolution.evolve(angles, self._buffer)
 
     def __call__(self, parameters: Sequence[float]) -> float:
         self.evaluations += 1

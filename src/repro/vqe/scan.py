@@ -5,10 +5,10 @@ configuration (full UCCSD, compressed at some ratio, or random baseline)
 and records simulated energy, error against the exact ground state, and
 outer-loop iteration counts.
 
-Every inner-loop energy evaluation evolves the Pauli program term by
-term (see ``docs/performance.md``), and :func:`sweep_energies`
-evaluates K parameter sets on that same single-point path (energy
-landscapes, multi-start screening).
+Every inner-loop energy evaluation evolves the Pauli program one fused
+rotation per same-X-mask run (see ``docs/performance.md``), and
+:func:`sweep_energies` evaluates K parameter sets on that same
+single-point path (energy landscapes, multi-start screening).
 """
 
 from __future__ import annotations

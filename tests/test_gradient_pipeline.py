@@ -29,7 +29,7 @@ from repro.vqe.energy import StatevectorEnergy
 def reference_energy(engine, program, hamiltonian):
     """``E(theta)`` through one of the evaluation paths.
 
-    ``inplace``: :class:`StatevectorEnergy`'s single-point workspace;
+    ``inplace``: :class:`StatevectorEnergy`'s fused evolution;
     ``legacy``: out-of-place term-by-term :func:`evolve_pauli_sequence`.
     """
     statevector = StatevectorEnergy(program, hamiltonian)

@@ -103,6 +103,17 @@ class TestSharedDevice:
             "ee43edbbfc0fda3ce5176b45cd309f336a4f6d7698f3aa09f328db6a0a98348c"
         )
 
+    def test_derived_tables_cannot_be_mutated(self):
+        device = get_device("xtree17")
+        with pytest.raises(AttributeError):
+            device.neighbors(0).add(16)
+        with pytest.raises(AttributeError):
+            device.levels().append(3)
+        shared = get_device("XTree17Q")
+        assert not shared.are_connected(0, 16)
+        assert (0, 16) not in shared.edges
+        assert 16 not in shared.neighbors(0)
+
     def test_edges_are_a_normalized_tuple(self):
         g = CouplingGraph(3, [(1, 0), (2, 1)])
         assert g.edges == ((0, 1), (1, 2))

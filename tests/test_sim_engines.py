@@ -6,8 +6,8 @@ Covers the contract points of the two paths:
   ``apply_circuit_inplace`` on a ``(K, 2**n)`` stack agree with the
   dense ``np.kron`` oracle (:mod:`dense_oracle`) on generated circuits
   over the full gate set, and reject states of the wrong size;
-* Pauli programs: the single-point workspace behind
-  ``StatevectorEnergy`` and ``sweep_energies`` agrees with term-by-term
+* Pauli programs: the fused evolution behind ``StatevectorEnergy``
+  and ``sweep_energies`` agrees with term-by-term
   :func:`evolve_pauli_sequence` and with the dense Hamiltonian matrix on
   generated programs (odd- and even-Y strings, identity terms, shared
   parameters, angles of +-pi/2).
@@ -41,13 +41,12 @@ from repro.core.ir import IRTerm, PauliProgram
 from repro.pauli import PauliString, PauliSum
 from repro.sim import (
     ExpectationEngine,
-    PauliEvolutionWorkspace,
     StatevectorSimulator,
     apply_circuit,
     apply_circuit_inplace,
     basis_state,
 )
-from repro.sim.pauli_evolution import evolve_pauli_sequence
+from repro.sim.pauli_evolution import FusedPauliEvolution, evolve_pauli_sequence
 from repro.sim.statevector import apply_gate
 from repro.vqe import sweep_energies
 from repro.vqe.energy import StatevectorEnergy
@@ -231,16 +230,16 @@ class TestBatchedStatevector:
             np.testing.assert_allclose(row, dense_apply(circuit, single), atol=1e-12)
 
     def test_evolve_matches_sequential_exponentials(self):
-        """Each row's angles through the reused single-point workspace."""
+        """Each row's angles through one reused fused evolution plan."""
         rng = np.random.default_rng(2)
         paulis = [
             PauliString.from_label(label)
             for label in ("XYI", "ZZY", "YXZ", "IIY", "XYZ")
         ]
         angles = rng.normal(0, 0.7, (6, len(paulis)))
-        workspace = PauliEvolutionWorkspace((8,))
+        evolution = FusedPauliEvolution(3, paulis)
         for row in angles:
-            state = workspace.evolve_inplace(paulis, row, basis_state(3, 1))
+            state = evolution.evolve(row, basis_state(3, 1))
             expected = evolve_pauli_sequence(list(zip(paulis, row)), basis_state(3, 1))
             np.testing.assert_allclose(state, expected, atol=1e-10)
 
@@ -252,8 +251,8 @@ class TestBatchedStatevector:
         with pytest.raises(ValueError, match="expected 2 parameters"):
             sweep_energies(program, hamiltonian, np.zeros(2))
         with pytest.raises(ValueError):
-            PauliEvolutionWorkspace((4,)).evolve_inplace(
-                program.paulis(), [0.1, 0.2], basis_state(2)
+            FusedPauliEvolution(2, program.paulis()).evolve(
+                [0.1, 0.2], basis_state(2)
             )
         with pytest.raises(ValueError, match="does not match 2 qubits"):
             apply_circuit_inplace(
