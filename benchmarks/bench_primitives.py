@@ -99,7 +99,8 @@ def _best_of(repeats: int, fn) -> float:
 def collect_sim_engine_timings(molecule: str = "H2O") -> dict:
     """Time one full gradient of the 12-qubit ``molecule`` (H2O) UCCSD
     energy: the adjoint sweep against the forward differences (p+1
-    single-point energy calls) SLSQP builds without it.
+    single-point energy calls) SLSQP builds without it.  Both run in the
+    Hartree-Fock sector (``num_evolved_states`` of the ``2**n``).
     """
     problem = build_molecule_hamiltonian(molecule)
     program = build_uccsd_program(problem).program
@@ -129,6 +130,7 @@ def collect_sim_engine_timings(molecule: str = "H2O") -> dict:
         "num_qubits": program.num_qubits,
         "num_parameters": program.num_parameters,
         "num_pauli_strings": len(program.terms),
+        "num_evolved_states": energy.evolution.dimension,
         "gradient": {
             "finite_difference_seconds": round(difference_seconds, 6),
             "adjoint_seconds": round(adjoint_seconds, 6),

@@ -24,7 +24,8 @@
 
 The input's type picks the path (``docs/performance.md``): a Pauli
 program evolves one fused rotation per same-X-mask run, one parameter
-set at a time (:class:`repro.vqe.energy.StatevectorEnergy`); a circuit
+set at a time, over its reference state's particle-number sector when
+every run keeps it (:class:`repro.vqe.energy.StatevectorEnergy`); a circuit
 runs gate by gate through the in-place kernels, which broadcast over
 the leading axis of a ``(K, 2**n)`` stack of states.
 

@@ -12,7 +12,11 @@ sector -- 225 for H2O instead of 4096 -- through a matrix built straight
 from the Pauli ``(x, z)`` keys and diagonalized directly (dense
 ``eigvalsh`` up to 500 states, sparse ``eigsh`` above).  A Hamiltonian
 that does not conserve the sector, or a sector that does not fit it,
-raises ``ValueError``.
+raises ``ValueError``: a leak would make the block's minimum a wrong
+number.  The same block construction, :func:`restricted_matrix`, is the
+Hamiltonian of :class:`repro.vqe.energy.StatevectorEnergy` when the
+ansatz keeps the sector; there the state never leaves it, so the block
+is exact even for a Hamiltonian that does.
 
 Without a sector the solve covers all ``2**n`` states: dense
 diagonalization for tiny systems, matrix-free Lanczos (scipy ``eigsh``
@@ -145,21 +149,38 @@ def _check_sector(hamiltonian: PauliSum, sector: Sector) -> None:
 def sector_matrix(hamiltonian: PauliSum, sector: Sector) -> csr_matrix:
     """The Hamiltonian restricted to a particle-number sector, sparse.
 
-    Row and column ``i`` are ``sector_basis(*sector)[i]``.  Each Pauli
-    ``(x, z)`` maps ``|b>`` to ``i**popcount(x & z) * (-1)**popcount(z & b)
-    |b ^ x>``; terms sharing ``x`` move every state to the same target,
-    so they are summed per ``x`` over the sector states only.  The
-    matrix is real (float64) when every entry is, complex otherwise.
-
-    Raises ``ValueError`` when the sector does not fit the Hamiltonian,
-    or when the Hamiltonian maps sector states out of the sector with
-    more than ``_LEAK_TOLERANCE`` of weight.
+    Row and column ``i`` are ``sector_basis(*sector)[i]``; see
+    :func:`restricted_matrix`.  Raises ``ValueError`` when the sector
+    does not fit the Hamiltonian, or when the Hamiltonian maps sector
+    states out of the sector with more than ``_LEAK_TOLERANCE`` of
+    weight: the lowest eigenvalue of the block would then not be one of
+    the Hamiltonian's.
     """
     _check_sector(hamiltonian, sector)
-    basis = sector_basis(*sector)
+    matrix, leaked = restricted_matrix(hamiltonian, sector_basis(*sector))
+    if leaked > _LEAK_TOLERANCE:
+        raise ValueError(
+            f"the Hamiltonian does not conserve the sector {tuple(sector)}: "
+            f"{leaked:.3g} of matrix weight leaves it"
+        )
+    return matrix
+
+
+def restricted_matrix(hamiltonian: PauliSum, basis: np.ndarray) -> tuple[csr_matrix, float]:
+    """The block ``<b|H|b'>`` over a sorted ``uint64`` basis, and what leaves it.
+
+    Each Pauli ``(x, z)`` maps ``|b>`` to ``i**popcount(x & z) * (-1)**popcount(z & b)
+    |b ^ x>``; terms sharing ``x`` move every state to the same target,
+    so they are summed per ``x`` over the basis states only.  The matrix
+    is real (float64) when every entry is, complex otherwise.  The float
+    is the Frobenius norm of the entries ``<c|H|b>`` with ``b`` in the
+    basis and ``c`` outside it.  For states in the span of the basis the
+    block gives ``<psi|H|psi>`` and the part of ``H|psi>`` inside the
+    span exactly, whether or not H leaves the span.
+    """
     dim = basis.size
     if not len(hamiltonian):
-        return csr_matrix((dim, dim))
+        return csr_matrix((dim, dim)), 0.0
     keys, coefficients = zip(*hamiltonian.items())  # sorted: equal x adjacent
     xs = np.array([x for x, _ in keys], dtype=np.uint64)
     zs = np.array([z for _, z in keys], dtype=np.uint64)
@@ -182,14 +203,8 @@ def sector_matrix(hamiltonian: PauliSum, sector: Sector) -> csr_matrix:
         rows_of.append(rows[inside])
         columns_of.append(columns[inside])
         values_of.append(amplitudes[inside])
-    leaked = float(np.sqrt(leaked))
-    if leaked > _LEAK_TOLERANCE:
-        raise ValueError(
-            f"the Hamiltonian does not conserve the sector {tuple(sector)}: "
-            f"{leaked:.3g} of matrix weight leaves it"
-        )
     values = np.concatenate(values_of)
     if not values.imag.any():
         values = values.real
     entries = (np.concatenate(rows_of), np.concatenate(columns_of))
-    return csr_matrix((values, entries), shape=(dim, dim))
+    return csr_matrix((values, entries), shape=(dim, dim)), float(np.sqrt(leaked))

@@ -20,7 +20,7 @@ path of compiler verification and :class:`repro.vqe.energy.SamplingEnergy`.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -138,21 +138,31 @@ def cached_bit_codes(num_qubits: int, mask: int) -> np.ndarray:
     codes (shared; do not mutate).
     """
 
-    def build() -> np.ndarray:
-        bits = _mask_bits(mask)
-        dtype = np.min_scalar_type((1 << len(bits)) - 1)
-        indices = _all_indices(num_qubits)
-        codes = np.zeros(indices.shape, dtype=dtype)
-        for j, q in enumerate(bits):
-            codes |= ((indices >> np.uint64(q) & np.uint64(1)) << np.uint64(j)).astype(dtype)
-        return codes
+    return _memoized(
+        _CODE_CACHE, (num_qubits, mask), lambda: _bit_codes(_all_indices(num_qubits), mask)
+    )
 
-    return _memoized(_CODE_CACHE, (num_qubits, mask), build)
+
+def _bit_codes(states: np.ndarray, mask: int) -> np.ndarray:
+    """``_pack_bits(b, mask)`` for every ``uint64`` state b, narrowest dtype."""
+    bits = _mask_bits(mask)
+    dtype = np.min_scalar_type((1 << len(bits)) - 1)
+    codes = np.zeros(states.shape, dtype=dtype)
+    for j, q in enumerate(bits):
+        codes |= ((states >> np.uint64(q) & np.uint64(1)) << np.uint64(j)).astype(dtype)
+    return codes
 
 
 # ----------------------------------------------------------------------
 # Fused evolution of same-X-mask runs
 # ----------------------------------------------------------------------
+#: Largest ``|Theta(b)|`` a run may keep, relative to the sum of the
+#: coefficients behind it, on a state whose partner leaves the basis
+#: (see :meth:`FusedPauliEvolution.closed_under`).  Exact cancellation
+#: leaves 0 and rounding a few ulps; a real leak is of order one.
+_CLOSURE_TOLERANCE = 1e-14
+
+
 class _Run(NamedTuple):
     """One maximal run of commuting same-X-mask strings (see below)."""
 
@@ -164,6 +174,28 @@ class _Run(NamedTuple):
     table: slice  # the run's 2**popcount(mask) slots in the tables
     even_y: bool  # whether the first string (so every one) has even #Y
     phase: float  # (-i)**#Y_1 is phase, or phase * -i when odd
+
+
+#: A run's arrays over the evolved states: gather positions of ``b ^ x``
+#: (None when ``x = 0``), table codes and parity signs of ``z_1``.
+_RunArrays = tuple[Optional[np.ndarray], np.ndarray, np.ndarray]
+
+
+def _restrict(run: _Run, basis: np.ndarray) -> _RunArrays:
+    """A run's arrays over a sorted basis, in narrow dtypes.
+
+    A state whose partner ``b ^ x`` is not in the basis gets parity sign
+    0 (so ``P_1`` maps it to 0, as in the full space) and an arbitrary
+    in-range gather position.
+    """
+    parity = 1 - 2 * (popcount(basis & np.uint64(run.z)) & 1).astype(np.int8)
+    positions = None
+    if run.x:
+        partners = basis ^ np.uint64(run.x)
+        found = np.minimum(np.searchsorted(basis, partners), basis.size - 1)
+        parity[basis[found] != partners] = 0
+        positions = found.astype(np.int32)
+    return positions, _bit_codes(basis, run.mask), parity
 
 
 class FusedPauliEvolution:
@@ -180,15 +212,22 @@ class FusedPauliEvolution:
         Theta(b) = sum_k a_k sigma_k(b),
 
     where Theta takes ``2**m`` values (``m = popcount(mask)``) read
-    through the memoized code array of ``mask``
-    (:func:`cached_bit_codes`).  The table of a run is the Walsh-Hadamard
-    transform of its angles scattered onto their sign patterns, so cos
-    and sin are evaluated on the tables alone, and a UCCSD excitation
-    (8 strings, ``m = 4``) costs one rotation instead of eight.
+    through the code array of ``mask``.  The table of a run is the
+    Walsh-Hadamard transform of its angles scattered onto their sign
+    patterns, so cos and sin are evaluated on the tables alone, and a
+    UCCSD excitation (8 strings, ``m = 4``) costs one rotation instead
+    of eight.
 
-    The plan holds one slot index and one sign per term, ``2**m`` table
-    slots per run and four ``2**n`` scratch vectors; the code arrays,
-    parity signs and gather indices live in the bounded memos above.
+    By default the plan evolves all ``2**n`` amplitudes; its code
+    arrays, parity signs and gather indices then live in the bounded
+    memos above (:func:`cached_bit_codes`).  Given a sorted ``uint64``
+    ``basis``, it evolves only the amplitudes of those states, in that
+    order, and holds each run's arrays over them itself: gather
+    positions as int32, codes and parity signs in one byte each.  That
+    is exact for states in the span of the basis as long as every run
+    keeps the span, which :meth:`closed_under` checks.  Either way the
+    plan holds one slot index and one sign per term, ``2**m`` table
+    slots per run and four scratch vectors of :attr:`dimension`.
 
     >>> from repro.pauli import PauliString
     >>> from repro.sim.statevector import basis_state
@@ -201,9 +240,33 @@ class FusedPauliEvolution:
     >>> expected = evolve_pauli_sequence(list(zip(paulis, angles)), basis_state(2, 1))
     >>> bool(np.allclose(state, expected, atol=1e-12))
     True
+
+    H2's UCCSD program keeps its Hartree-Fock particle-number sector
+    (one alpha and one beta electron in two spatial orbitals), so it
+    evolves 4 of the 16 amplitudes:
+
+    >>> from repro.ansatz import build_uccsd_program
+    >>> from repro.chem import build_molecule_hamiltonian
+    >>> from repro.sim.exact import sector_basis
+    >>> program = build_uccsd_program(build_molecule_hamiltonian("H2")).program
+    >>> basis = sector_basis(2, 1, 1)
+    >>> plan = FusedPauliEvolution(4, program.paulis(), basis=basis)
+    >>> plan.dimension, plan.closed_under(
+    ...     [t.parameter_index for t in program], [t.coefficient for t in program])
+    (4, True)
+    >>> terms = program.bound_terms([0.2, -0.1, 0.3])
+    >>> sector = plan.evolve([a for _, a in terms], np.eye(4, dtype=complex)[0])
+    >>> full = evolve_pauli_sequence(terms, basis_state(4, 0b0101))
+    >>> bool(np.allclose(full[basis], sector, atol=1e-12))
+    True
     """
 
-    def __init__(self, num_qubits: int, paulis: Sequence[PauliString]) -> None:
+    def __init__(
+        self,
+        num_qubits: int,
+        paulis: Sequence[PauliString],
+        basis: np.ndarray | None = None,
+    ) -> None:
         self.num_qubits = num_qubits
         self.num_terms = len(paulis)
         if any(pauli.num_qubits != num_qubits for pauli in paulis):
@@ -268,7 +331,25 @@ class FusedPauliEvolution:
         self._slots = slots
         self._signs = signs
         self._alphas = alphas
+        if basis is not None:
+            basis = np.asarray(basis, dtype=np.uint64)
+            if np.any(basis[1:] <= basis[:-1]):
+                raise ValueError("basis states must be strictly ascending")
+        self._basis = basis
+        self._restricted = (
+            None if basis is None else [_restrict(run, basis) for run in self._runs]
+        )
         self._scratch: tuple[np.ndarray, ...] | None = None
+
+    @property
+    def basis(self) -> np.ndarray | None:
+        """The sorted states the plan evolves, or None for all ``2**n``."""
+        return self._basis
+
+    @property
+    def dimension(self) -> int:
+        """Number of evolved amplitudes: ``len(basis)``, else ``2**n``."""
+        return 1 << self.num_qubits if self._basis is None else self._basis.size
 
     @property
     def run_bounds(self) -> list[tuple[int, int]]:
@@ -279,7 +360,41 @@ class FusedPauliEvolution:
     def nbytes(self) -> int:
         """Bytes of the arrays the plan holds (not the shared memos)."""
         arrays = [self._slots, self._signs, self._alphas, *(self._scratch or ())]
+        for run_arrays in self._restricted or ():
+            arrays.extend(array for array in run_arrays if array is not None)
         return sum(array.nbytes for array in arrays)
+
+    def closed_under(
+        self, parameter_indices: Sequence[int], coefficients: Sequence[float]
+    ) -> bool:
+        """Whether every run keeps the span of :attr:`basis` for all parameters.
+
+        The term angles are ``theta[parameter_indices[k]] * coefficients[k]``
+        for any ``theta``.  A run can only leave the span from a state b
+        whose partner ``b ^ x`` is not in the basis, and it leaves b
+        alone when ``Theta(b) = 0``: that holds for every ``theta`` when,
+        for each parameter of the run, ``sum_k coefficients[k] sigma_k(b)``
+        over its terms vanishes on those states.  A plan without a basis
+        is trivially closed.
+        """
+        if self._restricted is None:
+            return True
+        parameter_indices = np.asarray(parameter_indices, dtype=np.intp)
+        weights = np.asarray(coefficients, dtype=float) * self._signs
+        for run, (_, codes, parity) in zip(self._runs, self._restricted):
+            leaving = np.unique(codes[parity == 0])
+            if not leaving.size:
+                continue
+            terms = slice(run.start, run.stop)
+            patterns = (self._slots[terms] - run.table.start).astype(np.uint64)
+            sigma = 1.0 - 2.0 * (popcount(leaving[:, None] & patterns[None, :]) & 1)
+            groups = parameter_indices[terms]
+            for parameter in np.unique(groups):
+                chosen = weights[terms] * (groups == parameter)
+                bound = _CLOSURE_TOLERANCE * np.abs(chosen).sum()
+                if np.abs(sigma @ chosen).max() > bound:
+                    return False
+        return True
 
     def _walsh_hadamard(self, values: np.ndarray) -> np.ndarray:
         """Unnormalized Walsh-Hadamard transform of every run's table, in place.
@@ -320,29 +435,38 @@ class FusedPauliEvolution:
 
     def _buffers(self) -> tuple[np.ndarray, ...]:
         if self._scratch is None:
-            dim = 1 << self.num_qubits
+            dim = self.dimension
             self._scratch = (
                 np.empty(dim), np.empty(dim),
                 np.empty(dim, dtype=complex), np.empty(dim, dtype=complex),
             )
         return self._scratch
 
-    # Every index below is in range by construction: mode="wrap" only
-    # skips the bounds check that np.take's default mode makes.
-    def _flip(self, run: _Run, vector: np.ndarray, out: np.ndarray) -> None:
-        """``out[b] = vector[b ^ x]``."""
-        if run.x:
-            indices = cached_xor_indices(self.num_qubits, run.x)
-            np.take(vector, indices, out=out, mode="wrap")
-        else:
-            np.copyto(out, vector)
+    def _arrays(self, r: int) -> _RunArrays:
+        """Run r's gather indices, codes and parity signs over the evolved states."""
+        if self._restricted is not None:
+            return self._restricted[r]
+        n, run = self.num_qubits, self._runs[r]
+        gather = cached_xor_indices(n, run.x) if run.x else None
+        return gather, cached_bit_codes(n, run.mask), cached_parity_signs(n, run.z)
 
-    def _expand(self, run: _Run, tables, cos_b: np.ndarray, sin_b: np.ndarray) -> None:
+    # Every index below is in range by construction: mode="wrap" only
+    # skips the bounds check that take's default mode makes, and the
+    # method skips np.take's dispatch (a third of a small sector's time).
+    @staticmethod
+    def _flip(gather: np.ndarray | None, vector: np.ndarray, out: np.ndarray) -> None:
+        """``out[b] = vector[b ^ x]``."""
+        if gather is None:
+            np.copyto(out, vector)
+        else:
+            vector.take(gather, out=out, mode="wrap")
+
+    @staticmethod
+    def _expand(run: _Run, codes, parity, tables, cos_b: np.ndarray, sin_b: np.ndarray) -> None:
         """``cos Theta(b)`` and ``alpha sin Theta(b) (-1)**popcount(b & z_1)``."""
-        codes = cached_bit_codes(self.num_qubits, run.mask)
-        np.take(tables[0][run.table], codes, out=cos_b, mode="wrap")
-        np.take(tables[1][run.table], codes, out=sin_b, mode="wrap")
-        sin_b *= cached_parity_signs(self.num_qubits, run.z)
+        tables[0][run.table].take(codes, out=cos_b, mode="wrap")
+        tables[1][run.table].take(codes, out=sin_b, mode="wrap")
+        sin_b *= parity
 
     @staticmethod
     def _rotate(run: _Run, vector, flipped, cos_b, sin_b, inverse: bool) -> None:
@@ -359,17 +483,19 @@ class FusedPauliEvolution:
     def apply(self, tables: tuple[np.ndarray, np.ndarray], state: np.ndarray) -> np.ndarray:
         """Evolve ``state`` in place under :meth:`rotation_tables`' angles; returns it."""
         cos_b, sin_b, flipped, _ = self._buffers()
-        for run in self._runs:
-            self._flip(run, state, flipped)
-            self._expand(run, tables, cos_b, sin_b)
+        for r, run in enumerate(self._runs):
+            gather, codes, parity = self._arrays(r)
+            self._flip(gather, state, flipped)
+            self._expand(run, codes, parity, tables, cos_b, sin_b)
             self._rotate(run, state, flipped, cos_b, sin_b, inverse=False)
         return state
 
     def evolve(self, angles: Sequence[float], state: np.ndarray) -> np.ndarray:
         """Apply ``prod_k exp(i angles[k] P_k)`` to ``state`` in place; returns it."""
-        if state.shape != (1 << self.num_qubits,):
+        if state.shape != (self.dimension,):
             raise ValueError(
-                f"state shape {state.shape} does not match {self.num_qubits} qubits"
+                f"state shape {state.shape} does not match {self.num_qubits} qubits "
+                f"({self.dimension} evolved states)"
             )
         return self.apply(self.rotation_tables(angles), state)
 
@@ -392,19 +518,20 @@ class FusedPauliEvolution:
         cos_b, sin_b, flipped, product = self._buffers()
         signs = cos_b  # scratch until the run is expanded
         binned = np.zeros(self.num_slots)
-        for run in reversed(self._runs):
-            self._flip(run, phi, flipped)
+        for r in reversed(range(len(self._runs))):
+            run = self._runs[r]
+            gather, codes, parity = self._arrays(r)
+            self._flip(gather, phi, flipped)
             np.conjugate(lam, out=product)
             product *= flipped
             # Im((-i)**#Y_1 u) is the phase's sign times Re(u) or Im(u).
             part = product.imag if run.even_y else product.real
-            np.multiply(part, cached_parity_signs(self.num_qubits, run.z), out=signs)
-            codes = cached_bit_codes(self.num_qubits, run.mask)
+            np.multiply(part, parity, out=signs)
             binned[run.table] = run.phase * np.bincount(
                 codes, weights=signs, minlength=run.table.stop - run.table.start
             )
-            self._expand(run, tables, cos_b, sin_b)
+            self._expand(run, codes, parity, tables, cos_b, sin_b)
             self._rotate(run, phi, flipped, cos_b, sin_b, inverse=True)
-            self._flip(run, lam, flipped)
+            self._flip(gather, lam, flipped)
             self._rotate(run, lam, flipped, cos_b, sin_b, inverse=True)
         return -2.0 * self._signs * self._walsh_hadamard(binned)[self._slots]

@@ -3,8 +3,11 @@
 Four backends mirror the paper's experimental setups:
 
 * :class:`StatevectorEnergy` -- exact, fast (Pauli-level ansatz evolution
-  plus the grouped expectation engine); the "noise-free simulations ...
-  with Qiskit Aer statevector simulator".
+  in the reference state's particle-number sector when the program
+  keeps it, as UCCSD does, against the Hamiltonian's block there; all
+  ``2**n`` amplitudes and the grouped expectation engine otherwise);
+  the "noise-free simulations ... with Qiskit Aer statevector
+  simulator".
 * :class:`DensityMatrixEnergy` -- exact open-system propagation of the
   chain-synthesized circuit with depolarizing CNOT noise; the "noisy
   simulations ... with Qiskit Aer qasm simulator" (Figure 10).  O(4^n),
@@ -23,12 +26,14 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from repro.core.bits import popcount
 from repro.core.ir import PauliProgram
 from repro.core.seeding import seeded_rng
 from repro.pauli import PauliString, PauliSum
 from repro.sim.density_matrix import DensityMatrixSimulator
+from repro.sim.exact import Sector, restricted_matrix, sector_basis
 from repro.sim.expectation import ExpectationEngine
 from repro.sim.noise import DepolarizingNoiseModel
 from repro.sim.pauli_evolution import FusedPauliEvolution, evolve_pauli_sequence
@@ -36,11 +41,52 @@ from repro.sim.statevector import basis_state, checked_probabilities
 from repro.vqe.measurement import MeasurementGroup, group_commuting_terms
 
 
-def _initial_state(program: PauliProgram) -> np.ndarray:
+def _reference_index(program: PauliProgram) -> int:
     index = 0
     for qubit in program.initial_occupations:
         index |= 1 << qubit
-    return basis_state(program.num_qubits, index)
+    return index
+
+
+def _initial_state(program: PauliProgram) -> np.ndarray:
+    return basis_state(program.num_qubits, _reference_index(program))
+
+
+def _reference_sector(program: PauliProgram) -> Sector | None:
+    """The particle-number sector of the program's reference state.
+
+    ``(n/2, N_alpha, N_beta)`` in the blocked spin order of
+    :meth:`~repro.chem.hamiltonian.MolecularProblem.hartree_fock_occupations`
+    (alpha on qubits ``0..n/2-1``, beta above); None for odd n.
+    """
+    if program.num_qubits % 2:
+        return None
+    orbitals = program.num_qubits // 2
+    index = _reference_index(program)
+    alpha = (index & ((1 << orbitals) - 1)).bit_count()
+    return orbitals, alpha, (index >> orbitals).bit_count()
+
+
+class _BlockEngine:
+    """A Hamiltonian block over the evolved basis, with
+    :class:`ExpectationEngine`'s ``apply``/``value``.
+
+    A real block multiplies the real and imaginary parts of a state as
+    the two columns of one float array, never a complex copy of itself.
+    """
+
+    def __init__(self, matrix: csr_matrix) -> None:
+        self.matrix = matrix
+        self._real = not np.iscomplexobj(matrix.data)
+
+    def apply(self, state: np.ndarray) -> np.ndarray:
+        if self._real:
+            columns = state.view(np.float64).reshape(-1, 2)
+            return (self.matrix @ columns).view(complex).ravel()
+        return self.matrix @ state
+
+    def value(self, state: np.ndarray) -> float:
+        return float(np.vdot(state, self.apply(state)).real)
 
 
 class StatevectorEnergy:
@@ -49,6 +95,18 @@ class StatevectorEnergy:
     The program evolves at the Pauli level, one fused rotation per run
     of adjacent same-X-mask strings (:class:`FusedPauliEvolution`, see
     ``docs/performance.md``), on a preallocated buffer.
+
+    When every run keeps the particle-number sector of the reference
+    state for all parameter values (:meth:`FusedPauliEvolution.closed_under`),
+    as UCCSD's excitations do, the plan evolves only the amplitudes of
+    that sector (225 of 4096 on H2O, ``evolution.dimension``) and
+    :attr:`engine` applies the Hamiltonian's block over them
+    (:func:`~repro.sim.exact.restricted_matrix`).  The state never
+    leaves the sector, so the block is exact even for a Hamiltonian that
+    does not conserve it.  Any other program (odd n, QAOA, an
+    interleaved spin order) evolves all ``2**n`` amplitudes under the
+    grouped :class:`ExpectationEngine`.  Both give the same energy, so
+    there is nothing to choose.
     """
 
     def __init__(self, program: PauliProgram, hamiltonian: PauliSum):
@@ -56,16 +114,36 @@ class StatevectorEnergy:
             raise ValueError("program and Hamiltonian sizes differ")
         self.program = program
         self.hamiltonian = hamiltonian
-        self.engine = ExpectationEngine(hamiltonian)
-        #: The initial basis state the ansatz evolves.
-        self.reference = _initial_state(program)
-        self.evolution = FusedPauliEvolution(program.num_qubits, program.paulis())
         self._coefficients = np.array([term.coefficient for term in program], dtype=float)
         self._parameter_indices = np.array(
             [term.parameter_index for term in program], dtype=np.intp
         )
+        self.evolution = self._plan()
+        index = _reference_index(program)
+        basis = self.evolution.basis
+        #: ``H`` over the evolved amplitudes (``apply``, ``value``).
+        self.engine: ExpectationEngine | _BlockEngine
+        #: The initial basis state the ansatz evolves, over those amplitudes.
+        self.reference: np.ndarray
+        if basis is None:
+            self.engine = ExpectationEngine(hamiltonian)
+            self.reference = basis_state(program.num_qubits, index)
+        else:
+            self.engine = _BlockEngine(restricted_matrix(hamiltonian, basis)[0])
+            self.reference = np.zeros(basis.size, dtype=complex)
+            self.reference[np.searchsorted(basis, np.uint64(index))] = 1.0
         self._buffer: np.ndarray | None = None
         self.evaluations = 0
+
+    def _plan(self) -> FusedPauliEvolution:
+        """The sector plan when it is closed, else the full-space one."""
+        num_qubits, paulis = self.program.num_qubits, self.program.paulis()
+        sector = _reference_sector(self.program)
+        if sector is not None:
+            plan = FusedPauliEvolution(num_qubits, paulis, basis=sector_basis(*sector))
+            if plan.closed_under(self._parameter_indices, self._coefficients):
+                return plan
+        return FusedPauliEvolution(num_qubits, paulis)
 
     def angles(self, parameters: Sequence[float]) -> np.ndarray:
         """The bound angle ``theta[k_j] * c_j`` of every program term."""
@@ -86,21 +164,31 @@ class StatevectorEnergy:
         # bincount returns integers when there are no terms at all.
         return gradient.astype(float, copy=False)
 
-    def state(self, parameters: Sequence[float]) -> np.ndarray:
-        """The ansatz state ``|psi(theta)>``.
-
-        Returns a view of an internal buffer that is overwritten by the
-        next evaluation; copy it to keep it.
-        """
+    def _evolve(self, parameters: Sequence[float]) -> np.ndarray:
+        """The evolved amplitudes, in an internal buffer."""
         angles = self.angles(parameters)
         if self._buffer is None:
             self._buffer = np.empty_like(self.reference)
         np.copyto(self._buffer, self.reference)
         return self.evolution.evolve(angles, self._buffer)
 
+    def state(self, parameters: Sequence[float]) -> np.ndarray:
+        """The ansatz state ``|psi(theta)>`` over all ``2**n`` basis states.
+
+        A full-space plan returns a view of an internal buffer that is
+        overwritten by the next evaluation; copy it to keep it.
+        """
+        amplitudes = self._evolve(parameters)
+        basis = self.evolution.basis
+        if basis is None:
+            return amplitudes
+        state = np.zeros(1 << self.program.num_qubits, dtype=complex)
+        state[basis] = amplitudes
+        return state
+
     def __call__(self, parameters: Sequence[float]) -> float:
         self.evaluations += 1
-        return self.engine.value(self.state(parameters))
+        return self.engine.value(self._evolve(parameters))
 
 
 class DensityMatrixEnergy:

@@ -16,7 +16,10 @@ The sweeps run over the fused runs of
 :class:`~repro.sim.pauli_evolution.FusedPauliEvolution`: the strings of a
 run commute, so the brackets of all its terms come from one gather of
 ``phi`` against one ``lambda``, and each backward step undoes a whole run
-on both vectors with the cos/sin tables of the forward sweep.  The cost
+on both vectors with the cos/sin tables of the forward sweep.  Both
+vectors, and ``H``, live on the energy's evolved amplitudes: the
+particle-number sector for a program that keeps it, where ``lambda``
+starts as the Hamiltonian's block applied to ``phi``.  The cost
 is O(runs) statevector passes per gradient, against the p+1 full energy
 evaluations of finite differences and the 2M of the parameter-shift
 rule (which the tests keep as this class's oracle).

@@ -6,9 +6,11 @@ and records simulated energy, error against the exact ground state, and
 outer-loop iteration counts.
 
 Every inner-loop energy evaluation evolves the Pauli program one fused
-rotation per same-X-mask run (see ``docs/performance.md``), and
-:func:`sweep_energies` evaluates K parameter sets on that same
-single-point path (energy landscapes, multi-start screening).
+rotation per same-X-mask run, over the amplitudes of the Hartree-Fock
+particle-number sector that UCCSD keeps (225 of 4096 on H2O; see
+``docs/performance.md``), and :func:`sweep_energies` evaluates K
+parameter sets on that same single-point path (energy landscapes,
+multi-start screening).
 """
 
 from __future__ import annotations

@@ -188,7 +188,7 @@ class TestOracle:
 
         adjoint = AdjointGradient(program, hamiltonian, energy=energy)
         value, gradient = adjoint.value_and_gradient(theta)
-        assert value == pytest.approx(energy.engine.value(expected), abs=1e-12)
+        assert value == pytest.approx(ExpectationEngine(hamiltonian).value(expected), abs=1e-12)
         np.testing.assert_allclose(
             gradient, shift_rule_gradient(program, hamiltonian, theta), rtol=0, atol=1e-8
         )

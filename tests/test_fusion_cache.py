@@ -24,6 +24,7 @@ from repro.core.cache import (
     program_key,
 )
 from repro.ansatz import build_uccsd_program
+from repro.sim.expectation import ExpectationEngine
 from repro.sim.statevector import apply_circuit, apply_unitary_inplace
 from repro.vqe.energy import StatevectorEnergy
 
@@ -66,7 +67,7 @@ def test_chain_synthesis_exact_on_table2_molecule(molecule):
     exact = StatevectorEnergy(program, problem.hamiltonian)
     state = apply_circuit(synthesize_program_chain(program, theta))
     assert np.max(np.abs(state - exact.state(theta))) < 1e-10
-    assert abs(exact.engine.value(state) - exact(theta)) < 1e-10
+    assert abs(ExpectationEngine(problem.hamiltonian).value(state) - exact(theta)) < 1e-10
 
 
 class TestCanonicalHashes:

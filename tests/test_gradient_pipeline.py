@@ -56,6 +56,7 @@ class ParameterShiftGradient:
     def __init__(self, program: PauliProgram, hamiltonian: PauliSum):
         self.program = program
         self.value = StatevectorEnergy(program, hamiltonian)
+        self._engine = ExpectationEngine(hamiltonian)
         self._reference = basis_state(
             program.num_qubits, sum(1 << q for q in program.initial_occupations)
         )
@@ -69,7 +70,7 @@ class ParameterShiftGradient:
                 terms = list(bound)
                 terms[position] = (term.pauli, bound[position][1] + shift)
                 state = evolve_pauli_sequence(terms, self._reference)
-                shifted.append(self.value.engine.value(state))
+                shifted.append(self._engine.value(state))
             gradient[term.parameter_index] += term.coefficient * (
                 shifted[0] - shifted[1]
             )
