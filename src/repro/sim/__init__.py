@@ -17,6 +17,10 @@
   unbiased estimate of the density-matrix result, evolved as one clean
   row plus the d rows that draw an error, O(T*(1+d)*2^n) plus the event
   draw (the path past 12 qubits for noisy studies).
+* :mod:`repro.sim.channel_plan` -- both noisy channels on a
+  chain-synthesized Pauli program, pushed to string boundaries once: the
+  exact noisy state as real Pauli coefficients evolved string by string,
+  and trajectory errors as negated angles plus one final Pauli.
 * :mod:`repro.sim.exact` -- exact ground-state solver ("Ground State"
   reference curves in Figure 9): in a particle-number sector built
   from the Pauli keys when the caller names one (molecules), else

@@ -101,7 +101,6 @@ def _memoized(cache: dict, key: tuple[int, int], build: Callable[[], np.ndarray]
     if value is None:
         value = build()
         if sum(v.nbytes for v in cache.values()) + value.nbytes <= _CACHE_BYTE_LIMIT:
-            # lint: ignore[RR101] - idempotent memo: racing writers store equal values
             cache[key] = value
     return value
 

@@ -26,6 +26,18 @@ O(T * (1 + d) * 2^n) plus the event draw, and on two or more qubits
 every row's value is bit-identical to evolving all K rows.  Chunks of
 ``block_size``-row blocks fork at most ``block_size`` rows each, so
 memory stays bounded.
+
+That gate-level path is the circuit API (:func:`trajectory_expectations`,
+:func:`trajectory_estimate`).  A Pauli program's trajectories
+(:class:`repro.vqe.energy.TrajectoryEnergy`) share its event draw but
+run at the Pauli level: :func:`_error_rows` pushes each drawn error to
+the end of the program through the
+:class:`~repro.sim.channel_plan.ChannelPlan`, and
+:func:`_pauli_row_values` evolves each error row as one
+:class:`~repro.sim.pauli_evolution.FusedPauliEvolution` with some angles
+negated, then applies the row's final Pauli and reads it out.  That is
+(1 + d) Pauli-program evolutions and readouts of ``2^n`` amplitudes,
+plus the draw, and agrees with the gate-level rows to rounding.
 """
 
 from __future__ import annotations
@@ -34,17 +46,22 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
 from repro.circuit import Circuit
+from repro.core.bits import popcount
 from repro.core.seeding import seeded_rng, spawn_seeds
 from repro.pauli import PauliString, PauliSum
 from repro.sim.expectation import ExpectationEngine
 from repro.sim.noise import DepolarizingNoiseModel, depolarizing_paulis
 from repro.sim.pauli_evolution import cached_parity_signs, cached_xor_indices
 from repro.sim.statevector import apply_gate_inplace, basis_state
+
+if TYPE_CHECKING:
+    from repro.sim.channel_plan import ChannelPlan
+    from repro.sim.pauli_evolution import FusedPauliEvolution
 
 #: Valid values of the ``executor=`` knob of the streaming helpers (and
 #: of :func:`repro.core.pipeline.run_batch`).
@@ -263,6 +280,80 @@ def _draw_events(
     return _Events((signature, trajectories, block_size), tuple(chunks), len(all_rows))
 
 
+@dataclass(frozen=True)
+class _ErrorRows:
+    """The rows of one draw that hold an error, at the Pauli level."""
+
+    rows: np.ndarray     # global rows with at least one error, ascending
+    signs: np.ndarray    # (rows, terms): +-1 on each term's angle
+    x: tuple[int, ...]   # X mask of each row's errors, pushed past the end
+    z: tuple[int, ...]   # and their Z mask
+
+
+def _error_rows(plan: "ChannelPlan", events: _Events) -> _ErrorRows:
+    """Push every error of ``events`` to the end of the program.
+
+    An error Pauli E drawn at a noisy gate acts, up to phase, at a string
+    boundary (:meth:`~repro.sim.channel_plan.ChannelPlan.boundary_pauli`);
+    moving it past every later string uses ``E exp(i a P) = exp(-i a P) E``
+    when E and P anticommute.  So a row is the clean program with those
+    angles negated, then the product of its E's.
+    """
+    num_qubits, num_terms = plan.num_qubits, plan.num_terms
+    term_x = np.array([pauli.x for pauli in plan.paulis], dtype=np.uint64)
+    term_z = np.array([pauli.z for pauli in plan.paulis], dtype=np.uint64)
+    terms = np.arange(num_terms)
+    found: dict[int, list] = {}
+    for chunk in events.chunks:
+        for ordinal, target, choice in zip(
+            chunk.gates.tolist(), chunk.targets.tolist(), chunk.paulis.tolist()
+        ):
+            error = channel_paulis(num_qubits, plan.signature[ordinal][0])[choice]
+            first, x, z = plan.boundary_pauli(ordinal, error)
+            row = found.setdefault(chunk.start + target, [np.ones(num_terms), 0, 0])
+            anticommutes = popcount((term_x & np.uint64(z)) ^ (term_z & np.uint64(x))) & 1
+            row[0][(anticommutes == 1) & (terms >= first)] *= -1.0
+            row[1] ^= x
+            row[2] ^= z
+    rows = sorted(found)
+    return _ErrorRows(
+        np.array(rows, dtype=np.intp),
+        np.array([found[r][0] for r in rows]).reshape(len(rows), num_terms),
+        tuple(found[r][1] for r in rows),
+        tuple(found[r][2] for r in rows),
+    )
+
+
+def _pauli_row_values(
+    evolution: "FusedPauliEvolution",
+    engine: ExpectationEngine,
+    reference: np.ndarray,
+    angles: np.ndarray,
+    rows: _ErrorRows,
+    trajectories: int,
+) -> np.ndarray:
+    """Per-trajectory energies of a Pauli program under ``rows``' errors.
+
+    The clean row and each error row are one full-space evolution of
+    ``reference``; an error row then takes its final Pauli (phase
+    dropped) before the readout.  Rows without an error read the clean
+    value.
+    """
+    n = engine.num_qubits
+    clean = evolution.evolve(angles, reference.copy())
+    values = np.full(trajectories, engine.value(clean))
+    if rows.rows.size:
+        states = np.empty((rows.rows.size, reference.size), dtype=complex)
+        for state, signs, x, z in zip(states, rows.signs, rows.x, rows.z):
+            np.copyto(state, reference)
+            evolution.evolve(angles * signs, state)
+            state *= cached_parity_signs(n, z)
+            if x:
+                state[:] = state[cached_xor_indices(n, x)]
+        values[rows.rows] = engine.values(states)
+    return values
+
+
 def _evolve_chunk(
     circuit: Circuit,
     positions: np.ndarray,
@@ -340,16 +431,11 @@ def _run_trajectories(
     initial_state: np.ndarray | None,
     executor: str,
     workers: "int | str | None",
-    events: _Events | None = None,
 ) -> tuple[np.ndarray, _Events]:
     """Per-trajectory values and the events behind them.
 
-    ``events`` from an earlier call with the same seed is reused when
-    its noisy-gate signature, ``trajectories`` and ``block_size`` still
-    match (the common-random-numbers memo of
-    :class:`repro.vqe.energy.TrajectoryEnergy`).  Every executor maps
-    the same chunk function over the same chunks, so serial and process
-    runs are bit-identical for any ``workers`` count.
+    Every executor maps the same chunk function over the same chunks, so
+    serial and process runs are bit-identical for any ``workers`` count.
     """
     check_executor(executor)
     engine = _as_engine(observable)
@@ -359,10 +445,7 @@ def _run_trajectories(
     # stream as the density-matrix simulator.
     hardware = circuit.decompose_swaps()
     positions, signature = _noisy_gates(hardware, noise)
-    if events is None or events.key != (signature, trajectories, block_size):
-        events = _draw_events(
-            signature, circuit.num_qubits, trajectories, seed, block_size
-        )
+    events = _draw_events(signature, circuit.num_qubits, trajectories, seed, block_size)
     chunks = events.chunks
     count = resolve_workers(workers, len(chunks))
 

@@ -8,15 +8,19 @@ Four backends mirror the paper's experimental setups:
   ``2**n`` amplitudes and the grouped expectation engine otherwise);
   the "noise-free simulations ... with Qiskit Aer statevector
   simulator".
-* :class:`DensityMatrixEnergy` -- exact open-system propagation of the
-  chain-synthesized circuit with depolarizing CNOT noise; the "noisy
-  simulations ... with Qiskit Aer qasm simulator" (Figure 10).  O(4^n),
-  capped at 12 qubits.
-* :class:`TrajectoryEnergy` -- the same depolarizing channel unraveled
+* :class:`DensityMatrixEnergy` -- exact open-system energy of the
+  chain-synthesized circuit with depolarizing channels; the "noisy
+  simulations ... with Qiskit Aer qasm simulator" (Figure 10).  The
+  state is held as its ``4**n`` real Pauli coefficients and each string
+  is a few broadcast passes over them (:mod:`repro.sim.channel_plan`):
+  O(S * 4^n) per call for S non-identity strings, capped at 12 qubits.
+* :class:`TrajectoryEnergy` -- the same depolarizing channels unraveled
   into K stochastic Pauli trajectories (:mod:`repro.sim.trajectory`):
-  an unbiased estimate of the density-matrix energy at O(T*(1+d)*2^n)
-  for d rows that draw an error, plus the event draw; the noisy path
-  past 12 qubits (Figure 10 on BH3/NH3/CH4).
+  an unbiased estimate of the density-matrix energy.  Each of the d
+  rows that draw an error is the Pauli program with some angles negated
+  and one error Pauli at the end, so a call costs (1 + d) Pauli-level
+  evolutions and readouts over ``2**n`` amplitudes, plus the event
+  draw; the noisy path past 12 qubits (Figure 10 on BH3/NH3/CH4).
 * :class:`SamplingEnergy` -- finite-shot estimation with qubit-wise
   commuting measurement grouping (the realistic inner loop).
 """
@@ -32,7 +36,7 @@ from repro.core.bits import popcount
 from repro.core.ir import PauliProgram
 from repro.core.seeding import seeded_rng
 from repro.pauli import PauliString, PauliSum
-from repro.sim.density_matrix import DensityMatrixSimulator
+from repro.sim.density_matrix import _MAX_QUBITS
 from repro.sim.exact import Sector, restricted_matrix, sector_basis
 from repro.sim.expectation import ExpectationEngine
 from repro.sim.noise import DepolarizingNoiseModel
@@ -89,7 +93,27 @@ class _BlockEngine:
         return float(np.vdot(state, self.apply(state)).real)
 
 
-class StatevectorEnergy:
+class _TermAngles:
+    """The bound angle ``theta[k_j] * c_j`` of every term of a program."""
+
+    def __init__(self, program: PauliProgram) -> None:
+        self.program = program
+        self._coefficients = np.array([term.coefficient for term in program], dtype=float)
+        self._parameter_indices = np.array(
+            [term.parameter_index for term in program], dtype=np.intp
+        )
+
+    def angles(self, parameters: Sequence[float]) -> np.ndarray:
+        """The bound angle ``theta[k_j] * c_j`` of every program term."""
+        values = np.asarray(parameters, dtype=float)
+        if values.shape != (self.program.num_parameters,):
+            raise ValueError(
+                f"expected {self.program.num_parameters} parameters, got {values.shape}"
+            )
+        return values[self._parameter_indices] * self._coefficients
+
+
+class StatevectorEnergy(_TermAngles):
     """Exact noise-free energy of a Pauli program.
 
     The program evolves at the Pauli level, one fused rotation per run
@@ -112,12 +136,8 @@ class StatevectorEnergy:
     def __init__(self, program: PauliProgram, hamiltonian: PauliSum):
         if program.num_qubits != hamiltonian.num_qubits:
             raise ValueError("program and Hamiltonian sizes differ")
-        self.program = program
+        super().__init__(program)
         self.hamiltonian = hamiltonian
-        self._coefficients = np.array([term.coefficient for term in program], dtype=float)
-        self._parameter_indices = np.array(
-            [term.parameter_index for term in program], dtype=np.intp
-        )
         self.evolution = self._plan()
         index = _reference_index(program)
         basis = self.evolution.basis
@@ -144,15 +164,6 @@ class StatevectorEnergy:
             if plan.closed_under(self._parameter_indices, self._coefficients):
                 return plan
         return FusedPauliEvolution(num_qubits, paulis)
-
-    def angles(self, parameters: Sequence[float]) -> np.ndarray:
-        """The bound angle ``theta[k_j] * c_j`` of every program term."""
-        values = np.asarray(parameters, dtype=float)
-        if values.shape != (self.program.num_parameters,):
-            raise ValueError(
-                f"expected {self.program.num_parameters} parameters, got {values.shape}"
-            )
-        return values[self._parameter_indices] * self._coefficients
 
     def parameter_gradient(self, angle_gradient: np.ndarray) -> np.ndarray:
         """``dE/dtheta`` from ``dE/da`` of every term (the transpose of :meth:`angles`)."""
@@ -191,8 +202,20 @@ class StatevectorEnergy:
         return self.engine.value(self._evolve(parameters))
 
 
-class DensityMatrixEnergy:
-    """Exact noisy energy: gate-level circuit + depolarizing channels."""
+class DensityMatrixEnergy(_TermAngles):
+    """Exact noisy energy of the chain-synthesized circuit.
+
+    Equal to running ``synthesize_program_chain(program, theta)`` through
+    :class:`~repro.sim.density_matrix.DensityMatrixSimulator` under
+    ``noise`` and taking ``Tr(rho H)``, without either: the
+    angle-independent :class:`~repro.sim.channel_plan.ChannelPlan` pushes
+    every channel to a string boundary once, and each call evolves the
+    ``4**n`` real Pauli coefficients of rho string by string
+    (:class:`~repro.sim.channel_plan.PauliTransferEvolution`) and reads
+    ``sum_Q h_Q Tr(rho Q)``.  Cost per call: a few passes over the
+    ``4**n`` coefficients per non-identity string, plus the tables of
+    strings too wide to keep (4**w each).  Capped at 12 qubits.
+    """
 
     def __init__(
         self,
@@ -200,41 +223,58 @@ class DensityMatrixEnergy:
         hamiltonian: PauliSum,
         noise: DepolarizingNoiseModel | None = None,
     ):
-        from repro.compiler.synthesis import synthesize_program_chain
+        from repro.sim.channel_plan import ChannelPlan, PauliTransferEvolution
 
         if program.num_qubits != hamiltonian.num_qubits:
             raise ValueError("program and Hamiltonian sizes differ")
-        self.program = program
+        if program.num_qubits > _MAX_QUBITS:
+            raise ValueError(
+                f"density-matrix simulation capped at {_MAX_QUBITS} qubits "
+                f"(requested {program.num_qubits})"
+            )
+        super().__init__(program)
         self.hamiltonian = hamiltonian
         self.noise = noise or DepolarizingNoiseModel(two_qubit_error=1e-4)
-        self._synthesize = synthesize_program_chain
-        self._engine = ExpectationEngine(hamiltonian)
+        self.plan = ChannelPlan(program, self.noise)
+        self.evolution = PauliTransferEvolution(self.plan)
+        self._positions, self._weights = self.evolution.coefficient_index(hamiltonian)
         self.evaluations = 0
 
     def __call__(self, parameters: Sequence[float]) -> float:
         self.evaluations += 1
-        circuit = self._synthesize(self.program, parameters)
-        simulator = DensityMatrixSimulator(self.program.num_qubits, self.noise)
-        return self._engine.trace_value(simulator.run(circuit))
+        coefficients = self.evolution.evolve(self.angles(parameters))
+        return float(self._weights @ coefficients[self._positions])
 
 
-class TrajectoryEnergy:
+class TrajectoryEnergy(_TermAngles):
     """Noisy energy by stochastic Pauli-trajectory averaging.
 
-    Unbiased estimator of the :class:`DensityMatrixEnergy` result at
-    O(T*(1+d)*2^n) plus the event draw, for d of the K rows that draw an
-    error, instead of O(4^n) -- the only noisy backend that scales past
-    the density-matrix simulator's 12-qubit cap.  After each call,
-    :attr:`last_standard_error` / :attr:`last_error_events` report the
-    Monte-Carlo error bar and the number of injected error Paulis.
+    Unbiased estimator of the :class:`DensityMatrixEnergy` result, and the
+    only noisy backend that scales past the density-matrix 12-qubit cap.
+    The errors are drawn exactly as
+    :func:`~repro.sim.trajectory.trajectory_expectations` draws them on
+    the chain-synthesized circuit (same seed, same per-row values to
+    rounding), but every row runs at the Pauli level: the
+    :class:`~repro.sim.channel_plan.ChannelPlan` pushes each drawn error
+    Pauli E to a string boundary and then past every later string,
+    ``E exp(i a P) = exp(-+i a P) E``.  A row with errors is the clean
+    program with the angles of the strings its errors anticommute with
+    negated, one :class:`FusedPauliEvolution` over ``2**n`` amplitudes,
+    then the product of its E's and the readout; rows without an error
+    read the clean row's value.  Cost per call: (1 + d) evolutions and
+    readouts for d rows with an error, plus the draw when it is not
+    reused.  After each call, :attr:`last_standard_error` /
+    :attr:`last_error_events` report the Monte-Carlo error bar and the
+    number of injected error Paulis.
 
     With the default ``common_randomness=True`` (and a non-``None``
     seed), every evaluation reuses the same noise realizations, making
     ``E(theta)`` a deterministic function the outer-loop optimizer can
     minimize (the classic common-random-numbers smoothing; the estimate
-    stays unbiased over the seed distribution), and the error events are
-    drawn once and reused.  Set it to ``False`` for fresh realizations
-    per call (independent error bars).
+    stays unbiased over the seed distribution): the error events, and
+    each row's angle signs and final Pauli, are drawn and derived once.
+    Set it to ``False`` for fresh realizations per call (independent
+    error bars).
     """
 
     def __init__(
@@ -247,32 +287,31 @@ class TrajectoryEnergy:
         seed: int | None = 17,
         block_size: int | None = None,
         common_randomness: bool = True,
-        executor: str = "serial",
-        workers: "int | str | None" = None,
     ):
-        from repro.compiler.synthesis import synthesize_program_chain
-        from repro.sim.trajectory import DEFAULT_BLOCK_SIZE, check_executor
+        from repro.sim.channel_plan import ChannelPlan
+        from repro.sim.trajectory import DEFAULT_BLOCK_SIZE
 
         if program.num_qubits != hamiltonian.num_qubits:
             raise ValueError("program and Hamiltonian sizes differ")
-        self.program = program
+        super().__init__(program)
         self.hamiltonian = hamiltonian
         self.noise = noise or DepolarizingNoiseModel(two_qubit_error=1e-4)
         self.trajectories = trajectories
         self.block_size = block_size or DEFAULT_BLOCK_SIZE
         self.common_randomness = common_randomness
-        self.executor = check_executor(executor)
-        self.workers = workers
         self.engine = ExpectationEngine(hamiltonian)
-        self._synthesize = synthesize_program_chain
+        self.plan = ChannelPlan(program, self.noise)
+        self.evolution = FusedPauliEvolution(program.num_qubits, program.paulis())
+        self.reference = _initial_state(program)
         self._seed = seed
         self._seeds = np.random.SeedSequence(seed) if seed is not None else None
         self.evaluations = 0
         self.last_standard_error = float("nan")
         self.last_error_events = 0
         # Common random numbers redraw the same errors on every call, so
-        # the draw is kept and reused while the noisy gates stay the same.
+        # the draw and its rows are kept while the draw key stays the same.
         self._events = None
+        self._rows = None
 
     def _next_seed(self):
         if self._seeds is None:
@@ -281,18 +320,42 @@ class TrajectoryEnergy:
             return self._seed
         return self._seeds.spawn(1)[0]
 
+    def _draw(self):
+        """The error events and the rows they make (reused under CRN)."""
+        from repro.sim.trajectory import _draw_events, _error_rows
+
+        key = (self.plan.signature, self.trajectories, self.block_size)
+        if self._events is not None and self._events.key == key:
+            return self._events, self._rows
+        events = _draw_events(
+            self.plan.signature, self.program.num_qubits, self.trajectories,
+            self._next_seed(), self.block_size,
+        )
+        rows = _error_rows(self.plan, events)
+        if self.common_randomness and self._seed is not None:
+            self._events, self._rows = events, rows
+        return events, rows
+
+    def _evaluate(self, parameters: Sequence[float]):
+        from repro.sim.trajectory import _pauli_row_values
+
+        angles = self.angles(parameters)
+        events, rows = self._draw()
+        values = _pauli_row_values(
+            self.evolution, self.engine, self.reference, angles, rows,
+            self.trajectories,
+        )
+        return values, events
+
+    def values(self, parameters: Sequence[float]) -> np.ndarray:
+        """Per-trajectory energies, shape ``(K,)``."""
+        return self._evaluate(parameters)[0]
+
     def __call__(self, parameters: Sequence[float]) -> float:
-        from repro.sim.trajectory import _run_trajectories, _summarize
+        from repro.sim.trajectory import _summarize
 
         self.evaluations += 1
-        circuit = self._synthesize(self.program, parameters)
-        values, events = _run_trajectories(
-            circuit, self.engine, self.noise, self.trajectories, self._next_seed(),
-            self.block_size, None, self.executor, self.workers, events=self._events,
-        )
-        if self.common_randomness and self._seed is not None:
-            self._events = events
-        estimate = _summarize(values, events)
+        estimate = _summarize(*self._evaluate(parameters))
         self.last_standard_error = estimate.standard_error
         self.last_error_events = estimate.error_events
         return estimate.value

@@ -103,8 +103,6 @@ class VQE:
         hamiltonian: PauliSum,
         *,
         backend: str = "statevector",
-        executor: str = "serial",
-        workers: int | str | None = None,
         noise: DepolarizingNoiseModel | None = None,
         shots_per_group: int = 4096,
         trajectories: int = 256,
@@ -113,9 +111,6 @@ class VQE:
         max_iterations: int = 200,
         tolerance: float = 1e-8,
     ):
-        from repro.sim.trajectory import check_executor
-
-        check_executor(executor)
         if backend not in BACKENDS:
             raise ValueError(
                 f"unknown VQE backend {backend!r}; valid backends: "
@@ -131,8 +126,7 @@ class VQE:
             self.energy = DensityMatrixEnergy(program, hamiltonian, noise)
         elif backend == "trajectory":
             self.energy = TrajectoryEnergy(
-                program, hamiltonian, noise, trajectories=trajectories, seed=seed,
-                executor=executor, workers=workers,
+                program, hamiltonian, noise, trajectories=trajectories, seed=seed
             )
         else:
             _reject_noise(backend, noise)
@@ -140,8 +134,6 @@ class VQE:
                 program, hamiltonian, shots_per_group=shots_per_group, seed=seed
             )
         self.backend = backend
-        self.executor = executor
-        self.workers = workers
         self.program = program
         self.hamiltonian = hamiltonian
         self.method = method

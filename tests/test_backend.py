@@ -111,19 +111,13 @@ class TestExecutorPlumbing:
             "bond_scan",
             "trajectory_estimate",
             "trajectory_expectations",
-            "TrajectoryEnergy",
-            "VQE",
         ],
     )
     def test_thread_executor_rejected(self, surface):
-        from repro.core.ir import PauliProgram
         from repro.core.pipeline import PipelineConfig, run_batch
-        from repro.vqe.energy import TrajectoryEnergy
-        from repro.vqe.runner import VQE
         from repro.vqe.scan import bond_scan
 
         observable = PauliSum.from_label_dict({"ZZI": 1.0})
-        program = PauliProgram(3, 0)
         calls = {
             "run_batch": lambda: run_batch(
                 [PipelineConfig(molecule="H2")], executor="thread"
@@ -136,12 +130,6 @@ class TestExecutorPlumbing:
             ),
             "trajectory_expectations": lambda: trajectory_expectations(
                 small_circuit(), observable, executor="thread"
-            ),
-            "TrajectoryEnergy": lambda: TrajectoryEnergy(
-                program, observable, executor="thread"
-            ),
-            "VQE": lambda: VQE(
-                program, observable, backend="trajectory", executor="thread"
             ),
         }
         with pytest.raises(ValueError, match="serial, process"):
