@@ -1,10 +1,10 @@
 """Content-addressed compile cache: canonical hashes + LRU memo store.
 
-The co-optimization loop recompiles the same artifacts hundreds of times:
-a bond scan rebuilds the UCCSD ansatz, the importance compression and
-the routed circuit for every point and every optimizer restart, even
-though most of that work depends only on the *content* of its inputs.
-This module provides the two halves of the caching subsystem:
+The co-optimization loop would recompile the same artifacts hundreds of
+times: every batch item, scan point and rerun needs the UCCSD ansatz,
+the compression, the routed circuit and the statevector energy plan of
+its instance, though that work depends only on the *content* of its
+inputs.  This module provides the two halves of the caching subsystem:
 
 * **Canonical hashes** -- deterministic SHA-256 digests over the content
   that actually determines an artifact: gate kinds, qubits, and

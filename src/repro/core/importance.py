@@ -65,8 +65,8 @@ def _score_memo(hamiltonian: PauliSum, decay_base: float) -> dict:
     from repro.core.cache import ContentAddressedCache, pauli_sum_key
 
     if _SCORE_MEMOS is None:
-        # lint: ignore[RR101] - benign lazy init: a racing loser's memo is
-        # orphaned but every returned dict still yields correct scores
+        # Benign lazy init: a racing loser's memo is orphaned but every
+        # returned dict still yields correct scores.
         _SCORE_MEMOS = ContentAddressedCache(max_entries=32, name="importance-scores")
     key = (pauli_sum_key(hamiltonian), float(decay_base))
     return _SCORE_MEMOS.get_or_compute(key, dict)

@@ -14,7 +14,7 @@ changing a config field, not by rewiring constructors.
 
 An optional :class:`Energy` stage (not in the default pipeline) runs VQE
 on the staged ansatz, turning the same pipeline into the Figure 9/10
-workload driver.
+workload driver (:func:`repro.vqe.scan.bond_scan`).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from functools import partial
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.chem.hamiltonian import MolecularProblem, build_molecule_hamiltonian
-from repro.core.compression import CompressedAnsatz, compress_ansatz
+from repro.core.compression import CompressedAnsatz, compress_ansatz, random_ansatz
 from repro.hardware.coupling import CouplingGraph
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid package cycles
@@ -42,6 +42,9 @@ if TYPE_CHECKING:  # imported lazily at runtime to avoid package cycles
 #: the paper's Table II methodology).
 LAYOUT_SCHEMES = ("auto", "hierarchical", "trivial", "none")
 
+#: Parameter selections the ``Compress`` stage understands.
+COMPRESSION_SCHEMES = ("importance", "random", "none")
+
 
 class PipelineError(RuntimeError):
     """A pass ran (or was ordered to run) before the stages it depends on."""
@@ -53,9 +56,11 @@ class PipelineConfig:
 
     ``device`` and ``compiler`` are registry names (see
     :func:`repro.hardware.get_device` / :func:`repro.compiler.get_compiler`);
-    ``layout`` is one of :data:`LAYOUT_SCHEMES`; ``seed`` is handed to the
-    compiler (both routers are deterministic and ignore it; it still keys
-    the route cache); ``trajectories`` sizes the stochastic
+    ``layout`` is one of :data:`LAYOUT_SCHEMES` and ``compression`` one
+    of :data:`COMPRESSION_SCHEMES`; ``seed`` draws the random
+    compression and is handed to the compiler (both routers are
+    deterministic and ignore it; it still keys the route cache);
+    ``trajectories`` sizes the stochastic
     Pauli-trajectory noise engine when the :class:`Energy` stage runs
     with ``backend="trajectory"`` (the noisy path past the
     density-matrix simulator's 12-qubit cap).  The :class:`Energy` stage
@@ -78,11 +83,12 @@ class PipelineConfig:
 
     Every run goes through the content-addressed compile cache
     (:mod:`repro.core.cache`): the ansatz build, compression, layout,
-    routing, and schedule metrics are memoized, so repeated pipelines,
-    ``run_batch`` workers, and ``bond_scan`` points sharing structure
-    skip recompilation entirely (:func:`repro.core.cache.clear_compile_cache`
-    gives a fresh run).  Each stage keys its artifact on the entry keys
-    of its inputs plus the config fields it reads (:func:`entry_key`).
+    routing, schedule metrics and the :class:`Energy` stage's statevector
+    plan are memoized, so a repeated pipeline, a ``run_batch`` item or a
+    ``bond_scan`` point recompiles nothing
+    (:func:`repro.core.cache.clear_compile_cache` gives a fresh run).
+    Each stage keys its artifact on the entry keys of its inputs plus
+    the config fields it reads (:func:`entry_key`).
     The inputs are keyed on what names them where a name fixes the
     content: a molecule built by name on its ``spec`` (name, bond
     length), a registry device on the key its shared instance computed
@@ -105,6 +111,7 @@ class PipelineConfig:
     device: str = "xtree17"
     compiler: str = "mtr"
     layout: str = "auto"
+    compression: str = "importance"
     validate: bool = True
     trajectories: int = 256
     commute: bool = False
@@ -234,6 +241,19 @@ def entry_key(context: PipelineContext, attribute: str) -> str | None:
     return key
 
 
+def problem_key(problem: Any) -> str:
+    """The cache key of a problem no cached pass produced (see :func:`entry_key`)."""
+    return _content_key("problem", problem)
+
+
+def cache_entry(key_parts: tuple[Any, ...], compute: Callable[[], Any]) -> tuple[str, Any]:
+    """The derived key of ``key_parts`` and the compile cache's value there."""
+    from repro.core.cache import canonical_hash, compile_cache
+
+    key = canonical_hash(*key_parts)
+    return key, compile_cache().get_or_compute(key, compute)
+
+
 def _cached(
     context: PipelineContext,
     attribute: str,
@@ -241,10 +261,8 @@ def _cached(
     compute: Callable[[], Any],
 ) -> None:
     """Stage ``context.<attribute>`` from the compile cache under a derived key."""
-    from repro.core.cache import canonical_hash, compile_cache
-
-    key = canonical_hash(*key_parts)
-    setattr(context, attribute, compile_cache().get_or_compute(key, compute))
+    key, value = cache_entry(key_parts, compute)
+    setattr(context, attribute, value)
     _record_key(context, attribute, key)
 
 
@@ -411,8 +429,12 @@ class BuildAnsatz(Pass):
 
 
 class Compress(Pass):
-    """Importance-based ansatz compression (Section III-B).
+    """Ansatz compression (Section III-B) under ``config.compression``.
 
+    ``"importance"`` keeps the top ``ratio`` of the parameters by
+    Algorithm 1's score, ``"random"`` a random subset of the same size
+    drawn with ``config.seed`` (the paper's baseline), and ``"none"``
+    every parameter in program order, as QAOA programs always do.
     With ``config.commute`` on, also chain-synthesizes the compressed
     program and records how many CNOTs the adjacency-only vs. the
     commutation-aware peephole cancellation remove (the Section VII
@@ -429,6 +451,10 @@ class Compress(Pass):
 
         problem = context.require("problem", self.name)
         ansatz = context.require("ansatz", self.name)
+        config = context.config
+        if config.compression not in COMPRESSION_SCHEMES:
+            valid = ", ".join(COMPRESSION_SCHEMES)
+            raise ValueError(f"unknown compression {config.compression!r}; valid: {valid}")
         if isinstance(ansatz, CircuitAnsatz):
             # Gate-level workloads have no parameter space to compress;
             # the circuit flows through untouched, under the same key.
@@ -439,7 +465,7 @@ class Compress(Pass):
             _sanitize(context, "compressed", self.name, ansatz.circuit)
             return
         compress: Callable[[], CompressedAnsatz]
-        if isinstance(ansatz, QAOAAnsatz):
+        if isinstance(ansatz, QAOAAnsatz) or config.compression == "none":
             # QAOA term order is semantic (layers do not commute), so
             # importance reordering would change the prepared state;
             # ``ratio`` is ignored on this path.
@@ -447,19 +473,22 @@ class Compress(Pass):
 
             kind: tuple[Any, ...] = ("identity-compress",)
             compress = partial(identity_compression, ansatz.program)
+        elif config.compression == "random":
+            kind = ("random-compress", float(config.ratio), int(config.seed))
+            compress = partial(random_ansatz, ansatz.program, config.ratio, seed=config.seed)
         else:
             kind = (
                 "compress",
                 entry_key(context, "problem"),
-                float(context.config.ratio),
-                float(context.config.decay_base),
+                float(config.ratio),
+                float(config.decay_base),
             )
             compress = partial(
                 compress_ansatz,
                 ansatz.program,
                 problem.hamiltonian,
-                context.config.ratio,
-                decay_base=context.config.decay_base,
+                config.ratio,
+                decay_base=config.decay_base,
             )
         _cached(
             context, "compressed", (*kind, entry_key(context, "ansatz")), compress
@@ -632,41 +661,40 @@ class Route(Pass):
         )
 
 
+@dataclass(kw_only=True, eq=False, repr=False)
 class Energy(Pass):
     """Optional stage: run VQE on the staged (compressed) ansatz.
 
     Not part of the default pipeline; append it for accuracy/convergence
-    workloads.  Records ``energy``, ``iterations``, and (when
-    ``compute_exact``) ``exact_energy``/``energy_error`` in the metrics.
+    workloads.  Records ``energy``, ``iterations``, ``hf_energy``,
+    ``num_parameters`` and (when ``compute_exact``)
+    ``exact_energy``/``energy_error`` in the metrics.
     The trajectory count defaults to the config's ``trajectories``
     field, so batch sweeps size the noisy trajectory backend without
     touching the stage.  ``backend="trajectory"`` with ``noise=`` runs
     the noisy stochastic-trajectory path; backends that cannot honor a
     noise model raise instead of silently ignoring it.
+
+    The statevector backend's :class:`~repro.vqe.energy.StatevectorPlan`
+    is a compile-cache entry keyed on the staged program and the problem;
+    the evaluator and the optimizer run anew.  Noisy and sampling
+    evaluators are not cached (``docs/performance.md``).
     """
 
     name = "energy"
     requires = ("problem", "ansatz")
     produces = ("vqe_result",)
 
-    def __init__(
-        self,
-        *,
-        backend: str = "statevector",
-        noise: Any = None,
-        trajectories: int | None = None,
-        max_iterations: int = 200,
-        compute_exact: bool = True,
-    ) -> None:
-        self.backend = backend
-        self.noise = noise
-        self.trajectories = trajectories
-        self.max_iterations = max_iterations
-        self.compute_exact = compute_exact
+    backend: str = "statevector"
+    noise: Any = None
+    trajectories: int | None = None
+    max_iterations: int = 200
+    compute_exact: bool = True
 
     def run(self, context: PipelineContext) -> None:
+        from repro.vqe.energy import statevector_plan
         from repro.vqe.runner import VQE
-        from repro.vqe.scan import exact_energy
+        from repro.vqe.scan import exact_energy, sector_block
 
         problem = context.require("problem", self.name)
         if not isinstance(problem, MolecularProblem):
@@ -674,18 +702,16 @@ class Energy(Pass):
                 "the Energy stage runs VQE against a molecular problem; "
                 f"got {type(problem).__name__}"
             )
-        staged = (
-            context.compressed.program
-            if isinstance(context.compressed, CompressedAnsatz)
-            else None
-        )
+        attribute = "compressed" if isinstance(context.compressed, CompressedAnsatz) else "ansatz"
+        staged = getattr(context.require(attribute, self.name), "program", None)
         if staged is None:
-            ansatz = context.require("ansatz", self.name)
-            staged = getattr(ansatz, "program", None)
-            if staged is None:
-                raise PipelineError(
-                    "the Energy stage needs a Pauli-program ansatz"
-                )
+            raise PipelineError("the Energy stage needs a Pauli-program ansatz")
+        key, plan = entry_key(context, "problem"), None
+        if self.backend == "statevector":
+            block = partial(sector_block, key, problem.hamiltonian)
+            build = partial(statevector_plan, staged, problem.hamiltonian, block)
+            parts = ("statevector-plan", entry_key(context, attribute), key)
+            plan = cache_entry(parts, build)[1]
         result = VQE(
             staged,
             problem.hamiltonian,
@@ -693,13 +719,15 @@ class Energy(Pass):
             noise=self.noise,
             trajectories=self.trajectories or context.config.trajectories,
             max_iterations=self.max_iterations,
+            plan=plan,
         ).run()
         context.vqe_result = result
         context.metrics["energy"] = float(result.energy)
         context.metrics["iterations"] = int(result.iterations)
         context.metrics["hf_energy"] = float(problem.hf_energy)
+        context.metrics["num_parameters"] = int(staged.num_parameters)
         if self.compute_exact:
-            exact = exact_energy(problem)
+            exact = exact_energy(problem, key)
             context.metrics["exact_energy"] = exact
             context.metrics["energy_error"] = float(result.energy - exact)
 

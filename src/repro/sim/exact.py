@@ -72,6 +72,9 @@ _I_POWERS = np.array([1, 1j, -1, -1j])
 #: ``(num_spatial_orbitals, num_alpha, num_beta)``.
 Sector = tuple[int, int, int]
 
+#: A :func:`restricted_matrix` result: the block and the weight leaving it.
+Block = tuple[csr_matrix, float]
+
 
 def _lanczos_v0(dim: int) -> np.ndarray:
     """A deterministic dense starting vector for ``eigsh``."""
@@ -79,16 +82,17 @@ def _lanczos_v0(dim: int) -> np.ndarray:
 
 
 def ground_state_energy(
-    hamiltonian: PauliSum, *, sector: Sector | None = None
+    hamiltonian: PauliSum, *, sector: Sector | None = None, block: Block | None = None
 ) -> float:
     """Lowest eigenvalue of the Hamiltonian (Hartree for molecules).
 
     With ``sector`` the lowest eigenvalue within that particle-number
-    sector (see the module docstring); without it, over all states.
+    sector (see the module docstring, and :func:`sector_matrix` for
+    ``block``); without it, over all states.
     """
     if sector is None:
         return ground_state(hamiltonian)[0]
-    matrix = sector_matrix(hamiltonian, sector)
+    matrix = sector_matrix(hamiltonian, sector, block)
     dim = matrix.shape[0]
     if dim <= _DENSE_SECTOR_LIMIT:
         return float(np.linalg.eigvalsh(matrix.toarray())[0])
@@ -146,18 +150,21 @@ def _check_sector(hamiltonian: PauliSum, sector: Sector) -> None:
             )
 
 
-def sector_matrix(hamiltonian: PauliSum, sector: Sector) -> csr_matrix:
+def sector_matrix(hamiltonian: PauliSum, sector: Sector, block: Block | None = None) -> csr_matrix:
     """The Hamiltonian restricted to a particle-number sector, sparse.
 
     Row and column ``i`` are ``sector_basis(*sector)[i]``; see
-    :func:`restricted_matrix`.  Raises ``ValueError`` when the sector
+    :func:`restricted_matrix`, whose result over that basis a given
+    ``block`` is (one a caller cached).  Raises ``ValueError`` when the sector
     does not fit the Hamiltonian, or when the Hamiltonian maps sector
     states out of the sector with more than ``_LEAK_TOLERANCE`` of
     weight: the lowest eigenvalue of the block would then not be one of
     the Hamiltonian's.
     """
     _check_sector(hamiltonian, sector)
-    matrix, leaked = restricted_matrix(hamiltonian, sector_basis(*sector))
+    if block is None:
+        block = restricted_matrix(hamiltonian, sector_basis(*sector))
+    matrix, leaked = block
     if leaked > _LEAK_TOLERANCE:
         raise ValueError(
             f"the Hamiltonian does not conserve the sector {tuple(sector)}: "
@@ -166,7 +173,7 @@ def sector_matrix(hamiltonian: PauliSum, sector: Sector) -> csr_matrix:
     return matrix
 
 
-def restricted_matrix(hamiltonian: PauliSum, basis: np.ndarray) -> tuple[csr_matrix, float]:
+def restricted_matrix(hamiltonian: PauliSum, basis: np.ndarray) -> Block:
     """The block ``<b|H|b'>`` over a sorted ``uint64`` basis, and what leaves it.
 
     Each Pauli ``(x, z)`` maps ``|b>`` to ``i**popcount(x & z) * (-1)**popcount(z & b)

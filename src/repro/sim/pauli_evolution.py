@@ -36,7 +36,7 @@ def _all_indices(num_qubits: int) -> np.ndarray:
     if cached is None:
         cached = np.arange(1 << num_qubits, dtype=np.uint64)
         if num_qubits <= 24:
-            # lint: ignore[RR101] - idempotent memo: racing writers store equal values
+            # Idempotent memo: racing writers store equal values.
             _INDEX_CACHE[num_qubits] = cached
     return cached
 

@@ -27,7 +27,7 @@ Four backends mirror the paper's experimental setups:
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -37,7 +37,7 @@ from repro.core.ir import PauliProgram
 from repro.core.seeding import seeded_rng
 from repro.pauli import PauliString, PauliSum
 from repro.sim.density_matrix import _MAX_QUBITS
-from repro.sim.exact import Sector, restricted_matrix, sector_basis
+from repro.sim.exact import Block, Sector, restricted_matrix, sector_basis
 from repro.sim.expectation import ExpectationEngine
 from repro.sim.noise import DepolarizingNoiseModel
 from repro.sim.pauli_evolution import FusedPauliEvolution, evolve_pauli_sequence
@@ -113,57 +113,76 @@ class _TermAngles:
         return values[self._parameter_indices] * self._coefficients
 
 
-class StatevectorEnergy(_TermAngles):
-    """Exact noise-free energy of a Pauli program.
+class StatevectorPlan(NamedTuple):
+    """The angle-independent part of a :class:`StatevectorEnergy`.
 
-    The program evolves at the Pauli level, one fused rotation per run
-    of adjacent same-X-mask strings (:class:`FusedPauliEvolution`, see
-    ``docs/performance.md``), on a preallocated buffer.
+    Evaluators built on one plan share its scratch buffers, so they must
+    not run at the same time in different threads.
+    """
+
+    evolution: FusedPauliEvolution
+    engine: ExpectationEngine | _BlockEngine  # H over the evolved amplitudes
+    reference: np.ndarray  # read-only initial basis state, over those amplitudes
+
+
+def statevector_plan(
+    program: PauliProgram, hamiltonian: PauliSum, block: Callable[[Sector], Block] | None = None
+) -> StatevectorPlan:
+    """The angle-independent part of the energy of ``program`` under ``hamiltonian``.
 
     When every run keeps the particle-number sector of the reference
     state for all parameter values (:meth:`FusedPauliEvolution.closed_under`),
     as UCCSD's excitations do, the plan evolves only the amplitudes of
-    that sector (225 of 4096 on H2O, ``evolution.dimension``) and
-    :attr:`engine` applies the Hamiltonian's block over them
-    (:func:`~repro.sim.exact.restricted_matrix`).  The state never
+    that sector (225 of 4096 on H2O, ``evolution.dimension``) against
+    the Hamiltonian's block over them: ``block(sector)`` (e.g. cached)
+    or :func:`~repro.sim.exact.restricted_matrix`.  The state never
     leaves the sector, so the block is exact even for a Hamiltonian that
     does not conserve it.  Any other program (odd n, QAOA, an
     interleaved spin order) evolves all ``2**n`` amplitudes under the
     grouped :class:`ExpectationEngine`.  Both give the same energy, so
     there is nothing to choose.
     """
+    num_qubits, paulis, terms = program.num_qubits, program.paulis(), _TermAngles(program)
+    index, sector = _reference_index(program), _reference_sector(program)
+    if sector is not None:
+        basis = sector_basis(*sector)
+        evolution = FusedPauliEvolution(num_qubits, paulis, basis=basis)
+        if evolution.closed_under(terms._parameter_indices, terms._coefficients):
+            built = restricted_matrix(hamiltonian, basis) if block is None else block(sector)
+            reference = np.zeros(basis.size, dtype=complex)
+            reference[np.searchsorted(basis, np.uint64(index))] = 1.0
+            reference.flags.writeable = False
+            return StatevectorPlan(evolution, _BlockEngine(built[0]), reference)
+    reference = basis_state(num_qubits, index)
+    reference.flags.writeable = False
+    full = FusedPauliEvolution(num_qubits, paulis)
+    return StatevectorPlan(full, ExpectationEngine(hamiltonian), reference)
 
-    def __init__(self, program: PauliProgram, hamiltonian: PauliSum):
+
+class StatevectorEnergy(_TermAngles):
+    """Exact noise-free energy of a Pauli program.
+
+    The program evolves at the Pauli level, one fused rotation per run
+    of adjacent same-X-mask strings (:class:`FusedPauliEvolution`, see
+    ``docs/performance.md``), on a preallocated buffer, over the
+    amplitudes its :func:`statevector_plan` picks.  A given ``plan`` of
+    the same program and Hamiltonian is shared, not rebuilt; the
+    evaluator still gets its own buffer and evaluation count.
+    """
+
+    def __init__(
+        self,
+        program: PauliProgram,
+        hamiltonian: PauliSum,
+        plan: StatevectorPlan | None = None,
+    ):
         if program.num_qubits != hamiltonian.num_qubits:
             raise ValueError("program and Hamiltonian sizes differ")
         super().__init__(program)
         self.hamiltonian = hamiltonian
-        self.evolution = self._plan()
-        index = _reference_index(program)
-        basis = self.evolution.basis
-        #: ``H`` over the evolved amplitudes (``apply``, ``value``).
-        self.engine: ExpectationEngine | _BlockEngine
-        #: The initial basis state the ansatz evolves, over those amplitudes.
-        self.reference: np.ndarray
-        if basis is None:
-            self.engine = ExpectationEngine(hamiltonian)
-            self.reference = basis_state(program.num_qubits, index)
-        else:
-            self.engine = _BlockEngine(restricted_matrix(hamiltonian, basis)[0])
-            self.reference = np.zeros(basis.size, dtype=complex)
-            self.reference[np.searchsorted(basis, np.uint64(index))] = 1.0
+        self.evolution, self.engine, self.reference = plan or statevector_plan(program, hamiltonian)
         self._buffer: np.ndarray | None = None
         self.evaluations = 0
-
-    def _plan(self) -> FusedPauliEvolution:
-        """The sector plan when it is closed, else the full-space one."""
-        num_qubits, paulis = self.program.num_qubits, self.program.paulis()
-        sector = _reference_sector(self.program)
-        if sector is not None:
-            plan = FusedPauliEvolution(num_qubits, paulis, basis=sector_basis(*sector))
-            if plan.closed_under(self._parameter_indices, self._coefficients):
-                return plan
-        return FusedPauliEvolution(num_qubits, paulis)
 
     def parameter_gradient(self, angle_gradient: np.ndarray) -> np.ndarray:
         """``dE/dtheta`` from ``dE/da`` of every term (the transpose of :meth:`angles`)."""

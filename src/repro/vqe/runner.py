@@ -23,6 +23,7 @@ from repro.vqe.energy import (
     DensityMatrixEnergy,
     SamplingEnergy,
     StatevectorEnergy,
+    StatevectorPlan,
     TrajectoryEnergy,
 )
 from repro.vqe.gradient import AdjointGradient
@@ -95,7 +96,11 @@ class VQEResult:
 
 
 class VQE:
-    """Variational quantum eigensolver over a Pauli-string program."""
+    """Variational quantum eigensolver over a Pauli-string program.
+
+    ``plan`` is a prebuilt :class:`~repro.vqe.energy.StatevectorPlan`
+    of the same program and Hamiltonian for the statevector backend.
+    """
 
     def __init__(
         self,
@@ -110,17 +115,20 @@ class VQE:
         method: str = "SLSQP",
         max_iterations: int = 200,
         tolerance: float = 1e-8,
+        plan: StatevectorPlan | None = None,
     ):
         if backend not in BACKENDS:
             raise ValueError(
                 f"unknown VQE backend {backend!r}; valid backends: "
                 f"{', '.join(BACKENDS)}"
             )
+        if plan is not None and backend != "statevector":
+            raise ValueError(f"a statevector plan cannot run on backend {backend!r}")
         self.energy: Any
         self.gradient: AdjointGradient | None = None
         if backend == "statevector":
             _reject_noise(backend, noise)
-            self.energy = StatevectorEnergy(program, hamiltonian)
+            self.energy = StatevectorEnergy(program, hamiltonian, plan)
             self.gradient = AdjointGradient(program, hamiltonian, energy=self.energy)
         elif backend == "density_matrix":
             self.energy = DensityMatrixEnergy(program, hamiltonian, noise)

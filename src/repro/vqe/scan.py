@@ -3,33 +3,35 @@
 A scan runs VQE for one molecule across bond lengths under a given ansatz
 configuration (full UCCSD, compressed at some ratio, or random baseline)
 and records simulated energy, error against the exact ground state, and
-outer-loop iteration counts.
-
-Every inner-loop energy evaluation evolves the Pauli program one fused
-rotation per same-X-mask run, over the amplitudes of the Hartree-Fock
-particle-number sector that UCCSD keeps (225 of 4096 on H2O; see
-``docs/performance.md``), and :func:`sweep_energies` evaluates K
-parameter sets on that same single-point path (energy landscapes,
-multi-start screening).
+outer-loop iteration counts.  Each point is a :func:`run_batch` item
+through the pipeline's cached stages (BuildProblem -> BuildAnsatz ->
+Compress -> Energy), so a warm point finds its ansatz, compression,
+statevector plan and exact energy built and only runs the optimizer.
+:func:`sweep_energies` evaluates K parameter sets on one evaluator.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import builtins
 from dataclasses import dataclass
-from typing import Any, Sequence
+from functools import partial
+from typing import Any, NoReturn, Sequence
 
 import numpy as np
 
-from repro.ansatz.uccsd import build_uccsd_program
-from repro.chem.hamiltonian import MolecularProblem, build_molecule_hamiltonian
-from repro.core.compression import compress_ansatz, random_ansatz
+# The pipeline stages build each point; these names stay importable here
+# for callers that rebind them (perfbench/tracing.py).
+from repro.ansatz.uccsd import build_uccsd_program  # noqa: F401
+from repro.chem.hamiltonian import MolecularProblem, build_molecule_hamiltonian  # noqa: F401
+from repro.core.compression import compress_ansatz, random_ansatz  # noqa: F401
 from repro.core.ir import PauliProgram
+from repro.core.passes import BuildAnsatz, BuildProblem, Compress, Energy, PipelineConfig
+from repro.core.passes import cache_entry, problem_key
+from repro.core.pipeline import BatchItemError, Pipeline, run_batch
 from repro.pauli import PauliSum
-from repro.sim.exact import ground_state_energy
+from repro.sim.exact import Block, Sector, ground_state_energy, restricted_matrix, sector_basis
 from repro.sim.noise import DepolarizingNoiseModel
-from repro.sim.trajectory import check_executor, resolve_workers
-from repro.vqe.runner import VQE
+from repro.vqe.runner import VQE  # noqa: F401
 
 
 @dataclass
@@ -54,26 +56,8 @@ class ScanPoint:
         return abs(self.error / self.exact_energy)
 
 
-def _configure_program(
-    program: PauliProgram,
-    hamiltonian,
-    configuration: str,
-    seed: int,
-) -> tuple[PauliProgram, str]:
-    """Resolve a configuration label into a concrete program.
-
-    Labels: "full", "NN%" (compression ratio), "randNN%" (random subset).
-    """
-    label = configuration.strip().lower()
-    if label == "full":
-        return program, "full"
-    if label.startswith("rand") and label.endswith("%"):
-        ratio = float(label[4:-1]) / 100.0
-        return random_ansatz(program, ratio, seed=seed).program, label
-    if label.endswith("%"):
-        ratio = float(label[:-1]) / 100.0
-        return compress_ansatz(program, hamiltonian, ratio).program, label
-    raise ValueError(f"unknown configuration {configuration!r}")
+#: The ``Energy`` stage metrics a :class:`ScanPoint` reads, in field order.
+_SCAN_METRICS = ("energy", "exact_energy", "hf_energy", "iterations", "num_parameters")
 
 
 def sweep_energies(
@@ -92,64 +76,60 @@ def sweep_energies(
     return np.array([energy(parameters) for parameters in parameter_sets], dtype=float)
 
 
-#: Per-process memo of exact ground-state energies keyed by (molecule,
-#: bond length), shared by :func:`bond_scan` and the pipeline's
-#: ``Energy`` pass: a scan revisits each bond point under several
-#: configurations and a ratio sweep revisits one Hamiltonian, so each
-#: pays for the diagonalization once (process-pool workers each warm
-#: their own copy as tasks arrive).  The chem layer memoizes the
-#: Hamiltonian on the same key, with the bond length rounded to 1e-4 A.
-_EXACT_ENERGIES: dict[tuple[str, float], float] = {}
+def sector_block(key: str, hamiltonian: PauliSum, sector: Sector) -> Block:
+    """``restricted_matrix`` over a sector of the problem with entry key ``key``.
 
-
-def exact_energy(problem: MolecularProblem) -> float:
-    """Exact ground-state energy of a molecular problem, memoized.
-
-    Solved in the particle-number sector of the Hartree-Fock state,
-    which UCCSD conserves (:func:`repro.sim.exact.ground_state_energy`).
+    A compile-cache entry, so a problem's exact energy and statevector
+    plan share one block.
     """
-    key = (problem.molecule.name, float(problem.molecule.bond_length))
-    if key not in _EXACT_ENERGIES:
-        sector = (problem.num_spatial_orbitals, problem.num_alpha, problem.num_beta)
-        # lint: ignore[RR101] - idempotent memo: racing writers store equal values
-        _EXACT_ENERGIES[key] = ground_state_energy(problem.hamiltonian, sector=sector)
-    return _EXACT_ENERGIES[key]
+    build = partial(restricted_matrix, hamiltonian, sector_basis(*sector))
+    return cache_entry(("sector-block", key, sector), build)[1]
 
 
-def _scan_point_task(task: tuple[str, float, str, dict[str, Any]]) -> ScanPoint:
-    """Build and solve one (molecule, bond length, configuration) point.
+def exact_energy(problem: MolecularProblem, key: str | None = None) -> float:
+    """Exact ground-state energy of a molecular problem, cached.
 
-    Module-level (not a closure) so :func:`bond_scan` can hand it to a
-    ``ProcessPoolExecutor``; everything it needs travels in the task
-    tuple, and the heavyweight inputs (Hamiltonian, exact energy) are
-    rebuilt through per-process caches rather than pickled across.
+    Solved over the :func:`sector_block` of the Hartree-Fock
+    particle-number sector, which UCCSD conserves
+    (:func:`repro.sim.exact.ground_state_energy`), and kept as a
+    compile-cache entry under the problem's entry key ``key`` (derived
+    from the problem when not given).
     """
-    molecule, bond_length, configuration, options = task
-    problem = build_molecule_hamiltonian(molecule, bond_length)
-    full_program = build_uccsd_program(problem).program
-    exact = exact_energy(problem)
-    program, label = _configure_program(
-        full_program, problem.hamiltonian, configuration, options["seed"]
-    )
-    vqe = VQE(
-        program,
-        problem.hamiltonian,
-        backend=options["backend"],
-        noise=options["noise"],
-        trajectories=options["trajectories"],
-        max_iterations=options["max_iterations"],
-    )
-    result = vqe.run()
-    return ScanPoint(
-        molecule=molecule,
-        bond_length=bond_length,
-        configuration=label,
-        energy=result.energy,
-        exact_energy=exact,
-        hf_energy=problem.hf_energy,
-        iterations=result.iterations,
-        num_parameters=program.num_parameters,
-    )
+    key = problem_key(problem) if key is None else key
+    sector = (problem.num_spatial_orbitals, problem.num_alpha, problem.num_beta)
+
+    def solve() -> float:
+        block = sector_block(key, problem.hamiltonian, sector)
+        return ground_state_energy(problem.hamiltonian, sector=sector, block=block)
+
+    return cache_entry(("exact-energy", key), solve)[1]
+
+
+def _scan_label(configuration: str) -> tuple[str, str, float]:
+    """``(label, compression scheme, ratio)`` of "full", "NN%" or "randNN%"."""
+    label = configuration.strip().lower()
+    scheme, percent = "importance", label
+    if label == "full":
+        scheme, percent = "none", "100%"
+    elif label.startswith("rand"):
+        scheme, percent = "random", label[4:]
+    if not percent.endswith("%"):
+        raise ValueError(f"unknown configuration {configuration!r}")
+    return label, scheme, float(percent[:-1]) / 100.0
+
+
+def _scan_pipeline(config: PipelineConfig, **energy: Any) -> Pipeline:
+    """BuildProblem -> BuildAnsatz -> Compress -> Energy; "full" skips Compress."""
+    compress = [] if config.compression == "none" else [Compress()]
+    return Pipeline(config, [BuildProblem(), BuildAnsatz(), *compress, Energy(**energy)])
+
+
+def _raise(error: BatchItemError) -> NoReturn:
+    """Raise a failed point's error again, as its builtin type where it has one."""
+    kind = getattr(builtins, error.error_type, None)
+    if not (isinstance(kind, type) and issubclass(kind, Exception)):
+        kind = RuntimeError
+    raise kind(str(error))
 
 
 def bond_scan(
@@ -172,29 +152,27 @@ def bond_scan(
     only way to run noisy sweeps on >12-qubit molecules; ``seed`` only
     feeds the configuration randomization (``randNN%`` ansatz subsets).
 
-    ``executor``/``workers`` fan the (bond length, configuration) grid
-    over a process pool; every point is an independent module-level
-    task, so results are identical point for point across
-    ``executor="serial" | "process"`` and any worker count
-    (each VQE run is deterministic given its knobs).
+    Every (bond length, configuration) point is one :func:`run_batch`
+    item, so ``executor``/``workers`` fan the grid over its process
+    pool, and results are identical point for point across executors
+    and worker counts (each VQE run is deterministic given its knobs).
+    A failed point raises its error again.
     """
-    check_executor(executor)
-    options: dict[str, Any] = {
-        "backend": backend,
-        "noise": noise,
-        "trajectories": trajectories,
-        "max_iterations": max_iterations,
-        "seed": seed,
-    }
-    tasks = [
-        (molecule, bond_length, configuration, options)
-        for bond_length in bond_lengths
-        for configuration in configurations
+    labels = [_scan_label(configuration) for configuration in configurations]
+    grid = [(bond, label) for bond in bond_lengths for label in labels]
+    configs = [
+        PipelineConfig(
+            molecule=molecule, bond_length=bond, ratio=ratio, compression=scheme,
+            seed=seed, trajectories=trajectories, label=f"{molecule}@{bond} {label}",
+        )
+        for bond, (label, scheme, ratio) in grid
     ]
-    if not tasks:
-        return []
-    count = resolve_workers(workers, len(tasks))
-    if executor == "serial" or count == 1 or len(tasks) == 1:
-        return [_scan_point_task(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=count) as pool:
-        return list(pool.map(_scan_point_task, tasks))
+    factory = partial(_scan_pipeline, backend=backend, noise=noise, max_iterations=max_iterations)
+    results = run_batch(configs, executor=executor, workers=workers, pipeline_factory=factory)
+    points = []
+    for (bond, (label, _, _)), result in zip(grid, results):
+        if isinstance(result, BatchItemError):
+            _raise(result)
+        values = (result.metrics[name] for name in _SCAN_METRICS)
+        points.append(ScanPoint(molecule, bond, label, *values))
+    return points
