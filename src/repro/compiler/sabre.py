@@ -21,13 +21,19 @@ the router may satisfy gates in any commutation-valid order.  The DAG
 is of the *input* only: routed gates and SWAPs are appended straight to
 the output :class:`~repro.circuit.Circuit`.
 
-Each piece of work is done once: :meth:`SabreRouter.run` builds two DAGs,
-the circuit's and its reverse, that every traversal pass walks with its
-own in-degree counts; the extended set changes only with the front; and
-SWAP scores are incremental.  Integer hop totals of the front and
-lookahead sets are summed once per SWAP step, and a candidate ``(a, b)``
-adjusts only the terms of gates on ``a`` or ``b``.  The totals are exact,
-so every score has the bits of a full re-sum.
+Each piece of work is done once.  :meth:`SabreRouter.run` builds one
+DAG, the circuit's, and reads it into an integer plan (successor
+tuples, in-degrees, logical qubit pairs); the reversed circuit's plan
+for the backward passes is its transpose.  Every traversal pass walks a
+plan with its own in-degree counts.  The lookahead window is a function
+of the ordered front alone, so each plan memoizes it for the run; the
+three forward passes share one memo and the two backward passes the
+other.  SWAP scores are incremental: the front's and the window's
+partner lists are keyed by logical qubit, so they hold until the front
+changes, and a candidate ``(a, b)`` adjusts the integer hop totals only
+through the partners of the qubits sitting on ``a`` and ``b``.  The
+chosen candidate's totals are those of the next SWAP step.  The totals
+are exact, so every score has the bits of a full re-sum.
 
 SABRE is general-purpose: it sees only gates, so on a sparse X-Tree it
 pays the full price the co-designed Merge-to-Root flow avoids.
@@ -36,11 +42,11 @@ pays the full price the co-designed Merge-to-Root flow avoids.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.circuit import Circuit
-from repro.circuit.dag import CircuitDAG, DAGNode
+from repro.circuit.dag import CircuitDAG
 from repro.circuit.gates import Gate, SWAP
 from repro.hardware.coupling import CouplingGraph
 
@@ -48,6 +54,114 @@ _LOOKAHEAD_SIZE = 20
 _LOOKAHEAD_WEIGHT = 0.5
 _DECAY_INCREMENT = 0.001
 _DECAY_RESET_INTERVAL = 5
+#: SWAPs without progress, per device qubit, before the escape SWAP.
+_STALL_FACTOR = 6
+
+_Edge = tuple[int, int]
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """One traversal direction of a circuit's DAG, read into integers.
+
+    Node ``i`` is ``gates[i]``; ``successors[i]`` lists its dependants in
+    ascending index and ``in_degree[i]`` counts its predecessors.
+    ``pairs[i]`` is the logical qubit pair of a two-qubit gate (barriers
+    included: the lookahead window counts them) and ``None`` otherwise;
+    ``routed_pairs[i]`` keeps only the pairs that must sit on a device
+    edge for the gate to run.  ``windows`` memoizes :meth:`lookahead`.
+    """
+
+    gates: tuple[Gate, ...]
+    successors: tuple[tuple[int, ...], ...]
+    in_degree: tuple[int, ...]
+    pairs: tuple[_Edge | None, ...]
+    routed_pairs: tuple[_Edge | None, ...]
+    windows: dict[tuple[int, ...], tuple[_Edge, ...]] = field(
+        default_factory=dict, compare=False, repr=False
+    )
+
+    @classmethod
+    def from_dag(cls, dag: CircuitDAG) -> _Plan:
+        gates = tuple(node.gate for node in dag.nodes)
+        pairs: list[_Edge | None] = []
+        for gate in gates:
+            qubits = gate.qubits
+            if len(qubits) > 2 and gate.name != "barrier":
+                raise ValueError(f"cannot route {gate!r}: gates act on at most two qubits")
+            pairs.append((qubits[0], qubits[1]) if len(qubits) == 2 else None)
+        return cls(
+            gates=gates,
+            successors=tuple(
+                tuple(successor.index for successor in node.successors)
+                for node in dag.nodes
+            ),
+            in_degree=tuple(node.num_predecessors for node in dag.nodes),
+            pairs=tuple(pairs),
+            routed_pairs=tuple(
+                None if gate.name == "barrier" else pair
+                for pair, gate in zip(pairs, gates)
+            ),
+        )
+
+    def transposed(self) -> _Plan:
+        """The plan of the reversed circuit: the transpose of this one.
+
+        Commuting groups are maximal runs of one wire-action, so the DAG
+        of ``reversed(gates)`` has exactly the reversed edges; node ``i``
+        here is node ``n - 1 - i`` there.
+        """
+        last = len(self.gates) - 1
+        successors: list[list[int]] = [[] for _ in self.gates]
+        for node in range(last, -1, -1):
+            for successor in self.successors[node]:
+                successors[last - successor].append(last - node)
+        return _Plan(
+            gates=self.gates[::-1],
+            successors=tuple(map(tuple, successors)),
+            in_degree=tuple(len(nodes) for nodes in reversed(self.successors)),
+            pairs=self.pairs[::-1],
+            routed_pairs=self.routed_pairs[::-1],
+        )
+
+    def lookahead(self, front: tuple[int, ...]) -> tuple[_Edge, ...]:
+        """The pairs of the next two-qubit gates past ``front``, breadth
+        first, at most ``_LOOKAHEAD_SIZE`` of them; memoized per ordered
+        front (its order decides where the cut falls)."""
+        window = self.windows.get(front)
+        if window is not None:
+            return window
+        successors, pairs = self.successors, self.pairs
+        found: list[_Edge] = []
+        frontier = list(front)
+        seen = set(front)
+        while frontier and len(found) < _LOOKAHEAD_SIZE:
+            next_frontier: list[int] = []
+            for node in frontier:
+                for successor in successors[node]:
+                    if successor in seen:
+                        continue
+                    seen.add(successor)
+                    pair = pairs[successor]
+                    if pair is not None:
+                        found.append(pair)
+                        if len(found) >= _LOOKAHEAD_SIZE:
+                            break
+                    next_frontier.append(successor)
+                if len(found) >= _LOOKAHEAD_SIZE:
+                    break
+            frontier = next_frontier
+        window = self.windows[front] = tuple(found)
+        return window
+
+
+def _partners(pairs: Sequence[_Edge]) -> dict[int, list[int]]:
+    """Each logical qubit's partners over ``pairs``."""
+    partners: dict[int, list[int]] = {}
+    for a, b in pairs:
+        partners.setdefault(a, []).append(b)
+        partners.setdefault(b, []).append(a)
+    return partners
 
 
 @dataclass
@@ -83,6 +197,12 @@ class SabreRouter:
         #: Integer all-pairs hop counts, ``hops[p][q]``.
         self.hops: list[list[int]] = graph.distance_matrix().tolist()
         self.commute = commute
+        incident: list[list[_Edge]] = [[] for _ in range(graph.num_qubits)]
+        for a, b in sorted((min(a, b), max(a, b)) for a, b in graph.edges):
+            incident[a].append((a, b))
+            incident[b].append((a, b))
+        #: Each physical qubit's edges ``(low, high)``, in sorted order.
+        self._incident: tuple[tuple[_Edge, ...], ...] = tuple(map(tuple, incident))
 
     # ------------------------------------------------------------------
     # Public interface
@@ -101,16 +221,15 @@ class SabreRouter:
         layout = dict(initial_layout) if initial_layout else {
             q: q for q in range(circuit.num_qubits)
         }
-        forward = CircuitDAG.from_circuit(circuit, commute=self.commute)
-        backward = CircuitDAG(circuit.num_qubits, commute=self.commute).extend(
-            reversed(circuit.gates)
-        )
+        forward = _Plan.from_dag(CircuitDAG.from_circuit(circuit, commute=self.commute))
+        backward = forward.transposed()
         for _ in range(refinement_passes):
             # Forward pass: discard the routed gates, keep the final layout.
             layout = self._route_once(forward, layout, emit=False)[1]
             layout = self._route_once(backward, layout, emit=False)[1]
         del backward  # free it before the emitting pass builds its output
         routed, final_layout, swaps = self._route_once(forward, layout, emit=True)
+        assert routed is not None
         return SabreResult(
             circuit=routed,
             initial_layout=layout,
@@ -124,84 +243,144 @@ class SabreRouter:
     # ------------------------------------------------------------------
     def _route_once(
         self,
-        dag: CircuitDAG,
+        plan: _Plan,
         initial_layout: dict[int, int],
         *,
         emit: bool,
     ) -> tuple[Circuit | None, dict[int, int], int]:
+        hops = self.hops
+        incident = self._incident
+        gates, successors, routed_pairs = plan.gates, plan.successors, plan.routed_pairs
+        num_physical = self.graph.num_qubits
         position = dict(initial_layout)
-        occupant = {p: l for l, p in position.items()}
+        occupant: list[int | None] = [None] * num_physical
+        for logical, physical in position.items():
+            occupant[physical] = logical
 
-        remaining = [node.num_predecessors for node in dag.nodes]
-        front = [node for node in dag.nodes if remaining[node.index] == 0]
-        output = Circuit(self.graph.num_qubits) if emit else None
+        remaining = list(plan.in_degree)
+        front = [node for node, count in enumerate(remaining) if count == 0]
+        output = Circuit(num_physical) if emit else None
         num_swaps = 0
-        decay = [1.0] * self.graph.num_qubits
-        extended: list[DAGNode] | None = None  # of the current front
+        decay = [1.0] * num_physical
         since_reset = 0
         swaps_since_progress = 0
-        stall_limit = 6 * self.graph.num_qubits
-
-        def execute(node: DAGNode) -> None:
-            if emit:
-                remapped = node.gate.remap(
-                    {q: position[q] for q in node.gate.qubits}
-                )
-                output.append(remapped)
-            for successor in node.successors:
-                remaining[successor.index] -= 1
-                if remaining[successor.index] == 0:
-                    front.append(successor)
+        stall_limit = _STALL_FACTOR * num_physical
+        # Scoring state of the current front: its gates' and its lookahead
+        # window's logical pairs and partner lists (None until needed
+        # after each front change), and their integer hop totals under
+        # the current layout (stale after a front change or an escape).
+        front_pairs: list[_Edge] = []
+        window_pairs: Sequence[_Edge] = ()
+        front_partners: dict[int, list[int]] | None = None
+        window_partners: dict[int, list[int]] = {}
+        front_total = window_total = 0
+        summed = False
 
         while front:
-            # Flush everything executable.
-            progressed = True
-            while progressed:
-                progressed = False
-                still_blocked: list[DAGNode] = []
-                for node in front:
-                    gate = node.gate
-                    if len(gate.qubits) < 2 or gate.name == "barrier":
-                        execute(node)
-                        progressed = True
-                    else:
-                        a, b = gate.qubits
-                        if self.graph.are_connected(position[a], position[b]):
-                            execute(node)
-                            progressed = True
-                        else:
-                            still_blocked.append(node)
-                front = still_blocked
-                if progressed:
-                    decay = [1.0] * self.graph.num_qubits
-                    extended = None
-                    since_reset = 0
-                    swaps_since_progress = 0
+            # Flush everything executable.  A readied node joins the sweep
+            # it was readied in, and the layout does not move during a
+            # flush, so one sweep leaves only blocked gates.
+            blocked: list[int] = []
+            blocked_pairs: list[_Edge] = []
+            for node in front:
+                pair = routed_pairs[node]
+                if pair is not None and hops[position[pair[0]]][position[pair[1]]] != 1:
+                    blocked.append(node)
+                    blocked_pairs.append(pair)
+                    continue
+                if output is not None:
+                    gate = gates[node]
+                    output.append(gate.remap({q: position[q] for q in gate.qubits}))
+                for successor in successors[node]:
+                    remaining[successor] -= 1
+                    if remaining[successor] == 0:
+                        front.append(successor)
+            progressed = len(blocked) < len(front)
+            front, front_pairs = blocked, blocked_pairs
             if not front:
                 break
+            if progressed:
+                decay = [1.0] * num_physical
+                front_partners = None
+                since_reset = 0
+                swaps_since_progress = 0
 
             # All front gates blocked: choose the best SWAP.  If the
             # heuristic has stalled (rare oscillation), fall back to
             # deterministic shortest-path routing of the first gate.
             if swaps_since_progress >= stall_limit:
-                a_phys, b_phys = self._escape_swap(front[0].gate, position)
+                a_phys, b_phys = self._escape_swap(gates[front[0]], position)
+                summed = False
             else:
-                if extended is None:
-                    extended = self._extended_set(front)
-                candidates = self._candidate_swaps(front, position)
-                a_phys, b_phys = self._best_swap(
-                    candidates, front, extended, position, decay
-                )
+                if front_partners is None:
+                    window_pairs = plan.lookahead(tuple(front))
+                    front_partners = _partners(front_pairs)
+                    window_partners = _partners(window_pairs)
+                    summed = False
+                if not summed:
+                    front_total = sum(hops[position[a]][position[b]] for a, b in front_pairs)
+                    window_total = sum(hops[position[a]][position[b]] for a, b in window_pairs)
+                candidates = sorted({
+                    edge for qubit in front_partners for edge in incident[position[qubit]]
+                })
+                # A SWAP (a, b) moves only the gates with one endpoint on
+                # a or b (a gate on both keeps its distance), so each
+                # candidate adjusts the totals through the partners of
+                # the logical qubits on a and b.  The totals are exact,
+                # so every score has the bits of a full re-sum.
+                best_score = math.inf
+                a_phys, b_phys = candidates[0]
+                best_totals = (front_total, window_total)
+                for candidate in candidates:
+                    low, high = candidate
+                    row_low, row_high = hops[low], hops[high]
+                    on_low, on_high = occupant[low], occupant[high]
+                    front_moved, window_moved = front_total, window_total
+                    if on_low is not None:
+                        for other in front_partners.get(on_low, ()):
+                            if other != on_high:
+                                q = position[other]
+                                front_moved += row_high[q] - row_low[q]
+                        for other in window_partners.get(on_low, ()):
+                            if other != on_high:
+                                q = position[other]
+                                window_moved += row_high[q] - row_low[q]
+                    if on_high is not None:
+                        for other in front_partners.get(on_high, ()):
+                            if other != on_low:
+                                q = position[other]
+                                front_moved += row_low[q] - row_high[q]
+                        for other in window_partners.get(on_high, ()):
+                            if other != on_low:
+                                q = position[other]
+                                window_moved += row_low[q] - row_high[q]
+                    front_cost = float(front_moved) / len(front_pairs)
+                    window_cost = 0.0
+                    if window_pairs:
+                        window_cost = _LOOKAHEAD_WEIGHT * float(window_moved) / len(window_pairs)
+                    score = max(decay[low], decay[high]) * (front_cost + window_cost)
+                    if score < best_score - 1e-12:
+                        best_score = score
+                        a_phys, b_phys = candidate
+                        best_totals = (front_moved, window_moved)
+                # The chosen SWAP's totals are those of the next layout.
+                front_total, window_total = best_totals
+                summed = True
             swaps_since_progress += 1
-            if emit:
+            if output is not None:
                 output.append(SWAP(a_phys, b_phys))
             num_swaps += 1
-            self._swap_positions(a_phys, b_phys, position, occupant)
+            logical_a, logical_b = occupant[a_phys], occupant[b_phys]
+            if logical_a is not None:
+                position[logical_a] = b_phys
+            if logical_b is not None:
+                position[logical_b] = a_phys
+            occupant[a_phys], occupant[b_phys] = logical_b, logical_a
             decay[a_phys] += _DECAY_INCREMENT
             decay[b_phys] += _DECAY_INCREMENT
             since_reset += 1
             if since_reset >= _DECAY_RESET_INTERVAL:
-                decay = [1.0] * self.graph.num_qubits
+                decay = [1.0] * num_physical
                 since_reset = 0
 
         return output, dict(position), num_swaps
@@ -209,84 +388,6 @@ class SabreRouter:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def _candidate_swaps(
-        self, front: list[DAGNode], position: dict[int, int]
-    ) -> list[tuple[int, int]]:
-        involved = {position[qubit] for node in front for qubit in node.gate.qubits}
-        return sorted(
-            {(min(a, b), max(a, b)) for a, b in self.graph.edges if a in involved or b in involved}
-        )
-
-    def _extended_set(self, front: list[DAGNode]) -> list[DAGNode]:
-        """Lookahead window: the next two-qubit gates past the frontier."""
-        extended: list[DAGNode] = []
-        frontier = list(front)
-        seen = {node.index for node in front}
-        while frontier and len(extended) < _LOOKAHEAD_SIZE:
-            next_frontier: list[DAGNode] = []
-            for node in frontier:
-                for successor in node.successors:
-                    if successor.index in seen:
-                        continue
-                    seen.add(successor.index)
-                    if len(successor.gate.qubits) == 2:
-                        extended.append(successor)
-                        if len(extended) >= _LOOKAHEAD_SIZE:
-                            break
-                    next_frontier.append(successor)
-                if len(extended) >= _LOOKAHEAD_SIZE:
-                    break
-            frontier = next_frontier
-        return extended
-
-    def _best_swap(
-        self,
-        candidates: list[tuple[int, int]],
-        front: list[DAGNode],
-        extended: list[DAGNode],
-        position: dict[int, int],
-        decay: list[float],
-    ) -> tuple[int, int]:
-        """Lowest-scoring candidate; ties go to the first.
-
-        The hop totals of the front and lookahead sets are summed once.
-        A SWAP ``(a, b)`` moves only the gates with one endpoint on ``a``
-        or ``b`` (a gate on both keeps its distance), so each candidate
-        adjusts the totals through the partners listed at ``a`` and ``b``.
-        """
-        hops = self.hops
-        totals = [0, 0]
-        ends: tuple[dict[int, list[int]], ...] = (defaultdict(list), defaultdict(list))
-        for side, nodes in enumerate((front, extended)):
-            for node in nodes:
-                first, second = node.gate.qubits
-                p, q = position[first], position[second]
-                totals[side] += hops[p][q]
-                ends[side][p].append(q)
-                ends[side][q].append(p)
-        best_score = math.inf
-        best = candidates[0]
-        for a_phys, b_phys in candidates:
-            row_a, row_b = hops[a_phys], hops[b_phys]
-            moved = []
-            for total, partners in zip(totals, ends):
-                for other in partners.get(a_phys, ()):
-                    if other != b_phys:
-                        total += row_b[other] - row_a[other]
-                for other in partners.get(b_phys, ()):
-                    if other != a_phys:
-                        total += row_a[other] - row_b[other]
-                moved.append(float(total))
-            front_cost = moved[0] / len(front)
-            extended_cost = 0.0
-            if extended:
-                extended_cost = _LOOKAHEAD_WEIGHT * moved[1] / len(extended)
-            score = max(decay[a_phys], decay[b_phys]) * (front_cost + extended_cost)
-            if score < best_score - 1e-12:
-                best_score = score
-                best = (a_phys, b_phys)
-        return best
-
     def _escape_swap(
         self, gate: Gate, position: dict[int, int]
     ) -> tuple[int, int]:
@@ -300,20 +401,3 @@ class SabreRouter:
             if self.hops[node][target] < self.hops[source][target]
         )
         return (min(source, neighbor), max(source, neighbor))
-
-    @staticmethod
-    def _swap_positions(
-        a: int, b: int, position: dict[int, int], occupant: dict[int, int]
-    ) -> None:
-        logical_a = occupant.get(a)
-        logical_b = occupant.get(b)
-        if logical_a is not None:
-            position[logical_a] = b
-            occupant[b] = logical_a
-        else:
-            occupant.pop(b, None)
-        if logical_b is not None:
-            position[logical_b] = a
-            occupant[a] = logical_b
-        else:
-            occupant.pop(a, None)

@@ -21,6 +21,7 @@ from repro.compiler.sabre import (
     _DECAY_RESET_INTERVAL,
     _LOOKAHEAD_SIZE,
     _LOOKAHEAD_WEIGHT,
+    _STALL_FACTOR,
 )
 
 
@@ -52,7 +53,7 @@ def _route_once(circuit, graph, distance, initial_layout, commute):
     decay = np.ones(graph.num_qubits)
     since_reset = 0
     swaps_since_progress = 0
-    stall_limit = 6 * graph.num_qubits
+    stall_limit = _STALL_FACTOR * graph.num_qubits
 
     def execute(node):
         output.append(node.gate.remap({q: position[q] for q in node.gate.qubits}))

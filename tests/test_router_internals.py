@@ -1,14 +1,19 @@
 """White-box tests for Merge-to-Root routing and SABRE internals."""
 
+from collections import Counter
+from unittest import mock
+
 import pytest
 import sabre_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuit import Circuit
-from repro.circuit.gates import CNOT, CZ, RZ, SWAP, Barrier, H, Measure, S, X
+from repro.circuit.dag import CircuitDAG
+from repro.circuit.gates import CNOT, CZ, RZ, SWAP, Barrier, Gate, H, Measure, S, X
 from repro.compiler.merge_to_root import MergeToRootCompiler
-from repro.compiler.sabre import SabreRouter
+from repro.compiler import sabre
+from repro.compiler.sabre import SabreRouter, _Plan
 from repro.core.ir import IRTerm, PauliProgram
 from repro.hardware.grid import grid
 from repro.hardware.xtree import xtree
@@ -141,6 +146,12 @@ class TestSabreInternals:
         a, b = router._escape_swap(CNOT(0, 1), position)
         assert tree.are_connected(a, b)
 
+    def test_gate_on_three_qubits_is_rejected(self):
+        circuit = Circuit(3, [Gate("ccx", (0, 1, 2))])
+        with pytest.raises(ValueError, match="at most two qubits"):
+            SabreRouter(xtree(8)).run(circuit)
+        assert SabreRouter(xtree(8)).run(Circuit(3, [Barrier(0, 1, 2)])).num_swaps == 0
+
     def test_refinement_does_not_break_routing(self):
         program_circuit = Circuit(6, [CNOT(0, 5), CNOT(5, 3), CNOT(3, 0)])
         result = SabreRouter(xtree(8)).run(program_circuit, refinement_passes=3)
@@ -214,3 +225,86 @@ class TestOracleEquality:
         routed = [router.run(circuit) for router in routers]
         assert all(r.circuit.gates == routed[0].circuit.gates for r in routed)
         assert not any(hasattr(router, "_rng") for router in routers)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=routing_cases(), commute=st.booleans(), factor=st.sampled_from([0, 0.25]))
+    def test_escape_swaps_match_the_oracle(self, case, commute, factor):
+        """A small stall factor makes the escape SWAP run (at factor 0 it
+        takes every SWAP), so the scoring totals carried from SWAP to
+        SWAP must be rebuilt after it."""
+        device, circuit, layout = case
+        with mock.patch.object(sabre, "_STALL_FACTOR", factor), \
+                mock.patch.object(sabre_oracle, "_STALL_FACTOR", factor):
+            result = SabreRouter(device, commute=commute).run(circuit, initial_layout=layout)
+            gates, num_swaps, final_layout = sabre_oracle.route(
+                circuit, device, commute=commute, initial_layout=layout
+            )
+        assert result.circuit.gates == gates
+        assert result.num_swaps == num_swaps
+        assert result.final_layout == final_layout
+
+    def test_escape_swap_runs_between_scored_swaps(self):
+        """One pass at factor 0.25 (a stall after two SWAPs on five
+        qubits): two scored SWAPs, the escape SWAP, then a scored one."""
+        device = grid(1, 5)
+        circuit = Circuit(5, [CNOT(4, 0), CNOT(2, 0), CNOT(0, 4)])
+        escaped = []
+        original = SabreRouter._escape_swap
+
+        def recording(router, gate, position):
+            escaped.append(original(router, gate, position))
+            return escaped[-1]
+
+        with mock.patch.object(sabre, "_STALL_FACTOR", 0.25), \
+                mock.patch.object(sabre_oracle, "_STALL_FACTOR", 0.25), \
+                mock.patch.object(SabreRouter, "_escape_swap", recording):
+            result = SabreRouter(device).run(circuit, refinement_passes=0)
+            gates, num_swaps, final_layout = sabre_oracle.route(
+                circuit, device, refinement_passes=0
+            )
+        assert escaped == [(2, 3)]
+        swaps = [gate.qubits for gate in result.circuit if gate.name == "swap"]
+        assert swaps == [(0, 1), (3, 4), (2, 3), (1, 2)]
+        assert (result.circuit.gates, result.num_swaps, result.final_layout) == (
+            gates, num_swaps, final_layout
+        )
+
+
+class TestPlan:
+    """The router's integer plans against the shared CircuitDAG."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=routing_cases(), commute=st.booleans())
+    def test_backward_plan_is_the_reversed_circuits_dag(self, case, commute):
+        device, circuit, layout = case
+        forward = _Plan.from_dag(CircuitDAG.from_circuit(circuit, commute=commute))
+        backward = _Plan.from_dag(
+            CircuitDAG(circuit.num_qubits, commute=commute).extend(reversed(circuit.gates))
+        )
+        transposed = forward.transposed()
+        assert transposed.in_degree == backward.in_degree
+        assert transposed.successors == backward.successors
+        assert transposed == backward
+
+        built = []
+        original = CircuitDAG.__init__
+
+        def counting(dag, *args, **kwargs):
+            built.append(dag)
+            original(dag, *args, **kwargs)
+
+        with mock.patch.object(CircuitDAG, "__init__", counting):
+            SabreRouter(device, commute=commute).run(circuit, initial_layout=layout)
+        assert len(built) == 1
+
+    def test_lookahead_memo_is_keyed_on_the_ordered_front(self):
+        """Three CNOT chains: the 20-gate cut falls inside the seventh
+        level, so reordering the front changes the window's gates."""
+        circuit = Circuit(6, [CNOT(q, q + 1) for _ in range(10) for q in (0, 2, 4)])
+        plan = _Plan.from_dag(CircuitDAG.from_circuit(circuit))
+        forward = plan.lookahead((0, 1, 2))
+        backward = plan.lookahead((2, 1, 0))
+        fresh = _Plan.from_dag(CircuitDAG.from_circuit(circuit)).lookahead((2, 1, 0))
+        assert backward == fresh
+        assert Counter(forward) == {(0, 1): 7, (2, 3): 7, (4, 5): 6}
+        assert Counter(backward) == {(0, 1): 6, (2, 3): 7, (4, 5): 7}
