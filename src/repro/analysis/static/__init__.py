@@ -5,8 +5,8 @@ summaries (:mod:`.model`), a conservatively-resolved call graph with
 transitive effect propagation (:mod:`.callgraph`), and the analyzer
 families built on them (:mod:`.rules`) --
 
-* **concurrency-safety** (RR101-RR103): executor-reachable module-state
-  mutation, non-picklable process-pool tasks, SharedSlabs lifecycle;
+* **concurrency-safety** (RR101-RR102): executor-reachable module-state
+  mutation and non-picklable process-pool tasks;
 * **determinism** (RR111-RR112): hidden-global randomness / wall-clock
   reads, and ``default_rng`` seeds that do not provably flow from a
   SeedSequence or plain-int source.
@@ -44,7 +44,6 @@ from repro.analysis.static.rules import (
     analyze_project,
     rr101_executor_reachable_writes,
     rr102_unpicklable_submissions,
-    rr103_slab_lifecycle,
     rr111_nondeterministic_sources,
     rr112_unseeded_default_rng,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "load_project",
     "rr101_executor_reachable_writes",
     "rr102_unpicklable_submissions",
-    "rr103_slab_lifecycle",
     "rr111_nondeterministic_sources",
     "rr112_unseeded_default_rng",
     "suppressed",

@@ -18,7 +18,6 @@ from repro.analysis.static.rules import (
     RuleFinding,
     rr101_executor_reachable_writes,
     rr102_unpicklable_submissions,
-    rr103_slab_lifecycle,
     rr111_nondeterministic_sources,
     rr112_unseeded_default_rng,
 )
@@ -69,10 +68,10 @@ class _ProjectRuleCheck(Check):
 
 
 class ConcurrencySafetyCheck(_ProjectRuleCheck):
-    """RR101/RR102/RR103: executor-reachable mutation, pickling, slabs."""
+    """RR101/RR102: executor-reachable mutation, pickling."""
 
     name = "concurrency-safety"
-    codes = ("RR101", "RR102", "RR103")
+    codes = ("RR101", "RR102")
 
     def _findings(self, project: ProjectModel) -> list[RuleFinding]:
         from repro.analysis.static.callgraph import CallGraph
@@ -81,7 +80,6 @@ class ConcurrencySafetyCheck(_ProjectRuleCheck):
         return [
             *rr101_executor_reachable_writes(project, graph),
             *rr102_unpicklable_submissions(project, graph),
-            *rr103_slab_lifecycle(project),
         ]
 
 

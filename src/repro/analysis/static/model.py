@@ -13,7 +13,7 @@ determinism rules need --
 * which callables each function submits to thread / process executors
   (``submit``/``map`` targets and ``initializer=`` callables alike),
 * the raw AST of each function body, for the rules that walk deeper
-  (slab lifecycle, seed provenance).
+  (seed provenance).
 
 Everything here is linear in source size and dependency-free (stdlib
 ``ast`` only), so the whole tree models in well under a second.  The

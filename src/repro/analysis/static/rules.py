@@ -16,11 +16,6 @@ RR102  non-picklable callable submitted to a *process* pool: lambdas,
        nested functions, and bound methods of nested (unimportable)
        classes all fail inside ``ProcessPoolExecutor`` with an opaque
        ``PicklingError`` at runtime; this catches them at lint time.
-RR103  ``SharedSlabs`` lifecycle violations: a worker that ``attach``-es
-       a segment must never ``unlink`` it (the parent owns the segment
-       -- see :mod:`repro.core.shm`), no handle may be used after its
-       ``close()``, and a created segment that neither unlinks nor
-       escapes the creating function is leaked shared memory.
 RR111  nondeterministic sources -- ``np.random.*`` conveniences bound to
        global state, ``random.*``, wall-clock ``time`` reads -- outside
        benchmark code.  Library results must be functions of their
@@ -46,9 +41,6 @@ from repro.analysis.static.model import (
     root_name,
     symbol_of,
 )
-
-#: The one module allowed to implement the SharedSlabs lifecycle (RR103).
-RR103_HOME = "src/repro/core/shm.py"
 
 #: The one module allowed to normalize arbitrary seeds (RR112).
 RR112_HOME = "src/repro/core/seeding.py"
@@ -208,163 +200,6 @@ def rr102_unpicklable_submissions(
 
 
 # ----------------------------------------------------------------------
-# RR103 -- SharedSlabs lifecycle
-# ----------------------------------------------------------------------
-def _slab_role_of(value: ast.expr) -> str | None:
-    """``"owner"``/``"attached"`` when the expression builds a slab handle."""
-    for node in ast.walk(value):
-        if isinstance(node, ast.Call):
-            symbol = symbol_of(node.func)
-            if symbol is None:
-                continue
-            parts = symbol.split(".")
-            if len(parts) >= 2 and parts[-2] == "SharedSlabs":
-                if parts[-1] == "create":
-                    return "owner"
-                if parts[-1] == "attach":
-                    return "attached"
-    return None
-
-
-def _ordered_nodes(body: list[ast.stmt]) -> list[ast.AST]:
-    """All nodes of one scope in source order, nested scopes excluded."""
-    nodes: list[ast.AST] = []
-
-    def visit(node: ast.AST) -> None:
-        nodes.append(node)
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                continue  # separate scope, separate analysis
-            visit(child)
-
-    for stmt in body:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue  # a scope of its own even when listed at the top level
-        visit(stmt)
-    nodes.sort(key=lambda n: (getattr(n, "lineno", 0), getattr(n, "col_offset", 0)))
-    return nodes
-
-
-def rr103_slab_lifecycle(project: ProjectModel) -> list[RuleFinding]:
-    findings: list[RuleFinding] = []
-    for model in project.modules.values():
-        if model.rel == RR103_HOME:
-            continue
-        for info in model.functions.values():
-            if info.is_lambda:
-                continue
-            body = info.node.body
-            if not isinstance(body, list):
-                continue
-            slab_vars: dict[str, tuple[str, int]] = {}
-            for node in _ordered_nodes(body):
-                if isinstance(node, ast.Assign):
-                    role = _slab_role_of(node.value)
-                    if role is not None:
-                        for target in node.targets:
-                            if isinstance(target, ast.Name):
-                                slab_vars[target.id] = (role, node.lineno)
-            if not slab_vars:
-                continue
-            for var, (role, created_line) in slab_vars.items():
-                findings.extend(
-                    _check_slab_var(model, info, body, var, role, created_line)
-                )
-    findings.sort(key=lambda f: (f.rel, f.line, f.message))
-    return findings
-
-
-def _check_slab_var(
-    model: ModuleModel,
-    info: FunctionInfo,
-    body: list[ast.stmt],
-    var: str,
-    role: str,
-    created_line: int,
-) -> list[RuleFinding]:
-    findings: list[RuleFinding] = []
-    lifecycle_receivers: set[int] = set()
-    events: list[tuple[int, int, str, ast.AST]] = []  # (line, col, event, node)
-    escapes = False
-    for node in _ordered_nodes(body):
-        if isinstance(node, ast.Call):
-            if (
-                isinstance(node.func, ast.Attribute)
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id == var
-                and node.func.attr in ("close", "unlink")
-            ):
-                lifecycle_receivers.add(id(node.func.value))
-                events.append(
-                    (node.lineno, node.col_offset, node.func.attr, node)
-                )
-            for arg in [*node.args, *[kw.value for kw in node.keywords]]:
-                if isinstance(arg, ast.Name) and arg.id == var:
-                    escapes = True
-        elif isinstance(node, (ast.Return, ast.Yield, ast.YieldFrom)):
-            value = node.value
-            if isinstance(value, ast.Name) and value.id == var:
-                escapes = True
-            elif value is not None and any(
-                isinstance(child, ast.Name) and child.id == var
-                for child in ast.walk(value)
-            ):
-                escapes = True
-    for node in _ordered_nodes(body):
-        if (
-            isinstance(node, ast.Name)
-            and node.id == var
-            and isinstance(node.ctx, ast.Load)
-            and id(node) not in lifecycle_receivers
-            and node.lineno > created_line
-        ):
-            events.append((node.lineno, node.col_offset, "use", node))
-    events.sort(key=lambda e: (e[0], e[1]))
-
-    closed_at: int | None = None
-    unlinked = False
-    for line, _col, event, _node in events:
-        if event == "close":
-            closed_at = line
-        elif event == "unlink":
-            unlinked = True
-            if role == "attached":
-                findings.append(
-                    RuleFinding(
-                        "RR103",
-                        model.rel,
-                        line,
-                        f"attached SharedSlabs handle {var!r} calls unlink(): "
-                        "the creating parent owns segment teardown; workers "
-                        "must only close() (see repro.core.shm)",
-                    )
-                )
-        elif event == "use" and closed_at is not None:
-            findings.append(
-                RuleFinding(
-                    "RR103",
-                    model.rel,
-                    line,
-                    f"SharedSlabs handle {var!r} is used after close() "
-                    f"(closed at {model.rel}:{closed_at}); the mapped views "
-                    "are invalid once the segment is detached",
-                )
-            )
-    if role == "owner" and not unlinked and not escapes:
-        findings.append(
-            RuleFinding(
-                "RR103",
-                model.rel,
-                created_line,
-                f"SharedSlabs segment {var!r} is created here but never "
-                "unlink()ed and the handle does not leave "
-                f"{info.qualname}(); the shared-memory segment leaks",
-            )
-        )
-    return findings
-
-
-# ----------------------------------------------------------------------
 # RR111 -- nondeterministic sources
 # ----------------------------------------------------------------------
 def rr111_nondeterministic_sources(project: ProjectModel) -> list[RuleFinding]:
@@ -469,6 +304,25 @@ def _seed_sequence_annotation(annotation: str | None) -> bool:
     return annotation is not None and "SeedSequence" in annotation
 
 
+def _ordered_nodes(body: list[ast.stmt]) -> list[ast.AST]:
+    """All nodes of one scope in source order, nested scopes excluded."""
+    nodes: list[ast.AST] = []
+
+    def visit(node: ast.AST) -> None:
+        nodes.append(node)
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue  # separate scope, separate analysis
+            visit(child)
+
+    for stmt in body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue  # a scope of its own even when listed at the top level
+        visit(stmt)
+    nodes.sort(key=lambda n: (getattr(n, "lineno", 0), getattr(n, "col_offset", 0)))
+    return nodes
+
+
 def rr112_unseeded_default_rng(project: ProjectModel) -> list[RuleFinding]:
     findings: list[RuleFinding] = []
     for model in project.modules.values():
@@ -562,7 +416,6 @@ def analyze_project(project: ProjectModel) -> list[RuleFinding]:
     findings = [
         *rr101_executor_reachable_writes(project, graph),
         *rr102_unpicklable_submissions(project, graph),
-        *rr103_slab_lifecycle(project),
         *rr111_nondeterministic_sources(project),
         *rr112_unseeded_default_rng(project),
     ]

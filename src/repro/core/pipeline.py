@@ -45,6 +45,8 @@ from __future__ import annotations
 
 import copy
 import json
+import numbers
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -467,6 +469,45 @@ class BatchItemError:
         return f"batch item {self.index} ({label}): {self.error_type}: {self.error}"
 
 
+#: Valid values of the ``executor=`` knob of :func:`run_batch` (and of
+#: :func:`repro.vqe.scan.bond_scan`, which runs through it).
+EXECUTORS = ("serial", "process")
+
+
+def check_executor(executor: str) -> str:
+    if executor not in EXECUTORS:
+        raise ValueError(
+            f"unknown executor {executor!r}; valid executors: "
+            f"{', '.join(EXECUTORS)}"
+        )
+    return executor
+
+
+def resolve_workers(workers: int | str | None, tasks: int) -> int:
+    """Resolve the ``workers=`` knob: ``"auto"``/``None`` -> usable CPUs.
+
+    The usable CPUs are this process's affinity set where the platform
+    has one (a container or ``taskset`` may allow fewer than the
+    machine has), else ``os.cpu_count()``.  Any other value must be an
+    integer (not a ``bool``) of at least 1.  Never more workers than
+    tasks; always at least 1.
+    """
+    if workers is None or workers == "auto":
+        if hasattr(os, "sched_getaffinity"):
+            count = len(os.sched_getaffinity(0))
+        else:
+            count = os.cpu_count() or 1
+    elif isinstance(workers, numbers.Integral) and not isinstance(workers, bool):
+        if workers < 1:
+            raise ValueError(f"workers must be at least 1, got {workers!r}")
+        count = int(workers)
+    else:
+        raise ValueError(
+            f"workers must be None, 'auto' or a positive int, got {workers!r}"
+        )
+    return max(1, min(count, tasks))
+
+
 #: Molecular problems the parent built for one process-mode batch, keyed
 #: by (molecule, bond length).  Empty in the parent; each pool worker
 #: fills its own copy once, through :func:`_init_batch_worker`.
@@ -599,8 +640,6 @@ def run_batch(
             the standard ``Pipeline(config)`` (pass a custom factory to
             append stages, e.g. ``Energy`` for VQE sweeps).
     """
-    from repro.sim.trajectory import check_executor, resolve_workers
-
     check_executor(executor)
     configs = list(configs)
     if not configs:

@@ -1,16 +1,17 @@
 """The determinism contract's seeding discipline, in one audited place.
 
 Every random draw in the library must be a pure function of an explicit
-seed, or the executor bit-identity guarantees (``run_batch``,
-``trajectory_expectations``: serial == process, any worker
-count) silently die.  The discipline (see docs/analysis.md):
+seed, or the determinism guarantees (``run_batch``: serial == process,
+any worker count; ``trajectory_expectations``: a function of
+``(seed, trajectories, block_size)`` alone) silently die.  The
+discipline (see docs/analysis.md):
 
 1. normalize whatever the caller passed -- int, ``SeedSequence``, or
    ``None`` -- into a :class:`numpy.random.SeedSequence` root;
 2. give parallel unit ``i`` child ``i`` of that root via
    :meth:`~numpy.random.SeedSequence.spawn`, so each unit's stream is
    independent of which executor runs it and of how units are packed
-   onto workers;
+   onto workers or chunks;
 3. build generators only from those roots/children.
 
 ``default_rng(int)`` internally wraps the seed in ``SeedSequence(int)``,

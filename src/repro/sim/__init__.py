@@ -33,13 +33,9 @@ every run keeps it (:class:`repro.vqe.energy.StatevectorEnergy`); a circuit
 runs gate by gate through the in-place kernels, which broadcast over
 the leading axis of a ``(K, 2**n)`` stack of states.
 
-Every path runs on NumPy arrays in one process unless the
-``executor=``/``workers=`` knobs (:data:`repro.sim.trajectory.EXECUTORS`:
-``"serial"`` or ``"process"``) fan the work out over a process pool.
-The trajectory engine's pool is the one that maps its big constant --
-the observable's grouped diagonals -- from a shared-memory segment
-(:class:`repro.core.shm.SharedSlabs`) instead of pickling it per chunk;
-``workers=None``/``"auto"`` means the CPUs this process may run on.
+Every simulation path runs on NumPy arrays in one process; only
+:func:`repro.core.pipeline.run_batch` fans work (whole pipeline configs)
+out over a process pool.
 """
 
 from repro.sim.statevector import (
@@ -52,10 +48,7 @@ from repro.sim.statevector import (
     checked_probabilities,
 )
 from repro.sim.trajectory import (
-    EXECUTORS,
     TrajectoryEstimate,
-    check_executor,
-    resolve_workers,
     trajectory_estimate,
     trajectory_expectations,
 )
@@ -69,7 +62,6 @@ from repro.sim.density_matrix import DensityMatrixSimulator
 from repro.sim.noise import DepolarizingNoiseModel
 
 __all__ = [
-    "EXECUTORS",
     "StatevectorSimulator",
     "DensityMatrixSimulator",
     "DepolarizingNoiseModel",
@@ -85,8 +77,6 @@ __all__ = [
     "apply_unitary_inplace",
     "apply_pauli",
     "apply_pauli_exponential",
-    "check_executor",
     "expectation",
     "ground_state_energy",
-    "resolve_workers",
 ]

@@ -33,8 +33,6 @@ array([1., 1.])
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 from scipy.linalg.blas import zaxpy
 
@@ -98,46 +96,6 @@ class ExpectationEngine:
                 diagonal += coefficient * phase * parity_signs(self.num_qubits, z)
             self._x_masks.append(x)
             self._diagonals.append(diagonal)
-
-    @classmethod
-    def from_arrays(
-        cls,
-        num_qubits: int,
-        x_masks: Sequence[int],
-        diagonals: np.ndarray,
-        *,
-        num_terms: int = 0,
-    ) -> "ExpectationEngine":
-        """Rebuild an engine from exported tables without a PauliSum.
-
-        The zero-copy path of the process-pool executors: a worker maps
-        the ``(G, 2**n)`` diagonal stack and G-vector of X masks exported
-        by :meth:`export_tables` out of shared memory and wires them
-        straight in, skipping both pickling and reconstruction.
-        """
-        engine = cls.__new__(cls)
-        engine.num_qubits = int(num_qubits)
-        engine.num_terms = int(num_terms)
-        engine._x_masks = [int(x) for x in x_masks]
-        engine._diagonals = [np.asarray(d, dtype=complex) for d in diagonals]
-        return engine
-
-    def export_tables(self) -> dict[str, np.ndarray]:
-        """Flat numpy tables for :meth:`from_arrays` (shared-memory safe).
-
-        ``x_masks`` is ``(G,)`` uint64 and ``diagonals`` is ``(G, 2**n)``
-        complex128 -- contiguous arrays a :class:`repro.core.shm.SharedSlabs`
-        segment can hold directly.  An observable with no terms exports
-        ``G = 0`` (a ``(0, 2**n)`` stack).
-        """
-        if self._diagonals:
-            diagonals = np.stack(self._diagonals)
-        else:
-            diagonals = np.empty((0, 1 << self.num_qubits), dtype=complex)
-        return {
-            "x_masks": np.asarray(self._x_masks, dtype=np.uint64),
-            "diagonals": diagonals,
-        }
 
     @property
     def num_groups(self) -> int:

@@ -43,10 +43,8 @@ plus the draw, and agrees with the gate-level rows to rounding.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -57,44 +55,11 @@ from repro.pauli import PauliString, PauliSum
 from repro.sim.expectation import ExpectationEngine
 from repro.sim.noise import DepolarizingNoiseModel, depolarizing_paulis
 from repro.sim.pauli_evolution import cached_parity_signs, cached_xor_indices
-from repro.sim.statevector import apply_gate_inplace, basis_state
+from repro.sim.statevector import _check_dimension, apply_gate_inplace, basis_state
 
 if TYPE_CHECKING:
     from repro.sim.channel_plan import ChannelPlan
     from repro.sim.pauli_evolution import FusedPauliEvolution
-
-#: Valid values of the ``executor=`` knob of the streaming helpers (and
-#: of :func:`repro.core.pipeline.run_batch`).
-EXECUTORS = ("serial", "process")
-
-
-def check_executor(executor: str) -> str:
-    if executor not in EXECUTORS:
-        raise ValueError(
-            f"unknown executor {executor!r}; valid executors: "
-            f"{', '.join(EXECUTORS)}"
-        )
-    return executor
-
-
-def resolve_workers(workers: "int | str | None", tasks: int) -> int:
-    """Resolve the ``workers=`` knob: ``"auto"``/``None`` -> usable CPUs.
-
-    The usable CPUs are this process's affinity set where the platform
-    has one (a container or ``taskset`` may allow fewer than the
-    machine has), else ``os.cpu_count()``.  Never more workers than
-    tasks; always at least 1.
-    """
-    if workers in (None, "auto"):
-        if hasattr(os, "sched_getaffinity"):
-            count = len(os.sched_getaffinity(0))
-        else:
-            count = os.cpu_count() or 1
-    else:
-        count = int(workers)  # type: ignore[arg-type]
-        if count < 1:
-            raise ValueError("workers must be at least 1")
-    return max(1, min(count, tasks))
 
 #: Rows per random-number block, and the most rows one chunk may fork:
 #: a chunk keeps at most ``block + 1`` rows of ``2**n`` amplitudes
@@ -121,7 +86,6 @@ def channel_paulis(num_qubits: int, qubits: tuple[int, ...]) -> list[PauliString
                 if local.op_on(position) != "I"
             }
             cached.append(PauliString.from_ops(num_qubits, ops))
-        # lint: ignore[RR101] - idempotent memo: racing writers store equal values
         _CHANNEL_CACHE[key] = cached
     return cached
 
@@ -228,8 +192,7 @@ def _draw_events(
     noisy gate in gate order, one uniform per row (``< p`` is a hit),
     then one channel-Pauli index per hit.  The draw never reads a
     state, so it can run ahead of the evolution, and the results are a
-    function of ``(seed, trajectories, block_size)`` alone -- whatever
-    executor evolves the chunks.
+    function of ``(seed, trajectories, block_size)`` alone.
 
     Consecutive blocks join one chunk while it forks at most
     ``block_size`` rows, so a chunk keeps at most ``block_size + 1``
@@ -399,28 +362,6 @@ def _evolve_chunk(
     return engine.values(live)[slot]
 
 
-def _trajectory_chunk_worker(payload: tuple) -> np.ndarray:
-    """Process-pool task: map the shared tables, evolve one chunk.
-
-    The observable's grouped diagonals (the only big constant of the
-    computation -- ``(G, 2**n)`` complex128) and the optional initial
-    state arrive as a :class:`repro.core.shm.SharedSlabs` handle, so
-    every worker maps one shared copy instead of unpickling its own.
-    """
-    (circuit, positions, chunk, handle, num_qubits, num_terms, has_initial) = payload
-    from repro.core.shm import SharedSlabs
-
-    slabs = SharedSlabs.attach(handle)
-    try:
-        engine = ExpectationEngine.from_arrays(
-            num_qubits, slabs["x_masks"], slabs["diagonals"], num_terms=num_terms
-        )
-        initial = slabs["initial_state"] if has_initial else None
-        return _evolve_chunk(circuit, positions, engine, chunk, initial)
-    finally:
-        slabs.close()
-
-
 def _run_trajectories(
     circuit: Circuit,
     observable: ExpectationEngine | PauliSum,
@@ -429,59 +370,23 @@ def _run_trajectories(
     seed: int | np.random.SeedSequence | None,
     block_size: int,
     initial_state: np.ndarray | None,
-    executor: str,
-    workers: "int | str | None",
 ) -> tuple[np.ndarray, _Events]:
-    """Per-trajectory values and the events behind them.
-
-    Every executor maps the same chunk function over the same chunks, so
-    serial and process runs are bit-identical for any ``workers`` count.
-    """
-    check_executor(executor)
+    """Per-trajectory values and the events behind them."""
     engine = _as_engine(observable)
     if circuit.num_qubits != engine.num_qubits:
         raise ValueError("qubit count mismatch")
+    if initial_state is not None:
+        _check_dimension(np.asarray(initial_state), circuit.num_qubits)
     # SWAPs become CNOTs first, so the noise model sees the same gate
     # stream as the density-matrix simulator.
     hardware = circuit.decompose_swaps()
     positions, signature = _noisy_gates(hardware, noise)
     events = _draw_events(signature, circuit.num_qubits, trajectories, seed, block_size)
-    chunks = events.chunks
-    count = resolve_workers(workers, len(chunks))
-
     values = np.empty(trajectories)
-
-    def store(results: Iterable[np.ndarray]) -> None:
-        for chunk, chunk_values in zip(chunks, results):
-            values[chunk.start:chunk.start + chunk.rows] = chunk_values
-
-    if executor == "serial" or count == 1:
-        store(
-            _evolve_chunk(hardware, positions, engine, chunk, initial_state)
-            for chunk in chunks
+    for chunk in events.chunks:
+        values[chunk.start:chunk.start + chunk.rows] = _evolve_chunk(
+            hardware, positions, engine, chunk, initial_state
         )
-    else:
-        from repro.core.shm import SharedSlabs
-
-        tables = engine.export_tables()
-        if initial_state is not None:
-            tables["initial_state"] = np.ascontiguousarray(
-                np.asarray(initial_state, dtype=complex)
-            )
-        slabs = SharedSlabs.create(tables)
-        try:
-            payloads = [
-                (
-                    hardware, positions, chunk, slabs.handle,
-                    engine.num_qubits, engine.num_terms,
-                    initial_state is not None,
-                )
-                for chunk in chunks
-            ]
-            with ProcessPoolExecutor(max_workers=count) as pool:
-                store(pool.map(_trajectory_chunk_worker, payloads))
-        finally:
-            slabs.unlink()
     return values, events
 
 
@@ -494,8 +399,6 @@ def trajectory_expectations(
     seed: int | np.random.SeedSequence | None = None,
     block_size: int = DEFAULT_BLOCK_SIZE,
     initial_state: np.ndarray | None = None,
-    executor: str = "serial",
-    workers: "int | str | None" = None,
 ) -> np.ndarray:
     """Per-trajectory expectations of a noisy circuit, shape ``(K,)``.
 
@@ -503,14 +406,10 @@ def trajectory_expectations(
     ``SeedSequence``, ``None`` for fresh entropy).  Each block of
     ``block_size`` rows draws from its own spawned child of one
     ``SeedSequence`` root, so results are fully deterministic given
-    ``(seed, trajectories, block_size)`` -- and bit-identical across
-    ``executor="serial" | "process"`` and any ``workers`` count.
-    ``executor="process"`` shares the observable's grouped diagonals
-    with the workers through :class:`repro.core.shm.SharedSlabs`.
+    ``(seed, trajectories, block_size)``.
     """
     values, _ = _run_trajectories(
-        circuit, observable, noise, trajectories, seed, block_size,
-        initial_state, executor, workers,
+        circuit, observable, noise, trajectories, seed, block_size, initial_state
     )
     return values
 
@@ -524,8 +423,6 @@ def trajectory_estimate(
     seed: int | np.random.SeedSequence | None = None,
     block_size: int = DEFAULT_BLOCK_SIZE,
     initial_state: np.ndarray | None = None,
-    executor: str = "serial",
-    workers: "int | str | None" = None,
 ) -> TrajectoryEstimate:
     """Trajectory-averaged expectation with its standard error.
 
@@ -533,12 +430,9 @@ def trajectory_estimate(
     (see the module docstring); ``standard_error`` quantifies the
     remaining Monte-Carlo noise, so DM-vs-trajectory agreement checks
     should compare within a few standard errors.  See
-    :func:`trajectory_expectations` for the ``executor``/``workers``
-    scale-out knobs (results are bit-identical across executors for a
-    fixed seed).
+    :func:`trajectory_expectations` for the seeding.
     """
     values, events = _run_trajectories(
-        circuit, observable, noise, trajectories, seed, block_size,
-        initial_state, executor, workers,
+        circuit, observable, noise, trajectories, seed, block_size, initial_state
     )
     return _summarize(values, events)

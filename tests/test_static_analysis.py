@@ -32,7 +32,6 @@ from repro.analysis.static.rules import (
     analyze_project,
     rr101_executor_reachable_writes,
     rr102_unpicklable_submissions,
-    rr103_slab_lifecycle,
     rr111_nondeterministic_sources,
     rr112_unseeded_default_rng,
 )
@@ -210,34 +209,6 @@ def test_pool_initializer_is_worker_code():
     unpicklable = rr102_unpicklable_submissions(project, graph)
     assert [(f.code, f.line) for f in unpicklable] == [("RR102", 18)]
     assert unpicklable[0].message.startswith("a lambda is submitted to a process pool")
-
-
-def test_rr103_owner_leak_and_worker_unlink():
-    project = build_project_model({
-        "src/repro/core/fake_shm.py": (
-            "from repro.core.shm import SharedSlabs\n"       # 1
-            "\n"                                             # 2
-            "def leak(tables):\n"                            # 3
-            "    slabs = SharedSlabs.create(tables)\n"       # 4
-            "    return None\n"                              # 5
-            "\n"                                             # 6
-            "def worker(handle):\n"                          # 7
-            "    slabs = SharedSlabs.attach(handle)\n"       # 8
-            "    slabs.unlink()\n"                           # 9
-        ),
-    })
-    findings = rr103_slab_lifecycle(project)
-    assert [(f.code, f.line) for f in findings] == [("RR103", 4), ("RR103", 9)]
-    assert findings[0].message == (
-        "SharedSlabs segment 'slabs' is created here but never unlink()ed "
-        "and the handle does not leave leak(); the shared-memory segment "
-        "leaks"
-    )
-    assert findings[1].message == (
-        "attached SharedSlabs handle 'slabs' calls unlink(): the creating "
-        "parent owns segment teardown; workers must only close() "
-        "(see repro.core.shm)"
-    )
 
 
 def test_rr111_wall_clock_read():
@@ -451,7 +422,7 @@ def test_project_model_dispatches_through_check_registry():
 
 
 @pytest.mark.parametrize(
-    "code", ["RR101", "RR102", "RR103", "RR111", "RR112"]
+    "code", ["RR101", "RR102", "RR111", "RR112"]
 )
 def test_live_tree_is_clean_per_rule(live_project, code):
     findings = [f for f in analyze(live_project) if f.code == code]

@@ -188,6 +188,26 @@ class TestTrajectorySimulator:
                 CIRCUIT, PauliSum.from_label_dict({"ZZ": 1.0}), trajectories=2
             )
 
+    @pytest.mark.parametrize("size", [1, 1 << 4])
+    @pytest.mark.parametrize("run", [trajectory_estimate, trajectory_expectations])
+    def test_wrong_sized_initial_state_rejected(self, run, size):
+        # A 2-qubit circuit needs 4 amplitudes; 1 or 16 used to broadcast.
+        circuit = Circuit(2, [H(0), CNOT(0, 1)])
+        observable = PauliSum.from_label_dict({"ZZ": 1.0, "XX": 0.5})
+        with pytest.raises(ValueError, match="does not match 2 qubits"):
+            run(
+                circuit, observable, DepolarizingNoiseModel(two_qubit_error=0.1),
+                trajectories=8, seed=0, initial_state=np.ones(size) / np.sqrt(size),
+            )
+
+    @pytest.mark.parametrize("knob", [{"executor": "serial"}, {"workers": 2}])
+    def test_no_executor_knobs(self, knob):
+        # The gate-level API runs in one process: there is no pool to pick.
+        with pytest.raises(TypeError):
+            trajectory_expectations(CIRCUIT, OBSERVABLE, trajectories=2, **knob)
+        with pytest.raises(TypeError):
+            trajectory_estimate(CIRCUIT, OBSERVABLE, trajectories=2, **knob)
+
     def test_invalid_trajectory_count(self):
         with pytest.raises(ValueError, match="trajectories"):
             trajectory_expectations(CIRCUIT, OBSERVABLE, trajectories=0)
@@ -287,6 +307,19 @@ class TestDenseOracle:
             "initial_state": None,
         }
     )
+    @example(
+        # An observable whose only term has a zero coefficient has no
+        # groups: every row still reads exactly 0.
+        {
+            "circuit": Circuit(3, [H(0), H(1), H(2), H(0), H(1)]),
+            "observable": PauliSum.from_label_dict({"ZZZ": 0.0}),
+            "noise": DepolarizingNoiseModel(one_qubit_error=0.3),
+            "trajectories": 2,
+            "block_size": 1,
+            "seed": 0,
+            "initial_state": None,
+        }
+    )
     def test_matches_dense_oracle_bit_for_bit(self, case):
         expected, events = dense_trajectories(**case)
         values = trajectory_expectations(**case)
@@ -301,38 +334,6 @@ class TestDenseOracle:
             np.testing.assert_allclose(values, expected, rtol=0, atol=1e-14)
         assert trajectory_estimate(**case).error_events == events
         assert _check_chunk_plan(case).total == events
-
-    @settings(max_examples=6, deadline=None)
-    @given(_trajectory_cases())
-    @example(
-        {
-            "circuit": CIRCUIT,
-            "observable": OBSERVABLE,
-            "noise": DepolarizingNoiseModel(two_qubit_error=1.0),
-            "trajectories": 20,
-            "block_size": 8,
-            "seed": 2,
-            "initial_state": None,
-        }
-    )
-    @example(
-        # An observable whose only term has a zero coefficient has no
-        # groups: the process executor must still export its tables.
-        {
-            "circuit": Circuit(3, [H(0), H(1), H(2), H(0), H(1)]),
-            "observable": PauliSum.from_label_dict({"ZZZ": 0.0}),
-            "noise": DepolarizingNoiseModel(one_qubit_error=0.3),
-            "trajectories": 2,
-            "block_size": 1,
-            "seed": 0,
-            "initial_state": None,
-        }
-    )
-    def test_executors_agree(self, case):
-        np.testing.assert_array_equal(
-            trajectory_expectations(**case, executor="process", workers=2),
-            trajectory_expectations(**case),
-        )
 
     def test_certain_errors_give_every_block_its_own_chunk(self):
         # p = 1 forks every row, so no two blocks fit in one chunk and the
