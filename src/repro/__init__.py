@@ -18,7 +18,7 @@ The public API re-exports the main entry points of each layer:
 * VQE driver:            :class:`repro.VQE`
 * static verification:   :mod:`repro.analysis` --
   :func:`repro.analysis.check` / :func:`repro.analysis.assert_clean`
-  over circuits, routed results, DAGs, and Pauli programs
+  over circuits, routed results and Pauli programs
   (see ``docs/analysis.md``)
 """
 

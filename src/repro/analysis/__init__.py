@@ -13,11 +13,10 @@ True
 >>> sorted(report.checks_run)[:3]
 ['coupling-legality', 'gate-parameters', 'gate-set']
 
-``check`` dispatches on the artifact: circuits and DAGs get bounds /
-gate-set / parameter checks (plus coupling legality when a device is
-given), a :class:`~repro.circuit.dag.CircuitDAG` adds its structural
-invariants, compiled results add layout-permutation and SWAP-accounting
-checks, and Pauli programs get IR sanity checks.  :func:`assert_clean`
+``check`` dispatches on the artifact: circuits get bounds / gate-set /
+parameter checks (plus coupling legality when a device is given),
+compiled results add layout-permutation and SWAP-accounting checks, and
+Pauli programs get IR sanity checks.  :func:`assert_clean`
 is the raising form the pipeline's ``validate=`` knob uses.  Custom
 invariants plug in through
 :func:`repro.analysis.diagnostics.register_check`.
@@ -49,7 +48,6 @@ from repro.analysis.diagnostics import (
 from repro.analysis.circuit_checks import (
     KNOWN_GATES,
     CouplingLegalityCheck,
-    DagInvariantCheck,
     GateParameterCheck,
     GateSetCheck,
     LayoutPermutationCheck,
@@ -114,7 +112,6 @@ __all__ = [
     "GateParameterCheck",
     "CouplingLegalityCheck",
     "LayoutPermutationCheck",
-    "DagInvariantCheck",
     "PauliProgramCheck",
     "ProjectModel",
     "ConcurrencySafetyCheck",

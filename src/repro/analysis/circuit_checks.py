@@ -5,21 +5,15 @@ flow in linear time -- the complement of the exponential dynamic verifier
 (:func:`repro.compiler.verify.assert_routed_equivalent`), which is
 skipped on big circuits.  The checks walk three artifact families:
 
-* **Circuits and DAGs** (:class:`~repro.circuit.circuit.Circuit`,
-  :class:`~repro.circuit.dag.CircuitDAG`): qubit-index bounds, gate-set
-  conformance, unbound/NaN parameters, and -- when a device is supplied
-  -- coupling-graph legality of every two-qubit gate;
+* **Circuits** (:class:`~repro.circuit.circuit.Circuit`): qubit-index
+  bounds, gate-set conformance, unbound/NaN parameters, and -- when a
+  device is supplied -- coupling-graph legality of every two-qubit gate;
 * **Compiled results** (:class:`~repro.compiler.merge_to_root.CompiledProgram`,
   :class:`~repro.compiler.sabre.SabreResult`, anything satisfying the
   compiled-result protocol): everything above on the physical circuit,
   plus layout permutation consistency -- injectivity, bounds, and that
   replaying the circuit's SWAPs transforms ``initial_layout`` into
   exactly ``final_layout`` -- plus SWAP accounting;
-* **DAG invariants** of a standalone :class:`~repro.circuit.dag.CircuitDAG`
-  (the routers emit plain circuits, so compiled results carry none):
-  predecessor/successor symmetry, forward-pointing (topologically
-  ordered) edges, per-wire consistency, and commute-edge soundness via
-  canonical reconstruction;
 * **Pauli programs** (:class:`~repro.core.ir.PauliProgram`): support
   bounds, parameter wiring, finite coefficients, occupation sanity.
 
@@ -35,7 +29,6 @@ from typing import Any, Iterable, Iterator
 
 from repro.analysis.diagnostics import Check, Diagnostic, register_check
 from repro.circuit.circuit import Circuit
-from repro.circuit.dag import CircuitDAG
 from repro.circuit.gates import Gate, _MATRIX_BUILDERS
 from repro.core.ir import PauliProgram
 from repro.hardware.coupling import CouplingGraph
@@ -63,8 +56,6 @@ def _circuit_of(obj: Any) -> Circuit | None:
     """The gate container behind an artifact (None when there is none)."""
     if isinstance(obj, Circuit):
         return obj
-    if isinstance(obj, CircuitDAG):
-        return obj.to_circuit()
     if is_compiled_result(obj):
         circuit = obj.circuit
         return circuit if isinstance(circuit, Circuit) else None
@@ -312,97 +303,6 @@ class LayoutPermutationCheck(Check):
             )
 
 
-def _edge_set(dag: CircuitDAG) -> set[tuple[int, int]]:
-    return {
-        (predecessor.index, node.index)
-        for node in dag.nodes
-        for predecessor in node.predecessors
-    }
-
-
-class DagInvariantCheck(Check):
-    """Structural soundness of a :class:`CircuitDAG`.
-
-    Checks predecessor/successor symmetry, forward-pointing edges (the
-    append order must be a topological order), per-wire membership, and
-    -- via canonical reconstruction from the gate sequence -- that the
-    edge set is exactly the one the builder's wire/commutation rules
-    imply (a missing edge is an unsound commute-edge; an extra edge is a
-    lost parallelism bug that corrupts scheduling metrics).
-    """
-
-    name = "dag-invariants"
-
-    def applies_to(self, obj: Any) -> bool:
-        return isinstance(obj, CircuitDAG)
-
-    def run(self, dag: CircuitDAG, device: Any = None) -> Iterator[Diagnostic]:
-        sound = True
-        for node in dag.nodes:
-            for predecessor in node.predecessors:
-                if predecessor.index >= node.index:
-                    sound = False
-                    yield self.error(
-                        f"edge {predecessor.index} -> {node.index} points "
-                        "backward: the node order is not topological",
-                        location=f"node {node.index}",
-                        fix_hint="DAG appends must only depend on earlier nodes",
-                    )
-                if node not in predecessor.successors:
-                    sound = False
-                    yield self.error(
-                        f"asymmetric edge: node {node.index} lists "
-                        f"{predecessor.index} as predecessor but not vice versa",
-                        location=f"node {node.index}",
-                        fix_hint="predecessors and successors must mirror "
-                        "each other",
-                    )
-            for successor in node.successors:
-                if node not in successor.predecessors:
-                    sound = False
-                    yield self.error(
-                        f"asymmetric edge: node {node.index} lists "
-                        f"{successor.index} as successor but not vice versa",
-                        location=f"node {node.index}",
-                        fix_hint="predecessors and successors must mirror "
-                        "each other",
-                    )
-        for qubit in range(dag.num_qubits):
-            for node in dag.wire(qubit):
-                if qubit not in node.gate.qubits:
-                    sound = False
-                    yield self.error(
-                        f"node {node.index} sits on wire {qubit} but its gate "
-                        "does not touch that qubit",
-                        location=f"wire {qubit}",
-                        fix_hint="wires may only hold gates acting on them",
-                    )
-        if not sound:
-            return  # reconstruction diff would repeat the same findings
-        reference = CircuitDAG(dag.num_qubits, commute=dag.commute)
-        try:
-            reference.extend(dag.topological_gates())
-        except ValueError:
-            return  # out-of-range gates are qubit-bounds findings
-        actual, expected = _edge_set(dag), _edge_set(reference)
-        for a, b in sorted(expected - actual):
-            yield self.error(
-                f"missing dependency edge {a} -> {b}: the builder's "
-                "wire/commutation rules require it",
-                location=f"node {a} -> {b}",
-                fix_hint="an unsound commute-edge lets the scheduler reorder "
-                "non-commuting gates",
-            )
-        for a, b in sorted(actual - expected):
-            yield self.error(
-                f"spurious dependency edge {a} -> {b}: the gates commute "
-                "(or never share a wire)",
-                location=f"node {a} -> {b}",
-                fix_hint="extra edges inflate scheduled depth and shrink "
-                "the router's frontier",
-            )
-
-
 class PauliProgramCheck(Check):
     """Structural sanity of the Pauli-string IR feeding the compilers."""
 
@@ -459,7 +359,6 @@ def _register_builtin_checks() -> None:
         GateParameterCheck(),
         CouplingLegalityCheck(),
         LayoutPermutationCheck(),
-        DagInvariantCheck(),
         PauliProgramCheck(),
     ):
         register_check(check)

@@ -112,7 +112,7 @@ class FunctionInfo:
     global_writes: list[GlobalWrite] = field(default_factory=list)
     submissions: list[Submission] = field(default_factory=list)
     #: Local name -> class-name symbol it was instantiated from
-    #: (``sim = DensityMatrixSimulator(...)``), for ``var.m`` resolution.
+    #: (``cache = ContentAddressedCache(...)``), for ``var.m`` resolution.
     instance_types: dict[str, str] = field(default_factory=dict)
 
 

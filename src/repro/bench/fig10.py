@@ -5,7 +5,7 @@ sweeps compression ratios and reports energy, error and iterations,
 exposing the pruning-vs-noise trade-off the paper discusses (more
 parameters help accuracy until gate error masks them).
 
-Two noisy backends drive the sweep.  The exact density-matrix simulator
+Two noisy backends drive the sweep.  The exact density-matrix energy
 (the paper's LiH/NaH setting) is O(4^n) and capped at 12 qubits; the
 stochastic Pauli-trajectory engine (:mod:`repro.sim.trajectory`) is an
 unbiased O(K*2^n) estimate of the same channel and extends the study to
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from repro.bench.fig9 import default_bond_lengths
 from repro.chem.molecules import molecule_by_name
-from repro.sim.density_matrix import _MAX_QUBITS as _DENSITY_MATRIX_MAX_QUBITS
+from repro.sim.channel_plan import _MAX_QUBITS as _DENSITY_MATRIX_MAX_QUBITS
 from repro.sim.noise import DepolarizingNoiseModel
 from repro.vqe.scan import ScanPoint, bond_scan
 

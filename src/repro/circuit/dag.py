@@ -7,8 +7,8 @@ Both routers emit a plain :class:`~repro.circuit.Circuit`, never a DAG
 of their output, and the scheduling metrics need none either:
 :meth:`repro.circuit.Circuit.asap_schedule` keeps per-wire running maxima
 over the gate list, which is the wire DAG's critical path without
-building it.  The ``dag-invariants`` check (:mod:`repro.analysis`)
-validates a standalone DAG.
+building it.  ``tests/dag_oracle.py`` checks the structural invariants
+of the DAGs :meth:`CircuitDAG.from_circuit` builds.
 
 The DAG is built by O(1) appends.  Each gate node records, per qubit it
 touches, how it acts on that wire:

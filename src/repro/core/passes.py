@@ -63,7 +63,7 @@ class PipelineConfig:
     ``trajectories`` sizes the stochastic
     Pauli-trajectory noise engine when the :class:`Energy` stage runs
     with ``backend="trajectory"`` (the noisy path past the
-    density-matrix simulator's 12-qubit cap).  The :class:`Energy` stage
+    density-matrix energy's 12-qubit cap).  The :class:`Energy` stage
     has no simulation knob: a Pauli program always evolves one fused
     rotation per same-X-mask run (``docs/performance.md``).
 
@@ -717,7 +717,9 @@ class Energy(Pass):
             problem.hamiltonian,
             backend=self.backend,
             noise=self.noise,
-            trajectories=self.trajectories or context.config.trajectories,
+            trajectories=(
+                context.config.trajectories if self.trajectories is None else self.trajectories
+            ),
             max_iterations=self.max_iterations,
             plan=plan,
         ).run()

@@ -2,8 +2,8 @@
 
 Every random draw in the library must be a pure function of an explicit
 seed, or the determinism guarantees (``run_batch``: serial == process,
-any worker count; ``trajectory_expectations``: a function of
-``(seed, trajectories, block_size)`` alone) silently die.  The
+any worker count; a trajectory energy's error draw: a function of
+``(seed, trajectories)`` alone) silently die.  The
 discipline (see docs/analysis.md):
 
 1. normalize whatever the caller passed -- int, ``SeedSequence``, or

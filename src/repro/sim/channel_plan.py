@@ -15,7 +15,8 @@ and ``x`` are all the conjugation needs.
 :class:`ChannelPlan` does this once per (program, noise model), from the
 gate stream of ``synthesize_program_chain`` itself: every noisy gate and
 rate of the noise model (``one_qubit_error``, ``two_qubit_error``,
-``noisy_gates``) is the one the gate-level simulators see.  It has two
+``noisy_gates``) is the one a gate-by-gate run of that stream sees (the
+dense oracles of ``tests/test_channel_plan.py``).  It has two
 users:
 
 * :class:`PauliTransferEvolution`, the exact noisy state as its real
@@ -45,6 +46,10 @@ from repro.core.ir import PauliProgram
 from repro.pauli import PauliSum
 from repro.sim.noise import DepolarizingNoiseModel
 from repro.sim.trajectory import _noisy_gates
+
+#: Most qubits a :class:`PauliTransferEvolution` may evolve: its three
+#: buffers of ``4**n`` coefficients are 384 MiB at 12 qubits.
+_MAX_QUBITS = 12
 
 #: Bytes of block tables one :class:`PauliTransferEvolution` keeps; a
 #: block whose tables do not fit is rebuilt on every evaluation, so the

@@ -1,4 +1,4 @@
-"""Expectation values of Pauli sums on statevectors and density matrices.
+"""Expectation values of Pauli sums on statevectors.
 
 The naive path evaluates ``<psi|P|psi>`` term by term.  The
 :class:`ExpectationEngine` groups Hamiltonian terms by their X mask: all
@@ -23,12 +23,10 @@ Usage -- build the engine once per observable, evaluate per state:
 2
 >>> round(engine.value(basis_state(2, 0)), 12)   # <00|ZZ|00> = 1, <00|XI|00> = 0
 1.0
->>> states = np.stack([basis_state(2, 0), basis_state(2, 3)])
+>>> plus = np.full(4, 0.5)    # |++>: <ZZ> = 0, <XI> = 1
+>>> states = np.stack([basis_state(2, 0), basis_state(2, 3), plus])
 >>> engine.values(states)    # batched: one row per state, one vectorized pass
-array([1., 1.])
->>> rho = np.eye(4) / 4      # Tr(H rho) for a density matrix, no dense H
->>> round(engine.trace_value(rho), 12)
-0.0
+array([1. , 1. , 0.5])
 """
 
 from __future__ import annotations
@@ -124,32 +122,11 @@ class ExpectationEngine:
             total += complex(np.einsum("d,d->", conj, term))
         return float(total.real)
 
-    def trace_value(self, rho: np.ndarray) -> float:
-        """Return ``Tr(H rho)`` (real part) for a ``(2**n, 2**n)`` density matrix.
-
-        ``H[c, c ^ x] = D_x[c]``, so the trace is
-        ``sum_x sum_b D_x[b] * rho[b, b ^ x]``: one indexed gather per
-        X-mask group, never the dense ``2**n x 2**n`` Hamiltonian.
-        """
-        dim = 1 << self.num_qubits
-        rho = np.asarray(rho, dtype=complex)
-        if rho.shape != (dim, dim):
-            raise ValueError(
-                f"rho must have shape ({dim}, {dim}), got {tuple(rho.shape)}"
-            )
-        flat = rho.reshape(-1)
-        row_starts = np.arange(dim, dtype=np.uint64) * np.uint64(dim)
-        total = 0.0 + 0.0j
-        for x, diagonal in zip(self._x_masks, self._diagonals):
-            gathered = flat[row_starts + cached_xor_indices(self.num_qubits, x)]
-            total += complex(diagonal @ gathered)
-        return float(total.real)
-
     def values(self, states: np.ndarray) -> np.ndarray:
         """Batched ``<state|H|state>`` over a ``(K, 2**n)`` stack.
 
         One vectorized pass per X-mask group, shared across all K rows
-        (the trajectory engine's per-row readout).
+        (the trajectory energy's per-row readout).
         """
         states = np.asarray(states, dtype=complex)
         if states.ndim != 2 or states.shape[1] != (1 << self.num_qubits):

@@ -1,10 +1,10 @@
-"""Noise channels for the density-matrix simulator.
+"""Noise channels for the noisy energies.
 
 The paper's noisy case studies (Figure 10) use "a depolarizing error model
 with realistic CNOT error rates of 0.0001".  A noise-model object
 attaches one- and two-qubit depolarizing channels to gates by name; the
-density-matrix simulator applies each channel in closed form, and the
-trajectory engine samples its non-identity Paulis.
+density-matrix energy damps the Pauli coefficients each channel touches,
+and the trajectory energy samples its non-identity Paulis.
 """
 
 from __future__ import annotations

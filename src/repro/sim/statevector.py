@@ -9,15 +9,11 @@ the contiguous buffer) and the two (four) amplitude slabs selected by
 the acted-on qubit(s) are combined in place, with specialized updates
 for the common gates (X/Z/S/RZ/H, CX/CZ/SWAP) that avoid even the
 half-size temporary.  Kernels broadcast over any leading batch axes,
-so a ``(K, 2**n)`` stack runs one circuit on K states at once (the
-trajectory engine's forked rows).
-
-:func:`apply_unitary_inplace` applies a dense 2x2/4x4 unitary through
-a low-op-count gather/GEMM/scatter kernel; the density-matrix simulator
-runs its conjugated bra-side gates through it.
+so a ``(K, 2**n)`` stack runs one circuit on K states at once.
 
 ``apply_gate`` / ``apply_circuit`` keep their copy-out signatures over
-the in-place kernels.
+the in-place kernels.  ``tests/dense_oracle.py`` checks every circuit
+entry point against dense ``np.kron`` unitaries.
 """
 
 from __future__ import annotations
@@ -29,7 +25,6 @@ import numpy as np
 
 from repro.circuit import Circuit
 from repro.circuit.gates import Gate
-from repro.core.seeding import seeded_rng
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
@@ -43,8 +38,8 @@ def checked_probabilities(
     or create norm surface at the sampling boundary instead of being
     masked.  Within tolerance, the residual float fuzz is divided out
     (``Generator.choice`` requires probabilities summing to exactly 1).
-    Shared by :meth:`StatevectorSimulator.sample` and the finite-shot
-    energy backend (:class:`repro.vqe.energy.SamplingEnergy`).
+    Used by the finite-shot energy backend
+    (:class:`repro.vqe.energy.SamplingEnergy`).
     """
     probabilities = np.abs(state) ** 2
     total = probabilities.sum()
@@ -165,11 +160,6 @@ def apply_gate_inplace(state: np.ndarray, gate: Gate, num_qubits: int) -> np.nda
     raise ValueError(f"unsupported gate arity: {gate!r}")
 
 
-#: Matrix-index permutation that swaps the roles of the two qubit bits
-#: of a 4x4 unitary (index ``(b << 1) | a``  ->  ``(a << 1) | b``).
-_SWAP_BITS_PERM = (0, 2, 1, 3)
-
-
 def _check_inplace_buffer(state: np.ndarray) -> None:
     if not state.flags.c_contiguous or state.dtype != np.complex128:
         raise ValueError(
@@ -177,58 +167,6 @@ def _check_inplace_buffer(state: np.ndarray) -> None:
             "(a non-contiguous view would silently reshape into a copy); "
             "use apply_gate/apply_circuit for arbitrary inputs"
         )
-
-
-def apply_unitary_inplace(
-    state: np.ndarray,
-    matrix: np.ndarray,
-    qubits: tuple[int, ...],
-    num_qubits: int,
-) -> np.ndarray:
-    """Apply a dense 1q/2q unitary to ``state`` by mutating it.
-
-    ``state`` must be C-contiguous complex128 of shape
-    ``(..., 2**num_qubits)``; the ``(2, 2)`` / ``(4, 4)`` ``matrix`` is
-    shared across any leading batch axes.
-
-    For two-qubit unitaries the matrix convention follows
-    :mod:`repro.circuit.gates`: the first entry of ``qubits`` is the
-    least significant bit of the 2-bit matrix index.  The kernel is a
-    three-pass gather / GEMM / scatter (one strided copy into ``(.., 4)``
-    rows, one ``matmul``, one strided write-back).
-    """
-    _check_inplace_buffer(state)
-    matrix = np.asarray(matrix, dtype=complex)
-    arity = len(qubits)
-    if arity == 1:
-        qubit = qubits[0]
-        lo = 1 << qubit
-        hi = 1 << (num_qubits - 1 - qubit)
-        view = state.reshape(-1, hi, 2, lo)
-        # Move the qubit axis last so each amplitude pair is one GEMM row.
-        moved = view.transpose(0, 1, 3, 2)
-    elif arity == 2:
-        qubit_a, qubit_b = qubits
-        if qubit_a == qubit_b:
-            raise ValueError("two-qubit unitary needs distinct qubits")
-        if qubit_a > qubit_b:
-            # Normalize to ascending qubits: permute the matrix so bit 0
-            # of its index is the lower qubit.
-            matrix = matrix[..., _SWAP_BITS_PERM, :][..., :, _SWAP_BITS_PERM]
-            qubit_a, qubit_b = qubit_b, qubit_a
-        lo = 1 << qubit_a
-        mid = 1 << (qubit_b - qubit_a - 1)
-        hi = 1 << (num_qubits - 1 - qubit_b)
-        view = state.reshape(-1, hi, 2, mid, 2, lo)
-        # Bring (qubit_b bit, qubit_a bit) last: combined index
-        # ``(bit_b << 1) | bit_a`` matches the matrix convention.
-        moved = view.transpose(0, 1, 3, 5, 2, 4)
-    else:
-        raise ValueError("dense unitary kernels support 1- and 2-qubit blocks only")
-    gathered = moved.reshape(-1, 1 << arity)  # strided view -> copy
-    updated = gathered @ matrix.T
-    moved[...] = updated.reshape(moved.shape)
-    return state
 
 
 def _check_dimension(state: np.ndarray, num_qubits: int) -> None:
@@ -278,41 +216,3 @@ def apply_circuit(circuit: Circuit, state: np.ndarray | None = None) -> np.ndarr
     if state is None:
         return apply_circuit_inplace(circuit, basis_state(circuit.num_qubits))
     return apply_circuit_inplace(circuit, np.array(state, dtype=complex, copy=True))
-
-
-class StatevectorSimulator:
-    """Stateful simulator wrapper with sampling support.
-
-    :meth:`run` evolves ``self.state`` in place through the gate kernels.
-    """
-
-    def __init__(self, num_qubits: int, seed: int | None = None) -> None:
-        self.num_qubits = num_qubits
-        self.state = basis_state(num_qubits)
-        self._rng = seeded_rng(seed)
-
-    def reset(self) -> "StatevectorSimulator":
-        self.state = basis_state(self.num_qubits)
-        return self
-
-    def run(self, circuit: Circuit) -> np.ndarray:
-        if circuit.num_qubits != self.num_qubits:
-            raise ValueError("qubit count mismatch")
-        return apply_circuit_inplace(circuit, self.state)
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.state) ** 2
-
-    def sample(self, shots: int, *, norm_tolerance: float = 1e-8) -> np.ndarray:
-        """Sample ``shots`` basis-state indices from the current state.
-
-        The state must be normalized: a probability total further than
-        ``norm_tolerance`` from 1 raises instead of being silently
-        renormalized (see :func:`checked_probabilities`).
-        """
-        probs = checked_probabilities(self.state, norm_tolerance=norm_tolerance)
-        return self._rng.choice(len(probs), size=shots, p=probs)
-
-    def sample_counts(self, shots: int) -> dict[int, int]:
-        outcomes, counts = np.unique(self.sample(shots), return_counts=True)
-        return {int(o): int(c) for o, c in zip(outcomes, counts)}

@@ -27,6 +27,8 @@ Four backends mirror the paper's experimental setups:
 
 from __future__ import annotations
 
+import math
+import numbers
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -36,7 +38,7 @@ from repro.core.bits import popcount
 from repro.core.ir import PauliProgram
 from repro.core.seeding import seeded_rng
 from repro.pauli import PauliString, PauliSum
-from repro.sim.density_matrix import _MAX_QUBITS
+from repro.sim.channel_plan import _MAX_QUBITS
 from repro.sim.exact import Block, Sector, restricted_matrix, sector_basis
 from repro.sim.expectation import ExpectationEngine
 from repro.sim.noise import DepolarizingNoiseModel
@@ -224,10 +226,10 @@ class StatevectorEnergy(_TermAngles):
 class DensityMatrixEnergy(_TermAngles):
     """Exact noisy energy of the chain-synthesized circuit.
 
-    Equal to running ``synthesize_program_chain(program, theta)`` through
-    :class:`~repro.sim.density_matrix.DensityMatrixSimulator` under
-    ``noise`` and taking ``Tr(rho H)``, without either: the
-    angle-independent :class:`~repro.sim.channel_plan.ChannelPlan` pushes
+    Equal to ``Tr(rho H)`` for the density matrix rho of
+    ``synthesize_program_chain(program, theta)`` run gate by gate under
+    ``noise`` (the dense oracle of ``tests/test_channel_plan.py``),
+    without building rho: the angle-independent :class:`~repro.sim.channel_plan.ChannelPlan` pushes
     every channel to a string boundary once, and each call evolves the
     ``4**n`` real Pauli coefficients of rho string by string
     (:class:`~repro.sim.channel_plan.PauliTransferEvolution`) and reads
@@ -270,11 +272,11 @@ class TrajectoryEnergy(_TermAngles):
 
     Unbiased estimator of the :class:`DensityMatrixEnergy` result, and the
     only noisy backend that scales past the density-matrix 12-qubit cap.
-    The errors are drawn exactly as
-    :func:`~repro.sim.trajectory.trajectory_expectations` draws them on
-    the chain-synthesized circuit (same seed, same per-row values to
-    rounding), but every row runs at the Pauli level: the
-    :class:`~repro.sim.channel_plan.ChannelPlan` pushes each drawn error
+    Every error of the chain-synthesized circuit's noisy gates is drawn
+    up front (:func:`~repro.sim.trajectory._draw_events`: the same events,
+    and per-row values to rounding, as the dense gate-by-gate oracle of
+    ``tests/test_channel_plan.py``), and every row runs at the Pauli
+    level: the :class:`~repro.sim.channel_plan.ChannelPlan` pushes each drawn error
     Pauli E to a string boundary and then past every later string,
     ``E exp(i a P) = exp(-+i a P) E``.  A row with errors is the clean
     program with the angles of the strings its errors anticommute with
@@ -304,19 +306,22 @@ class TrajectoryEnergy(_TermAngles):
         *,
         trajectories: int = 256,
         seed: int | None = 17,
-        block_size: int | None = None,
         common_randomness: bool = True,
     ):
         from repro.sim.channel_plan import ChannelPlan
-        from repro.sim.trajectory import DEFAULT_BLOCK_SIZE
 
         if program.num_qubits != hamiltonian.num_qubits:
             raise ValueError("program and Hamiltonian sizes differ")
+        if (
+            not isinstance(trajectories, numbers.Integral)
+            or isinstance(trajectories, bool)
+            or trajectories < 1
+        ):
+            raise ValueError(f"trajectories must be an int of at least 1, got {trajectories!r}")
         super().__init__(program)
         self.hamiltonian = hamiltonian
         self.noise = noise or DepolarizingNoiseModel(two_qubit_error=1e-4)
-        self.trajectories = trajectories
-        self.block_size = block_size or DEFAULT_BLOCK_SIZE
+        self.trajectories = int(trajectories)
         self.common_randomness = common_randomness
         self.engine = ExpectationEngine(hamiltonian)
         self.plan = ChannelPlan(program, self.noise)
@@ -329,7 +334,8 @@ class TrajectoryEnergy(_TermAngles):
         self.last_error_events = 0
         # Common random numbers redraw the same errors on every call, so
         # the draw and its rows are kept while the draw key stays the same.
-        self._events = None
+        self._key: tuple | None = None
+        self._events: tuple[np.ndarray, ...] | None = None
         self._rows = None
 
     def _next_seed(self):
@@ -343,16 +349,16 @@ class TrajectoryEnergy(_TermAngles):
         """The error events and the rows they make (reused under CRN)."""
         from repro.sim.trajectory import _draw_events, _error_rows
 
-        key = (self.plan.signature, self.trajectories, self.block_size)
-        if self._events is not None and self._events.key == key:
+        key = (self.plan.signature, self.trajectories)
+        if self._events is not None and self._key == key:
             return self._events, self._rows
         events = _draw_events(
             self.plan.signature, self.program.num_qubits, self.trajectories,
-            self._next_seed(), self.block_size,
+            self._next_seed(),
         )
-        rows = _error_rows(self.plan, events)
+        rows = _error_rows(self.plan, *events)
         if self.common_randomness and self._seed is not None:
-            self._events, self._rows = events, rows
+            self._key, self._events, self._rows = key, events, rows
         return events, rows
 
     def _evaluate(self, parameters: Sequence[float]):
@@ -371,13 +377,14 @@ class TrajectoryEnergy(_TermAngles):
         return self._evaluate(parameters)[0]
 
     def __call__(self, parameters: Sequence[float]) -> float:
-        from repro.sim.trajectory import _summarize
-
         self.evaluations += 1
-        estimate = _summarize(*self._evaluate(parameters))
-        self.last_standard_error = estimate.standard_error
-        self.last_error_events = estimate.error_events
-        return estimate.value
+        values, events = self._evaluate(parameters)
+        count = values.size
+        self.last_standard_error = (
+            float(values.std(ddof=1) / math.sqrt(count)) if count > 1 else float("nan")
+        )
+        self.last_error_events = events[0].size  # one entry per drawn error
+        return float(values.mean())
 
 
 class SamplingEnergy:
@@ -421,8 +428,7 @@ class SamplingEnergy:
                 continue
             rotated = self._rotate(state, group.witness)
             # Basis changes are unitary, so a norm leak here is an
-            # evolution bug -- surface it (shared check with
-            # StatevectorSimulator.sample) instead of renormalizing.
+            # evolution bug -- surface it instead of renormalizing.
             probabilities = checked_probabilities(
                 rotated, context="rotated measurement state"
             )

@@ -2,13 +2,15 @@
 
 :class:`~repro.sim.channel_plan.ChannelPlan` pushes every depolarizing
 channel of a chain-synthesized program to a string boundary.  Both noisy
-energies built on it are checked against the gate-level simulators that
-run ``synthesize_program_chain(program, theta)`` gate by gate:
+energies built on it are checked against the dense oracles of
+:mod:`dense_oracle`, which run ``synthesize_program_chain(program, theta)``
+gate by gate:
 
 * ``DensityMatrixEnergy`` (Pauli-transfer coefficients) against
-  ``DensityMatrixSimulator`` plus ``ExpectationEngine.trace_value``;
+  ``Tr(H rho)`` of :func:`dense_density_matrix`;
 * ``TrajectoryEnergy.values`` (Pauli-level rows) against
-  ``trajectory_expectations`` on the same circuit and seed, row by row;
+  :func:`dense_trajectories` with the same seed, row by row, and the
+  energy's drawn errors against the oracle's, event by event;
 
 both to 1e-12, on generated programs of 1-5 qubits with Y strings, long
 Z chains, identity terms, shared parameters, Hartree-Fock occupations,
@@ -21,18 +23,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dense_oracle import dense_density_matrix, dense_trajectories
 from repro.circuit.gates import RZ
 from repro.compiler.synthesis import synthesize_program_chain
 from repro.core.ir import IRTerm, PauliProgram
 from repro.pauli import PauliString, PauliSum
-from repro.sim import (
-    DensityMatrixSimulator,
-    DepolarizingNoiseModel,
-    ExpectationEngine,
-    channel_plan,
-    trajectory_estimate,
-    trajectory_expectations,
-)
+from repro.sim import DepolarizingNoiseModel, channel_plan
 from repro.sim.channel_plan import ChannelPlan, _conjugate
 from repro.sim.trajectory import _noisy_gates
 from repro.vqe.energy import DensityMatrixEnergy, TrajectoryEnergy
@@ -87,9 +83,8 @@ def _noisy_cases(draw):
         draw(st.lists(st.floats(-np.pi, np.pi), min_size=parameters, max_size=parameters))
     )
     draw_options = {
-        "trajectories": draw(st.integers(1, 24)),
+        "trajectories": draw(st.integers(1, 139)),
         "seed": draw(st.integers(0, 2**16)),
-        "block_size": draw(st.integers(1, 8)),
     }
     return program, observable, noise, theta, draw_options
 
@@ -102,7 +97,7 @@ def _case(labels, occupations, observable, noise, theta, parameter_indices=None)
         for k, (label, index) in enumerate(zip(labels, indices))
     ]
     program = PauliProgram(n, max(indices) + 1, terms, occupations)
-    options = {"trajectories": 16, "seed": 3, "block_size": 4}
+    options = {"trajectories": 16, "seed": 3}
     return program, PauliSum.from_label_dict(observable), noise, np.array(theta), options
 
 
@@ -125,10 +120,13 @@ _NOISELESS_CNOTS = _case(
 )
 
 
+#: Three 64-row blocks, the last one ragged.
+_RAGGED_BLOCKS = _LONG_CHAIN[:4] + ({"trajectories": 130, "seed": 8},)
+
+
 def _gate_level_density_matrix(program, observable, noise, theta):
-    circuit = synthesize_program_chain(program, theta)
-    simulator = DensityMatrixSimulator(program.num_qubits, noise)
-    return ExpectationEngine(observable).trace_value(simulator.run(circuit))
+    rho = dense_density_matrix(synthesize_program_chain(program, theta), noise)
+    return np.trace(observable.to_matrix() @ rho).real
 
 
 class TestDensityMatrixOracle:
@@ -166,19 +164,18 @@ class TestTrajectoryOracle:
     @given(_noisy_cases())
     @example(_LONG_CHAIN)
     @example(_NOISELESS_CNOTS)
+    @example(_RAGGED_BLOCKS)
     def test_rows_match_gate_level_trajectories(self, case):
         program, observable, noise, theta, options = case
         circuit = synthesize_program_chain(program, theta)
         energy = TrajectoryEnergy(program, observable, noise, **options)
-        np.testing.assert_allclose(
-            energy.values(theta),
-            trajectory_expectations(circuit, observable, noise, **options),
-            rtol=0,
-            atol=1e-12,
-        )
-        estimate = trajectory_estimate(circuit, observable, noise, **options)
-        assert energy(theta) == pytest.approx(estimate.value, rel=0, abs=1e-12)
-        assert energy.last_error_events == estimate.error_events
+        expected, events = dense_trajectories(circuit, observable, noise, **options)
+        np.testing.assert_allclose(energy.values(theta), expected, rtol=0, atol=1e-12)
+        assert energy(theta) == pytest.approx(expected.mean(), rel=0, abs=1e-12)
+        assert energy.last_error_events == len(events)
+        # The kept draw is the oracle's, error by error, in draw order.
+        drawn = zip(*(column.tolist() for column in energy._events))
+        assert list(drawn) == events
 
     @settings(max_examples=40, deadline=None)
     @given(_noisy_cases())

@@ -1,6 +1,7 @@
 """Tests for the shared circuit DAG IR and its consumers.
 
-Covers construction (wire edges, commutation-aware edges, front layer),
+Covers construction (wire edges, commutation-aware edges, front layer;
+the structural invariants of ``dag_oracle`` on generated circuits),
 scheduling metrics (depth, latency-weighted critical path; the one-pass
 schedule against the DAG critical-path oracle in ``sabre_oracle``), and
 the integration points: SABRE's commutation-aware frontier and the DAG
@@ -10,6 +11,7 @@ emitted by Merge-to-Root.
 import numpy as np
 import pytest
 import sabre_oracle
+from dag_oracle import dag_invariant_errors
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -188,6 +190,15 @@ def scheduled_circuits(draw):
         else:
             gates.append({"h": H, "x": X, "y": Y, "s": S}[kind](draw(qubit)))
     return Circuit(num_qubits, gates)
+
+
+class TestInvariantOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(circuit=scheduled_circuits())
+    def test_from_circuit_keeps_every_invariant(self, circuit):
+        for commute in (False, True):
+            dag = CircuitDAG.from_circuit(circuit, commute=commute)
+            assert dag_invariant_errors(dag) == []
 
 
 class TestScheduleOracle:

@@ -1,26 +1,53 @@
-"""Density-matrix simulator and noise-channel tests."""
+"""Noise-model and density-matrix energy tests.
 
-import itertools
+The exact noisy energy (:class:`repro.vqe.DensityMatrixEnergy`) holds
+rho as its ``4**n`` real Pauli coefficients ``c_Q = Tr(rho Q)``; these
+tests read trace, purity and mixing off those coefficients and check
+the energy against the dense oracle of :mod:`dense_oracle`.
+"""
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
-from dense_oracle import embed, kron_chain
+from dense_oracle import dense_density_matrix
 from repro.ansatz import build_uccsd_program
 from repro.chem import build_molecule_hamiltonian
 from repro.circuit import Circuit
-from repro.circuit.gates import CNOT, SDG, SWAP, H, RX, RZ, S, X, Y, Gate
-from repro.pauli import PauliSum
-from repro.sim import (
-    DensityMatrixSimulator,
-    DepolarizingNoiseModel,
-    ExpectationEngine,
-    apply_circuit,
-)
+from repro.circuit.gates import CNOT, SWAP, H, RX, RZ, X
+from repro.compiler.synthesis import synthesize_program_chain
+from repro.core.ir import IRTerm, PauliProgram
+from repro.pauli import PauliString, PauliSum
+from repro.sim import DepolarizingNoiseModel, apply_circuit
 from repro.sim.noise import depolarizing_paulis
 from repro.vqe import VQE, DensityMatrixEnergy, SamplingEnergy
+
+NOISELESS = DepolarizingNoiseModel(two_qubit_error=0.0)
+
+
+def _program(labels, occupations=()):
+    """One term per label, each with its own parameter and coefficient 0.5."""
+    terms = [
+        IRTerm(PauliString.from_label(label), 0.5, index)
+        for index, label in enumerate(labels)
+    ]
+    return PauliProgram(len(labels[0]), len(labels), terms, list(occupations))
+
+
+def _coefficients(program, noise, theta):
+    """``Tr(rho Q)`` over every label Q (index 0 is the identity)."""
+    identity = PauliSum.from_label_dict({"I" * program.num_qubits: 1.0})
+    energy = DensityMatrixEnergy(program, identity, noise)
+    return energy.evolution.evolve(energy.angles(theta)).copy()
+
+
+def _purity(coefficients, num_qubits):
+    """``Tr(rho**2) = sum_Q c_Q**2 / 2**n``."""
+    return float(coefficients @ coefficients) / 2**num_qubits
+
+
+#: A two-qubit program that entangles |01> with |10>.
+SWAP_LIKE = _program(["XY"], [0])
+THETA = np.array([0.6])
 
 
 class TestNoiseModel:
@@ -54,71 +81,64 @@ class TestNoiselessPropagation:
         ],
     )
     def test_matches_statevector(self, circuit):
-        simulator = DensityMatrixSimulator(circuit.num_qubits)
-        rho = simulator.run(circuit)
+        # The dense oracle's noiseless limit is the pure state.
         state = apply_circuit(circuit)
-        np.testing.assert_allclose(rho, np.outer(state, state.conj()), atol=1e-10)
+        np.testing.assert_allclose(
+            dense_density_matrix(circuit), np.outer(state, state.conj()), atol=1e-12
+        )
 
     def test_trace_preserved(self):
-        simulator = DensityMatrixSimulator(2)
-        simulator.run(Circuit(2, [H(0), CNOT(0, 1)]))
-        assert simulator.trace() == pytest.approx(1.0)
+        coefficients = _coefficients(SWAP_LIKE, NOISELESS, THETA)
+        assert coefficients[0] == pytest.approx(1.0, abs=1e-14)
 
     def test_purity_one_without_noise(self):
-        simulator = DensityMatrixSimulator(2)
-        simulator.run(Circuit(2, [H(0), CNOT(0, 1)]))
-        assert simulator.purity() == pytest.approx(1.0)
+        coefficients = _coefficients(SWAP_LIKE, NOISELESS, THETA)
+        assert _purity(coefficients, 2) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestDepolarizingChannel:
     def test_purity_decreases_with_noise(self):
         noise = DepolarizingNoiseModel(two_qubit_error=0.05)
-        simulator = DensityMatrixSimulator(2, noise)
-        simulator.run(Circuit(2, [H(0), CNOT(0, 1)]))
-        assert simulator.purity() < 1.0
-        assert simulator.trace() == pytest.approx(1.0)
+        coefficients = _coefficients(SWAP_LIKE, noise, THETA)
+        assert _purity(coefficients, 2) < 1.0
+        assert coefficients[0] == pytest.approx(1.0, abs=1e-14)
 
     def test_maximal_mixing_at_p_15_16(self):
         # With the Pauli-mixture parameterization, rho + sum_P P rho P =
-        # 2^n Tr(rho) I, so p = 15/16 yields the maximally mixed state.
+        # 2^n Tr(rho) I, so p = 15/16 on the last CNOT of exp(i a ZZ)
+        # (cx, rz, cx) leaves the maximally mixed state: c_Q = 0 but c_I.
         noise = DepolarizingNoiseModel(two_qubit_error=15.0 / 16.0)
-        simulator = DensityMatrixSimulator(2, noise)
-        simulator.run(Circuit(2, [CNOT(0, 1)]))
-        np.testing.assert_allclose(simulator.rho, np.eye(4) / 4.0, atol=1e-10)
-
-    def test_swap_decomposed_into_noisy_cnots(self):
-        noise = DepolarizingNoiseModel(two_qubit_error=0.01)
-        a = DensityMatrixSimulator(2, noise)
-        a.run(Circuit(2, [SWAP(0, 1)]))
-        b = DensityMatrixSimulator(2, noise)
-        b.run(Circuit(2, [CNOT(0, 1), CNOT(1, 0), CNOT(0, 1)]))
-        np.testing.assert_allclose(a.rho, b.rho, atol=1e-12)
+        coefficients = _coefficients(_program(["ZZ"]), noise, THETA)
+        np.testing.assert_allclose(coefficients, np.eye(16)[0], atol=1e-12)
 
     def test_expectation_matches_dense_trace(self):
         noise = DepolarizingNoiseModel(two_qubit_error=0.02, one_qubit_error=0.01)
-        simulator = DensityMatrixSimulator(3, noise)
-        rho = simulator.run(Circuit(3, [H(0), CNOT(0, 1), RX(0.7, 2), CNOT(2, 1)]))
+        program = _program(["XZY", "IYX", "ZII"], [0, 2])
+        theta = np.array([0.7, -0.4, 1.1])
         observable = PauliSum.from_label_dict(
             {"ZZI": 1.0, "XXI": 0.5, "YIY": -0.3, "IXZ": 0.2, "III": 0.1}
         )
+        rho = dense_density_matrix(synthesize_program_chain(program, theta), noise)
         dense = np.trace(observable.to_matrix() @ rho).real
-        assert simulator.expectation(observable) == pytest.approx(dense, abs=1e-12)
+        energy = DensityMatrixEnergy(program, observable, noise)
+        assert energy(theta) == pytest.approx(dense, rel=0, abs=1e-12)
 
     def test_noise_weakens_correlations(self):
         observable = PauliSum.from_label_dict({"ZZ": 1.0})
-        ideal = DensityMatrixSimulator(2)
-        ideal.run(Circuit(2, [H(0), CNOT(0, 1)]))
-        noisy = DensityMatrixSimulator(2, DepolarizingNoiseModel(0.1))
-        noisy.run(Circuit(2, [H(0), CNOT(0, 1)]))
-        assert noisy.expectation(observable) < ideal.expectation(observable)
+        ideal = DensityMatrixEnergy(SWAP_LIKE, observable, NOISELESS)(THETA)
+        noisy = DensityMatrixEnergy(SWAP_LIKE, observable, DepolarizingNoiseModel(0.1))(THETA)
+        assert ideal == pytest.approx(-1.0, abs=1e-12)
+        assert abs(noisy) < abs(ideal)
 
     def test_qubit_cap(self):
-        with pytest.raises(ValueError):
-            DensityMatrixSimulator(13)
+        program = PauliProgram(13, 0)
+        observable = PauliSum.from_label_dict({"Z" * 13: 1.0})
+        with pytest.raises(ValueError, match="capped at 12 qubits"):
+            VQE(program, observable, backend="density_matrix")
 
 
 class TestSizeMismatch:
-    """A program, Hamiltonian or rho of the wrong size raises instead of
+    """A program and Hamiltonian of different sizes raise instead of
     returning a plausible number."""
 
     def test_energy_rejects_mismatched_program_and_hamiltonian(self):
@@ -131,79 +151,3 @@ class TestSizeMismatch:
             VQE(program, two_qubit, backend="density_matrix")
         with pytest.raises(ValueError, match="sizes differ"):
             SamplingEnergy(program, two_qubit)
-
-    def test_trace_value_rejects_wrong_rho_shape(self):
-        engine = ExpectationEngine(PauliSum.from_label_dict({"ZZ": 1.0, "XI": 0.5}))
-        with pytest.raises(ValueError, match=r"rho must have shape \(4, 4\)"):
-            engine.trace_value(np.eye(16) / 16)
-        with pytest.raises(ValueError, match=r"rho must have shape \(4, 4\)"):
-            engine.trace_value(np.eye(4).reshape(-1) / 4)
-        assert engine.trace_value(np.eye(4) / 4) == pytest.approx(0.0, abs=1e-15)
-
-
-# ----------------------------------------------------------------------
-# Dense oracle: full-size unitaries from np.kron, the explicit Pauli sum
-# ----------------------------------------------------------------------
-_PAULI_MATRICES = {
-    "I": np.eye(2),
-    "X": np.array([[0, 1], [1, 0]]),
-    "Y": np.array([[0, -1j], [1j, 0]]),
-    "Z": np.diag([1, -1]),
-}
-
-
-def _dense_reference(circuit, noise):
-    n = circuit.num_qubits
-    rho = np.zeros((1 << n, 1 << n), dtype=complex)
-    rho[0, 0] = 1.0
-    for gate in circuit.decompose_swaps().gates:
-        unitary = embed(gate.matrix(), gate.qubits, n)
-        rho = unitary @ rho @ unitary.conj().T
-        p, k = noise.error_for(gate.name, gate.num_qubits), gate.num_qubits
-        mixed = np.zeros_like(rho)
-        for labels in itertools.product("IXYZ", repeat=k):
-            if set(labels) == {"I"}:
-                continue
-            factors = [np.eye(2)] * n
-            for qubit, label in zip(gate.qubits, labels):
-                factors[qubit] = _PAULI_MATRICES[label]
-            pauli = kron_chain(factors)
-            mixed += pauli @ rho @ pauli
-        rho = (1.0 - p) * rho + p / (4**k - 1) * mixed
-    return rho
-
-
-_ONE_QUBIT = ("h", "x", "y", "z", "s", "sdg", "rx", "ry", "rz")
-_TWO_QUBIT = ("cx", "cz", "swap")
-
-
-@st.composite
-def _noisy_circuits(draw):
-    n = draw(st.integers(1, 4))
-    names = _ONE_QUBIT + (_TWO_QUBIT if n > 1 else ())
-    gates = []
-    for _ in range(draw(st.integers(1, 12))):
-        name = draw(st.sampled_from(names))
-        qubits = tuple(
-            draw(st.permutations(range(n)))[: 2 if name in _TWO_QUBIT else 1]
-        )
-        params = (draw(st.floats(-np.pi, np.pi)),) if name[0] == "r" else ()
-        gates.append(Gate(name, qubits, params))
-    noise = DepolarizingNoiseModel(
-        two_qubit_error=draw(st.floats(0.0, 0.3)),
-        one_qubit_error=draw(st.floats(0.0, 0.3)),
-    )
-    return Circuit(n, gates), noise
-
-
-class TestDenseOracle:
-    @settings(max_examples=60, deadline=None)
-    @given(_noisy_circuits())
-    @example((Circuit(1, [Y(0)]), DepolarizingNoiseModel(0.0, 0.0)))
-    @example((Circuit(2, [H(0), Y(1)]), DepolarizingNoiseModel(0.1, 0.05)))
-    @example((Circuit(2, [H(0), S(0), CNOT(0, 1), SDG(1)]), DepolarizingNoiseModel(0.0, 0.0)))
-    @example((Circuit(3, [H(2), SDG(2), S(0), SWAP(0, 2)]), DepolarizingNoiseModel(0.2, 0.1)))
-    def test_run_matches_dense_reference(self, case):
-        circuit, noise = case
-        rho = DensityMatrixSimulator(circuit.num_qubits, noise).run(circuit)
-        np.testing.assert_allclose(rho, _dense_reference(circuit, noise), rtol=0, atol=1e-12)

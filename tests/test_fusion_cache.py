@@ -1,12 +1,9 @@
-"""Tests for the content-addressed compile cache, the dense-unitary
-kernel and chain-synthesis exactness on the Table II molecules."""
+"""Tests for the content-addressed compile cache and chain-synthesis
+exactness on the Table II molecules."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from dense_oracle import embed
 import importance_oracle
 from repro.chem import build_molecule_hamiltonian
 from repro.circuit import Circuit
@@ -25,32 +22,10 @@ from repro.core.cache import (
 )
 from repro.ansatz import build_uccsd_program
 from repro.sim.expectation import ExpectationEngine
-from repro.sim.statevector import apply_circuit, apply_unitary_inplace
+from repro.sim.statevector import apply_circuit
 from repro.vqe.energy import StatevectorEnergy
 
 TABLE2_MOLECULES = ("H2", "LiH", "NaH", "HF", "BeH2", "H2O", "BH3", "NH3", "CH4")
-
-
-class TestDenseUnitaryKernel:
-    @settings(max_examples=30, deadline=None)
-    @given(
-        qubits=st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(
-            lambda ab: ab[0] != ab[1]
-        ),
-        seed=st.integers(0, 2**16),
-    )
-    def test_matches_legacy_two_qubit_contraction(self, qubits, seed):
-        rng = np.random.default_rng(seed)
-        matrix = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        state = rng.normal(size=16) + 1j * rng.normal(size=16)
-        expected = embed(matrix, qubits, 4) @ state
-        actual = apply_unitary_inplace(state.copy(), matrix, qubits, 4)
-        assert np.max(np.abs(actual - expected)) < 1e-12
-
-    def test_rejects_non_contiguous_buffers(self):
-        state = np.zeros((4, 4), dtype=complex)[:, ::2]
-        with pytest.raises(ValueError, match="contiguous"):
-            apply_unitary_inplace(state, np.eye(2, dtype=complex), (0,), 1)
 
 
 @pytest.mark.parametrize("molecule", TABLE2_MOLECULES)

@@ -2,15 +2,17 @@
 
 Covers the contract points of the two paths:
 
-* circuits: ``apply_circuit``, ``StatevectorSimulator`` and
-  ``apply_circuit_inplace`` on a ``(K, 2**n)`` stack agree with the
-  dense ``np.kron`` oracle (:mod:`dense_oracle`) on generated circuits
-  over the full gate set, and reject states of the wrong size;
+* circuits: ``apply_circuit`` and ``apply_circuit_inplace`` on one
+  state or a ``(K, 2**n)`` stack agree with the dense ``np.kron``
+  oracle (:mod:`dense_oracle`) on generated circuits over the full gate
+  set, and reject states of the wrong size;
 * Pauli programs: the fused evolution behind ``StatevectorEnergy``
   and ``sweep_energies`` agrees with term-by-term
   :func:`evolve_pauli_sequence` and with the dense Hamiltonian matrix on
   generated programs (odd- and even-Y strings, identity terms, shared
   parameters, angles of +-pi/2).
+
+It also pins the public names of :mod:`repro.sim`.
 """
 
 import numpy as np
@@ -37,14 +39,15 @@ from repro.circuit.gates import (
     Y,
     Z,
 )
+import repro.sim
 from repro.core.ir import IRTerm, PauliProgram
 from repro.pauli import PauliString, PauliSum
 from repro.sim import (
     ExpectationEngine,
-    StatevectorSimulator,
     apply_circuit,
     apply_circuit_inplace,
     basis_state,
+    checked_probabilities,
 )
 from repro.sim.pauli_evolution import FusedPauliEvolution, evolve_pauli_sequence
 from repro.sim.statevector import apply_gate
@@ -107,9 +110,8 @@ class TestDenseOracle:
         expected = dense_apply(circuit, stack)
 
         np.testing.assert_allclose(apply_circuit(circuit, stack[0]), expected[0], atol=1e-12)
-        simulator = StatevectorSimulator(n)
-        simulator.state = stack[1].copy()
-        np.testing.assert_allclose(simulator.run(circuit), expected[1], atol=1e-12)
+        single = stack[1].copy()
+        np.testing.assert_allclose(apply_circuit_inplace(circuit, single), expected[1], atol=1e-12)
         batch = stack[1:].copy()
         apply_circuit_inplace(circuit, batch)
         np.testing.assert_allclose(batch, expected[1:], atol=1e-12)
@@ -177,7 +179,7 @@ class TestSimulatorEngines:
     def _ghz_probabilities(engine: str) -> np.ndarray:
         """GHZ-state probabilities from one of the circuit paths.
 
-        ``inplace``: the stateful :class:`StatevectorSimulator`;
+        ``inplace``: :func:`apply_circuit_inplace` on one state;
         ``batched``: a two-row ``(2, 2**n)`` stack through
         :func:`apply_circuit_inplace` (one row is returned, the other
         must agree); ``legacy``: the copy-out
@@ -185,9 +187,7 @@ class TestSimulatorEngines:
         """
         circuit = Circuit(3, [H(0), CNOT(0, 1), CNOT(1, 2)])
         if engine == "inplace":
-            simulator = StatevectorSimulator(3, seed=0)
-            simulator.run(circuit)
-            return simulator.probabilities()
+            return np.abs(apply_circuit_inplace(circuit, basis_state(3))) ** 2
         if engine == "batched":
             rows = np.stack([basis_state(3)] * 2)
             probabilities = np.abs(apply_circuit_inplace(circuit, rows)) ** 2
@@ -206,16 +206,15 @@ class TestSimulatorEngines:
         np.testing.assert_allclose(probabilities.sum(), 1.0, atol=1e-12)
 
     def test_sample_rejects_unnormalized_state(self):
-        simulator = StatevectorSimulator(2, seed=0)
-        simulator.state = simulator.state * 2.0  # break the invariant
         with pytest.raises(ValueError, match="not normalized"):
-            simulator.sample(10)
+            checked_probabilities(basis_state(2) * 2.0)  # break the invariant
 
     def test_sample_tolerates_float_fuzz(self):
-        simulator = StatevectorSimulator(1, seed=0)
-        simulator.run(Circuit(1, [H(0)]))
-        simulator.state = simulator.state * (1.0 + 1e-12)
-        assert len(simulator.sample(16)) == 16
+        state = apply_circuit(Circuit(1, [H(0)])) * (1.0 + 1e-12)
+        probabilities = checked_probabilities(state)
+        assert probabilities.sum() == pytest.approx(1.0, rel=0, abs=1e-15)
+        samples = np.random.default_rng(0).choice(2, size=16, p=probabilities)
+        assert len(samples) == 16
 
 
 class TestBatchedStatevector:
@@ -393,3 +392,21 @@ class TestPauliProgramOracle:
         assert sweep.dtype == np.float64
         np.testing.assert_array_equal(sweep, values)
         assert sweep_energies(program, hamiltonian, []).shape == (0,)
+
+
+def test_public_names():
+    """The gate-level noisy and stateful simulators live in the tests'
+    oracles, not in the library."""
+    assert sorted(repro.sim.__all__) == [
+        "DepolarizingNoiseModel",
+        "ExpectationEngine",
+        "apply_circuit",
+        "apply_circuit_inplace",
+        "apply_gate_inplace",
+        "apply_pauli",
+        "apply_pauli_exponential",
+        "basis_state",
+        "checked_probabilities",
+        "expectation",
+        "ground_state_energy",
+    ]

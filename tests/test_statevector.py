@@ -1,4 +1,4 @@
-"""Tests for the statevector simulator and Pauli evolution engine."""
+"""Tests for the statevector kernels and Pauli evolution engine."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from repro.circuit import Circuit
 from repro.circuit.gates import CNOT, SWAP, H, RX, RY, RZ, X
 from repro.pauli import PauliString, PauliSum
 from repro.sim import (
-    StatevectorSimulator,
     apply_circuit,
     apply_pauli,
     apply_pauli_exponential,
@@ -127,25 +126,6 @@ class TestExpectation:
         state = random_state(2, seed)
         expected = np.vdot(state, observable.to_matrix() @ state).real
         assert expectation(observable, state) == pytest.approx(expected, abs=1e-10)
-
-
-class TestSimulatorObject:
-    def test_run_and_reset(self):
-        simulator = StatevectorSimulator(2, seed=1)
-        simulator.run(Circuit(2, [X(0)]))
-        assert abs(simulator.state[1]) == 1.0
-        simulator.reset()
-        assert abs(simulator.state[0]) == 1.0
-
-    def test_sampling_distribution(self):
-        simulator = StatevectorSimulator(1, seed=42)
-        simulator.run(Circuit(1, [H(0)]))
-        counts = simulator.sample_counts(4000)
-        assert abs(counts.get(0, 0) - 2000) < 200
-
-    def test_qubit_count_mismatch(self):
-        with pytest.raises(ValueError):
-            StatevectorSimulator(2).run(Circuit(3))
 
 
 class TestUnitaryComposition:

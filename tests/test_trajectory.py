@@ -1,10 +1,12 @@
-"""Stochastic Pauli-trajectory engine + noisy-path regression tests.
+"""Pauli-trajectory noise + noisy-path regression tests.
 
-Covers the trajectory engine's agreement with the exact density matrix
-and, bit for bit, with a dense oracle that evolves every row; seeded
-determinism; the noise models that used to be silently discarded now
-raising; the shared popcount helper; and the normalization assertion
-that replaced silent renormalization in the sampling backend.
+Covers the trajectory energy's construction checks, seeded determinism
+and agreement with the exact density matrix; its error draw against the
+dense oracle's (:func:`dense_oracle.dense_trajectories`), event by event
+at every block size; the noise models that used to be silently
+discarded now raising; the shared popcount helper; and the
+normalization assertion that replaced silent renormalization in the
+sampling backend.
 """
 
 import numpy as np
@@ -12,29 +14,24 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dense_oracle import dense_trajectories
 from repro.ansatz import build_uccsd_program
 from repro.chem import build_molecule_hamiltonian
 from repro.circuit import Circuit
 from repro.circuit.gates import CNOT, RX, RZ, SWAP, Gate, H
 from repro.core import compress_ansatz
 from repro.core.bits import _popcount_swar, popcount
-from repro.pauli import PauliSum
+from repro.core.ir import IRTerm, PauliProgram
+from repro.pauli import PauliString, PauliSum
 from repro.sim import (
-    DensityMatrixSimulator,
     DepolarizingNoiseModel,
     ExpectationEngine,
-    StatevectorSimulator,
     apply_circuit,
-    apply_gate_inplace,
-    trajectory_estimate,
-    trajectory_expectations,
+    basis_state,
+    checked_probabilities,
 )
-from repro.sim.trajectory import (
-    _apply_pauli_rows,
-    _draw_events,
-    _noisy_gates,
-    channel_paulis,
-)
+from repro.sim.channel_plan import ChannelPlan
+from repro.sim.trajectory import _draw_events, _noisy_gates, channel_paulis
 from repro.vqe import VQE, TrajectoryEnergy
 from repro.vqe.energy import DensityMatrixEnergy, SamplingEnergy
 
@@ -57,6 +54,19 @@ CIRCUIT = Circuit(
     3, [H(0), CNOT(0, 1), RX(0.7, 2), CNOT(1, 2), RZ(0.3, 0), SWAP(0, 2)]
 )
 
+#: A small three-qubit program for the energy's own checks.
+PROGRAM = PauliProgram(
+    3,
+    2,
+    [
+        IRTerm(PauliString.from_label("XZY"), 0.5, 0),
+        IRTerm(PauliString.from_label("YYI"), -0.8, 1),
+        IRTerm(PauliString.from_label("IXX"), 0.3, 0),
+    ],
+    [0],
+)
+THETA = np.array([0.4, -0.7])
+
 
 class TestChannelPaulis:
     def test_sizes_and_embedding(self):
@@ -70,167 +80,92 @@ class TestChannelPaulis:
         assert not any(p.is_identity() for p in two_qubit)
 
 
-class TrajectorySimulator:
-    """Dense oracle: K trajectories, every row through every gate.
-
-    An independent reference for the error-sparse engine: it draws each
-    gate's errors while it runs, right after the gate, and evolves all K
-    rows of one ``(K, 2**n)`` stack.  On two or more qubits the engine
-    must match it bit for bit, block by block (see
-    :func:`dense_trajectories`).
-    """
-
-    def __init__(self, num_qubits, noise=None, *, trajectories=64, seed=None, rng=None):
-        if trajectories < 1:
-            raise ValueError("trajectories must be at least 1")
-        self.num_qubits = num_qubits
-        self.noise = noise or DepolarizingNoiseModel(two_qubit_error=0.0)
-        self.trajectories = trajectories
-        self.states = np.zeros((trajectories, 1 << num_qubits), dtype=complex)
-        self.states[:, 0] = 1.0
-        self._rng = rng if rng is not None else np.random.default_rng(seed)
-        self.error_events = 0
-
-    def reset(self, state):
-        self.states[...] = state
-        return self
-
-    def run(self, circuit):
-        if circuit.num_qubits != self.num_qubits:
-            raise ValueError("qubit count mismatch")
-        for gate in circuit.decompose_swaps().gates:
-            if gate.name in ("barrier", "measure"):
-                continue
-            apply_gate_inplace(self.states, gate, self.num_qubits)
-            probability = self.noise.error_for(gate.name, gate.num_qubits)
-            if probability > 0.0:
-                self._inject_errors(gate.qubits, probability)
-        return self.states
-
-    def _inject_errors(self, qubits, probability):
-        hits = np.nonzero(self._rng.random(self.trajectories) < probability)[0]
-        if hits.size == 0:
-            return
-        paulis = channel_paulis(self.num_qubits, qubits)
-        choices = self._rng.integers(len(paulis), size=hits.size)
-        self.error_events += int(hits.size)
-        for index in np.unique(choices):
-            _apply_pauli_rows(self.states, paulis[index], hits[choices == index])
-
-
-def dense_trajectories(
-    circuit, observable, noise, *, trajectories, seed, block_size, initial_state=None
-):
-    """The oracle's per-row values and error count.
-
-    Blocks of ``block_size`` rows (the last one ragged), block ``i``
-    seeded by child ``i`` of ``SeedSequence(seed)`` -- the documented
-    seeding of :func:`repro.sim.trajectory.trajectory_expectations`.
-    """
-    engine = ExpectationEngine(observable)
-    full, tail = divmod(trajectories, block_size)
-    sizes = [block_size] * full + ([tail] if tail else [])
-    values, events = [], 0
-    for size, child in zip(sizes, np.random.SeedSequence(seed).spawn(len(sizes))):
-        simulator = TrajectorySimulator(
-            circuit.num_qubits, noise, trajectories=size, rng=np.random.default_rng(child)
-        )
-        if initial_state is not None:
-            simulator.reset(initial_state)
-        values.append(engine.values(simulator.run(circuit)))
-        events += simulator.error_events
-    return np.concatenate(values), events
-
-
 class TestTrajectorySimulator:
+    """The trajectory energy's construction, draw and estimate."""
+
     def test_noiseless_rows_match_statevector_exactly(self):
-        simulator = TrajectorySimulator(3, None, trajectories=4, seed=0)
-        simulator.run(CIRCUIT)
-        expected = apply_circuit(CIRCUIT)
-        for row in simulator.states:
-            np.testing.assert_allclose(row, expected, atol=1e-12)
-        assert simulator.error_events == 0
-        # The engine forks no row at all: every value is the clean one.
-        estimate = trajectory_estimate(CIRCUIT, OBSERVABLE, None, trajectories=4, seed=0)
-        assert estimate.error_events == 0
-        values = trajectory_expectations(CIRCUIT, OBSERVABLE, None, trajectories=4, seed=0)
-        clean = ExpectationEngine(OBSERVABLE).value(expected)
+        values, events = dense_trajectories(CIRCUIT, OBSERVABLE, None, trajectories=4, seed=0)
+        clean = ExpectationEngine(OBSERVABLE).value(apply_circuit(CIRCUIT))
         np.testing.assert_allclose(values, clean, rtol=0, atol=1e-12)
+        assert events == []
+        # The energy draws no error: every row reads the clean value.
+        noiseless = DepolarizingNoiseModel(two_qubit_error=0.0)
+        energy = TrajectoryEnergy(PROGRAM, OBSERVABLE, noiseless, trajectories=4, seed=0)
+        values = energy.values(THETA)
+        np.testing.assert_array_equal(values, np.full(4, values[0]))
+        energy(THETA)
+        assert energy.last_error_events == 0
 
     def test_seeded_determinism(self):
-        a = trajectory_expectations(CIRCUIT, OBSERVABLE, NOISE, trajectories=32, seed=5)
-        b = trajectory_expectations(CIRCUIT, OBSERVABLE, NOISE, trajectories=32, seed=5)
-        np.testing.assert_array_equal(a, b)
+        signature = ChannelPlan(PROGRAM, NOISE).signature
+        first = _draw_events(signature, 3, 200, 5)
+        second = _draw_events(signature, 3, 200, 5)
+        assert first[0].size > 0
+        for a, b in zip(first, second):
+            np.testing.assert_array_equal(a, b)
+        other = _draw_events(signature, 3, 200, 6)
+        assert any(a.shape != b.shape or (a != b).any() for a, b in zip(first, other))
 
     def test_unbiased_against_density_matrix(self):
         noise = DepolarizingNoiseModel(two_qubit_error=0.05, one_qubit_error=0.01)
-        dm = DensityMatrixSimulator(3, noise)
-        dm.run(CIRCUIT)
-        exact = dm.expectation(OBSERVABLE)
-        estimate = trajectory_estimate(
-            CIRCUIT, OBSERVABLE, noise, trajectories=4096, seed=3
-        )
-        assert estimate.error_events > 0
-        assert estimate.standard_error > 0.0
-        assert estimate.agrees_with(exact, sigmas=4.0)
-
-    def test_swaps_are_noisy(self):
-        # SWAPs decompose into three noisy CNOTs, as in the DM simulator.
-        swap_only = Circuit(2, [H(0), SWAP(0, 1)])
-        noise = DepolarizingNoiseModel(two_qubit_error=1.0)
-        observable = PauliSum.from_label_dict({"ZI": 1.0})
-        estimate = trajectory_estimate(swap_only, observable, noise, trajectories=8, seed=0)
-        assert estimate.error_events == 3 * 8
+        exact = DensityMatrixEnergy(PROGRAM, OBSERVABLE, noise)(THETA)
+        energy = TrajectoryEnergy(PROGRAM, OBSERVABLE, noise, trajectories=4096, seed=3)
+        value = energy(THETA)
+        assert energy.last_error_events > 0
+        assert energy.last_standard_error > 0.0
+        assert abs(value - exact) <= 4.0 * energy.last_standard_error
 
     def test_qubit_mismatch(self):
-        with pytest.raises(ValueError, match="qubit count mismatch"):
-            trajectory_expectations(
-                CIRCUIT, PauliSum.from_label_dict({"ZZ": 1.0}), trajectories=2
-            )
-
-    @pytest.mark.parametrize("size", [1, 1 << 4])
-    @pytest.mark.parametrize("run", [trajectory_estimate, trajectory_expectations])
-    def test_wrong_sized_initial_state_rejected(self, run, size):
-        # A 2-qubit circuit needs 4 amplitudes; 1 or 16 used to broadcast.
-        circuit = Circuit(2, [H(0), CNOT(0, 1)])
-        observable = PauliSum.from_label_dict({"ZZ": 1.0, "XX": 0.5})
-        with pytest.raises(ValueError, match="does not match 2 qubits"):
-            run(
-                circuit, observable, DepolarizingNoiseModel(two_qubit_error=0.1),
-                trajectories=8, seed=0, initial_state=np.ones(size) / np.sqrt(size),
-            )
+        with pytest.raises(ValueError, match="sizes differ"):
+            TrajectoryEnergy(PROGRAM, PauliSum.from_label_dict({"ZZ": 1.0}), trajectories=2)
 
     @pytest.mark.parametrize("knob", [{"executor": "serial"}, {"workers": 2}])
     def test_no_executor_knobs(self, knob):
-        # The gate-level API runs in one process: there is no pool to pick.
+        # The energy runs in one process: there is no pool to pick.
         with pytest.raises(TypeError):
-            trajectory_expectations(CIRCUIT, OBSERVABLE, trajectories=2, **knob)
+            TrajectoryEnergy(PROGRAM, OBSERVABLE, trajectories=2, **knob)
+
+    def test_no_block_size_knob(self):
+        # Every draw uses 64-row blocks: there is no block size to pick.
         with pytest.raises(TypeError):
-            trajectory_estimate(CIRCUIT, OBSERVABLE, trajectories=2, **knob)
+            TrajectoryEnergy(PROGRAM, OBSERVABLE, trajectories=2, block_size=4)
 
     def test_invalid_trajectory_count(self):
-        with pytest.raises(ValueError, match="trajectories"):
-            trajectory_expectations(CIRCUIT, OBSERVABLE, trajectories=0)
-        with pytest.raises(ValueError, match="block_size"):
-            trajectory_expectations(CIRCUIT, OBSERVABLE, trajectories=4, block_size=0)
+        # Rejected at construction, naming the value, not at the first call.
+        for trajectories in (0, -3, True, 2.5, "8", None):
+            with pytest.raises(ValueError, match=f"trajectories .* got {trajectories!r}"):
+                TrajectoryEnergy(PROGRAM, OBSERVABLE, NOISE, trajectories=trajectories)
+
+    def test_numpy_trajectory_count_accepted(self):
+        energy = TrajectoryEnergy(PROGRAM, OBSERVABLE, NOISE, trajectories=np.int64(8))
+        assert energy.values(THETA).shape == (8,)
+
+    def test_energy_stage_keeps_an_explicit_trajectory_count(self):
+        # An explicit count reaches the energy; only None means the config's.
+        from repro.core import BuildAnsatz, BuildProblem, Energy, Pipeline, PipelineConfig
+
+        stage = Energy(backend="trajectory", noise=NOISE, trajectories=0, compute_exact=False)
+        pipeline = Pipeline(
+            PipelineConfig(molecule="H2", ratio=1.0), [BuildProblem(), BuildAnsatz(), stage]
+        )
+        with pytest.raises(ValueError, match="got 0"):
+            pipeline.run()
 
     def test_block_streaming_shapes(self):
-        values = trajectory_expectations(
-            CIRCUIT, OBSERVABLE, NOISE, trajectories=10, seed=2, block_size=4
-        )
-        assert values.shape == (10,)
+        # 130 rows: two full 64-row blocks and a ragged one of 2.
+        values = TrajectoryEnergy(
+            PROGRAM, OBSERVABLE, NOISE, trajectories=130, seed=2
+        ).values(THETA)
+        assert values.shape == (130,)
         assert np.isfinite(values).all()
 
     def test_estimate_fields(self):
-        estimate = trajectory_estimate(
-            CIRCUIT, OBSERVABLE, NOISE, trajectories=16, seed=1
-        )
-        assert estimate.trajectories == 16
-        assert np.isfinite(estimate.value)
-        single = trajectory_estimate(
-            CIRCUIT, OBSERVABLE, NOISE, trajectories=1, seed=1
-        )
-        assert np.isnan(single.standard_error)
+        energy = TrajectoryEnergy(PROGRAM, OBSERVABLE, NOISE, trajectories=16, seed=1)
+        assert np.isfinite(energy(THETA))
+        assert np.isfinite(energy.last_standard_error)
+        single = TrajectoryEnergy(PROGRAM, OBSERVABLE, NOISE, trajectories=1, seed=1)
+        single(THETA)
+        assert np.isnan(single.last_standard_error)
 
 
 _ONE_QUBIT = ("h", "x", "y", "z", "s", "sdg", "rx", "ry", "rz", "measure")
@@ -240,7 +175,7 @@ _RATES = (0.0, 1e-4, 1e-2, 0.3, 1.0)
 
 @st.composite
 def _trajectory_cases(draw):
-    """A noisy <=5-qubit circuit, an observable, K, a block size, a start."""
+    """A noisy <=5-qubit circuit, an observable, K and a block size."""
     n = draw(st.integers(1, 5))
     names = _ONE_QUBIT + ("barrier",) + (_TWO_QUBIT if n > 1 else ())
     gates = []
@@ -259,11 +194,6 @@ def _trajectory_cases(draw):
     )
     labels = st.text("IXYZ", min_size=n, max_size=n)
     terms = draw(st.dictionaries(labels, st.floats(-1.0, 1.0), min_size=1, max_size=4))
-    initial_state = None
-    if draw(st.booleans()):
-        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        initial_state = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-        initial_state /= np.linalg.norm(initial_state)
     return {
         "circuit": Circuit(n, gates),
         "observable": PauliSum.from_label_dict(terms),
@@ -271,26 +201,7 @@ def _trajectory_cases(draw):
         "trajectories": draw(st.integers(1, 40)),
         "block_size": draw(st.integers(1, 16)),
         "seed": draw(st.integers(0, 2**16)),
-        "initial_state": initial_state,
     }
-
-
-def _check_chunk_plan(case):
-    """Chunks tile the rows in order and fork at most ``block_size`` each."""
-    circuit = case["circuit"].decompose_swaps()
-    _, signature = _noisy_gates(circuit, case["noise"])
-    events = _draw_events(
-        signature, circuit.num_qubits, case["trajectories"], case["seed"],
-        case["block_size"],
-    )
-    start = 0
-    for chunk in events.chunks:
-        assert chunk.start == start
-        assert np.unique(chunk.targets).size <= case["block_size"]
-        assert np.all(np.diff(chunk.gates) >= 0)
-        start += chunk.rows
-    assert start == case["trajectories"]
-    return events
 
 
 class TestDenseOracle:
@@ -304,12 +215,9 @@ class TestDenseOracle:
             "trajectories": 37,
             "block_size": 8,
             "seed": 4,
-            "initial_state": None,
         }
     )
     @example(
-        # An observable whose only term has a zero coefficient has no
-        # groups: every row still reads exactly 0.
         {
             "circuit": Circuit(3, [H(0), H(1), H(2), H(0), H(1)]),
             "observable": PauliSum.from_label_dict({"ZZZ": 0.0}),
@@ -317,39 +225,18 @@ class TestDenseOracle:
             "trajectories": 2,
             "block_size": 1,
             "seed": 0,
-            "initial_state": None,
         }
     )
     def test_matches_dense_oracle_bit_for_bit(self, case):
-        expected, events = dense_trajectories(**case)
-        values = trajectory_expectations(**case)
-        if case["circuit"].num_qubits > 1:
-            np.testing.assert_array_equal(values, expected)
-        else:
-            # On one qubit an amplitude slab of a one-row stack is a single
-            # element, and NumPy multiplies it by RZ's complex phase in its
-            # scalar loop rather than the fused-multiply-add SIMD loop: the
-            # last bit then depends on the stack height, in the dense oracle
-            # too (a one-row tail block rounds unlike a full block).
-            np.testing.assert_allclose(values, expected, rtol=0, atol=1e-14)
-        assert trajectory_estimate(**case).error_events == events
-        assert _check_chunk_plan(case).total == events
-
-    def test_certain_errors_give_every_block_its_own_chunk(self):
-        # p = 1 forks every row, so no two blocks fit in one chunk and the
-        # stack never holds more than block_size + 1 rows.
-        case = {
-            "circuit": CIRCUIT,
-            "noise": DepolarizingNoiseModel(two_qubit_error=1.0),
-            "trajectories": 20,
-            "block_size": 8,
-            "seed": 1,
-        }
-        events = _check_chunk_plan(case)
-        assert [chunk.rows for chunk in events.chunks] == [8, 8, 4]
-        # At the paper's rate every block shares one chunk.
-        case["noise"] = DepolarizingNoiseModel(two_qubit_error=1e-4)
-        assert len(_check_chunk_plan(case).chunks) == 1
+        """The draw is the oracle's, error by error, at any block size."""
+        circuit = case["circuit"]
+        _, signature = _noisy_gates(circuit.decompose_swaps(), case["noise"])
+        drawn = _draw_events(
+            signature, circuit.num_qubits, case["trajectories"], case["seed"],
+            case["block_size"],
+        )
+        _, events = dense_trajectories(**case)
+        assert list(zip(*(column.tolist() for column in drawn))) == events
 
 
 class TestTrajectoryEnergy:
@@ -378,8 +265,6 @@ class TestTrajectoryEnergy:
         assert first(theta) == second(theta)
 
     def test_common_randomness_reuses_the_event_draw(self, lih):
-        from repro.compiler.synthesis import synthesize_program_chain
-
         problem, program = lih
         energy = TrajectoryEnergy(
             program, problem.hamiltonian, NOISE, trajectories=32, seed=13
@@ -389,23 +274,19 @@ class TestTrajectoryEnergy:
         theta = np.full(program.num_parameters, 0.05)
         value = energy(theta)
         assert energy._events is events
-        circuit = synthesize_program_chain(program, theta)
 
         def fresh(trajectories):
-            return trajectory_expectations(
-                circuit, problem.hamiltonian, NOISE, trajectories=trajectories, seed=13
-            )
+            return TrajectoryEnergy(
+                program, problem.hamiltonian, NOISE, trajectories=trajectories, seed=13
+            ).values(theta)
 
-        # The Pauli-level rows round unlike the gate-level ones, so the
-        # draw is compared row by row rather than through an exact mean.
-        np.testing.assert_allclose(energy.values(theta), fresh(32), rtol=0, atol=1e-12)
-        assert value == pytest.approx(fresh(32).mean(), rel=0, abs=1e-12)
-        assert energy.last_error_events == trajectory_estimate(
-            circuit, problem.hamiltonian, NOISE, trajectories=32, seed=13
-        ).error_events
+        # The kept draw gives what a fresh draw at this theta gives.
+        np.testing.assert_array_equal(energy.values(theta), fresh(32))
+        assert value == fresh(32).mean()
+        assert energy.last_error_events == events[0].size > 0
         # A changed draw key redraws instead of reusing stale events.
         energy.trajectories = 16
-        np.testing.assert_allclose(energy.values(theta), fresh(16), rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(energy.values(theta), fresh(16))
         assert energy._events is not events
 
     def test_fresh_randomness_varies(self, lih):
@@ -492,10 +373,9 @@ class TestPopcount:
 
 class TestNormalizationAssertion:
     def test_sample_rejects_leaky_state(self):
-        simulator = StatevectorSimulator(2, seed=0)
-        simulator.state *= 0.9  # deliberate norm leak
+        leaky = basis_state(2) * 0.9  # deliberate norm leak
         with pytest.raises(ValueError, match="not normalized"):
-            simulator.sample(10)
+            checked_probabilities(leaky)
 
     def test_sampling_energy_rejects_leaky_state(self):
         problem = build_molecule_hamiltonian("H2")
